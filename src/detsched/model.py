@@ -143,7 +143,7 @@ def validate_instance(instance: Instance) -> Instance:
         raise BetaNonPositive(f"beta must be > 0, got {instance.beta}")
     seen: set[int] = set()
     for job in instance.jobs:
-        if job.id < 1:
+        if not isinstance(job.id, int) or isinstance(job.id, bool) or job.id < 1:
             raise NegativeParameter(f"job id must be a positive integer, got {job.id}")
         if job.alpha < 0:
             raise NegativeParameter(f"job {job.id}: alpha must be >= 0, got {job.alpha}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,7 +27,7 @@ class Objective(Enum):
 
 
 class InstanceTooLarge(SchedulingError):
-    """Refusing to enumerate permutations past the configured cap."""
+    """Refusing to run an exponential oracle past its cap."""
 
 
 class DegenerateOptimum(SchedulingError):
@@ -34,6 +35,9 @@ class DegenerateOptimum(SchedulingError):
 
 
 DEFAULT_BRUTEFORCE_CAP = 10
+
+# The integer table at n=20 holds 2^20 entries, about 40 MB.
+DP_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -107,33 +111,47 @@ def dp_min_makespan(instance: Instance) -> Fraction:
     ``min over last jobs j of alpha_j + (1 + beta) * max(release_j,
     earliest completion of the rest)``; completions are monotone in starts,
     so finishing each prefix as early as possible is optimal.  O(n * 2^n)
-    versus n! for :func:`brute_force`; used for bulk checks, cross-validated
-    against the enumerator in the tests.
+    versus n! for :func:`brute_force`.
+
+    The loop runs on integers.  Let ``d`` be the lcm of the alpha and
+    release denominators and ``beta = p/q``.  Every release is a multiple
+    of ``1/d``, and a completion after k steps is
+    ``alpha + (p+q)/q * start``, so by induction its denominator divides
+    ``d * q**k``.  Scaling time by ``L = d * q**n`` therefore makes every
+    release, start and completion of an n-job subset an integer, and every
+    start of a job placed k <= n deep is a multiple of ``q**(n-k+1)``.  The
+    step ``alpha + S // q * (p+q)``, which is ``alpha + (p+q) * S / q``, is
+    then exact, and the result is ``Fraction(best, L)``.
+
+    :func:`brute_force` stays on Fractions: it is the independent route
+    that the tests and the certificate checks compare this DP against, so
+    it must not share the scaling argument.  Raises
+    :class:`InstanceTooLarge` when ``instance.n > DP_MAX_N``, before the
+    2^n table is allocated.
     """
     validate_instance(instance)
-    jobs = instance.jobs
-    n = len(jobs)
-    g = instance.growth
-    alphas = [j.alpha for j in jobs]
-    releases = [j.release for j in jobs]
-    best: list[Fraction | None] = [None] * (1 << n)
-    best[0] = ZERO
+    n = instance.n
+    if n > DP_MAX_N:
+        raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
+    q = instance.beta.denominator
+    pq = instance.beta.numerator + q
+    d = math.lcm(*(v.denominator for j in instance.jobs for v in (j.alpha, j.release)))
+    scale = d * q**n
+    jobs = [
+        (1 << i, int(j.alpha * scale), int(j.release * scale))
+        for i, j in enumerate(instance.jobs)
+    ]
+    best = [0] * (1 << n)
     for mask in range(1, 1 << n):
-        value: Fraction | None = None
-        rest = mask
-        while rest:
-            low = rest & (-rest)
-            rest ^= low
-            i = low.bit_length() - 1
-            prev = best[mask ^ low]
-            s = releases[i] if releases[i] > prev else prev
-            candidate = alphas[i] + g * s
-            if value is None or candidate < value:
-                value = candidate
+        value = None
+        for bit, alpha, release in jobs:
+            if mask & bit:
+                prev = best[mask ^ bit]
+                candidate = alpha + (release if release > prev else prev) // q * pq
+                if value is None or candidate < value:
+                    value = candidate
         best[mask] = value
-    result = best[(1 << n) - 1]
-    assert result is not None
-    return result
+    return Fraction(best[-1], scale)
 
 
 def lb_release(instance: Instance) -> Fraction:

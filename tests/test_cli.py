@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from detsched.cli import main
+from detsched.oracle import DP_MAX_N
 from detsched.serialization import parse_instance, parse_rational, write_instance
 
 from conftest import make_instance
@@ -171,6 +172,15 @@ class TestExperiment:
     def test_empty_betas(self, capsys):
         assert main(["experiment", "--betas", " , ", "--seed", "0"]) == 1
         assert "--betas" in capsys.readouterr().err
+
+    def test_trial_past_dp_cap(self, capsys):
+        n = str(DP_MAX_N + 1)
+        args = [
+            "experiment", "--objective", "makespan", "--max-bruteforce-n", "25",
+            "--trials", "1", "--n-min", n, "--n-max", n, "--seed", "0",
+        ]
+        assert main(args) == 1
+        assert "subset-DP cap" in capsys.readouterr().err
 
 
 class TestVerifyPm:

@@ -77,6 +77,12 @@ class TestValidation:
         with pytest.raises(NegativeParameter):
             make_instance(1, [(0, 1, 0)])
 
+    @pytest.mark.parametrize("bad_id", [True, False, F(1), "1", 1.0])
+    def test_non_int_id_rejected(self, bad_id):
+        # True == 1 and F(1) == 1, but neither is an integer id
+        with pytest.raises(NegativeParameter):
+            validate_instance(Instance(F(1), (Job(bad_id, F(1), F(0)),)))
+
     def test_zero_alpha_allowed(self):
         # the estimate-first adversarial family needs alpha = 0 jobs
         make_instance(1, [(1, 0, 0)])

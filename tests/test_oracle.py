@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsched import (
+    Instance,
+    Job,
     Objective,
     approximation_ratio,
     best_of_two,
@@ -23,12 +25,54 @@ from detsched import (
     non_idling,
     non_interfering,
     sorted_subset_cost,
+    validate_instance,
 )
-from detsched.oracle import DegenerateOptimum, InstanceTooLarge, value_ratio
+from detsched.generators import Family, FamilySpec, generate
+from detsched.oracle import DP_MAX_N, DegenerateOptimum, InstanceTooLarge, value_ratio
 
-from conftest import instances, make_instance
+from conftest import betas, instances, make_instance
 
 F = Fraction
+
+# betas whose denominators 3, 7 and 10 make the DP's time scale q**n large
+odd_denominator_betas = st.sampled_from(
+    [F(1, 3), F(5, 3), F(2, 7), F(9, 7), F(3, 10), F(21, 10)]
+)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def coprime_instances(draw, max_n=6):
+    """Alphas and releases over pairwise coprime (distinct prime)
+    denominators, so their lcm is as large as the values allow."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    beta = draw(st.one_of(odd_denominator_betas, betas))
+    dens = draw(st.permutations(PRIMES))
+    nums = draw(st.lists(st.integers(0, 60), min_size=2 * n, max_size=2 * n))
+    jobs = tuple(
+        Job(i + 1, F(nums[2 * i], dens[2 * i]), F(nums[2 * i + 1], dens[2 * i + 1]))
+        for i in range(n)
+    )
+    return validate_instance(Instance(beta, jobs))
+
+
+@st.composite
+def adversarial_instances(draw, max_jobs=7):
+    """The adversarial families up to max_jobs jobs: staggered releases
+    weighted by (1+beta)**j, and nonidling-adv's alpha = (1+beta)**(k+1)."""
+    # the size parameter k gives k, k+1 and 2k jobs respectively
+    family, k_max = draw(
+        st.sampled_from(
+            [
+                (Family.NONINTERFERING_ADV, max_jobs),
+                (Family.NONIDLING_ADV, max_jobs - 1),
+                (Family.ECTF_ADV, max_jobs // 2),
+            ]
+        )
+    )
+    k = draw(st.integers(min_value=1, max_value=k_max))
+    beta = draw(st.one_of(odd_denominator_betas, betas))
+    return generate(FamilySpec(family, k, beta))
 
 
 class TestBruteForce:
@@ -97,8 +141,20 @@ class TestDpMinMakespan:
     def test_two_job(self, two_job_instance):
         assert dp_min_makespan(two_job_instance) == F(11)
 
-    @settings(max_examples=200, deadline=None)
-    @given(inst=instances(max_n=6))
+    def test_cap_enforced(self):
+        # past the cap the 2^n table would not fit; it must refuse up front
+        inst = make_instance(1, [(i, 1, 0) for i in range(1, DP_MAX_N + 2)])
+        with pytest.raises(InstanceTooLarge):
+            dp_min_makespan(inst)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(max_n=6),
+            coprime_instances(),
+            adversarial_instances(),
+        )
+    )
     def test_agrees_with_enumeration(self, inst):
         # two independent routes to the same optimum
         assert dp_min_makespan(inst) == brute_force(inst, Objective.MAKESPAN).best_value
