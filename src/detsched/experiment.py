@@ -22,7 +22,14 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .generators import Family, FamilySpec, generate
-from .model import Instance, ZERO, evaluate, rational, total_completion
+from .model import (
+    Instance,
+    InvalidArgument,
+    ZERO,
+    evaluate,
+    rational,
+    total_completion,
+)
 from .oracle import (
     DEFAULT_BRUTEFORCE_CAP,
     Objective,
@@ -58,13 +65,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+            raise InvalidArgument("trials must be >= 0")
         if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError("need 1 <= n_min <= n_max")
+            raise InvalidArgument("need 1 <= n_min <= n_max")
         if not self.betas:
-            raise ValueError("betas must be nonempty")
+            raise InvalidArgument("betas must be nonempty")
         if not self.algorithms:
-            raise ValueError("algorithms must be nonempty")
+            raise InvalidArgument("algorithms must be nonempty")
         object.__setattr__(self, "betas", tuple(rational(b) for b in self.betas))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.b is not None:

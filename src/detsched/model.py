@@ -49,6 +49,11 @@ class UnknownJobId(SchedulingError):
     """A job id does not occur in the instance."""
 
 
+class InvalidArgument(SchedulingError, ValueError):
+    """A library call got an argument outside its domain.  Also a
+    ``ValueError``, so callers that catch that keep working."""
+
+
 ZERO = Fraction(0)
 
 
@@ -117,7 +122,7 @@ class Schedule:
         object.__setattr__(self, "order", tuple(self.order))
         object.__setattr__(self, "starts", tuple(rational(s) for s in self.starts))
         if len(self.order) != len(self.starts):
-            raise ValueError("order and starts must have equal length")
+            raise InvalidArgument("order and starts must have equal length")
 
 
 @dataclass(frozen=True)
@@ -276,28 +281,6 @@ def fixed_cost_identity(instance: Instance, schedule: Schedule) -> tuple[Fractio
     return lhs, rhs
 
 
-def completion_estimate(instance: Instance, job_id: int, t: int | Fraction) -> Fraction:
-    """Completion time of ``job_id`` if it is started next, no earlier than
-    ``t``: ``(1 + beta) * max(t, release) + alpha``."""
-    t = rational(t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    job = instance.job(job_id)
-    s = t if t > job.release else job.release
-    return instance.growth * s + job.alpha
-
-
 def total_completion(instance: Instance, schedule: Schedule) -> Fraction:
     """Sum of completion times of ``schedule``."""
     return evaluate(instance, schedule).total_completion
-
-
-def shift_releases(instance: Instance) -> Instance:
-    """Translate all releases so the earliest becomes 0.
-
-    Not an equivalence transform: the time origin matters under
-    deterioration.  Offered for experiments that want the normalized form.
-    """
-    r_min = min(job.release for job in instance.jobs)
-    jobs = tuple(Job(j.id, j.alpha, j.release - r_min) for j in instance.jobs)
-    return Instance(instance.beta, jobs)

@@ -11,6 +11,7 @@ from typing import Sequence
 
 from .model import (
     Instance,
+    InvalidArgument,
     Schedule,
     SchedulingError,
     ZERO,
@@ -35,6 +36,10 @@ class DegenerateOptimum(SchedulingError):
 
 
 DEFAULT_BRUTEFORCE_CAP = 10
+
+# Hard ceiling on brute force, whatever cap a caller passes: n=9 already
+# takes about 20 s, and each further job multiplies that by n.
+BRUTE_FORCE_MAX_N = 10
 
 # The integer table at n=20 holds 2^20 entries, about 40 MB.
 DP_MAX_N = 20
@@ -64,12 +69,13 @@ def brute_force(
 
     Ties go to the lexicographically smallest order (by job id), which the
     enumeration order makes automatic.  Raises :class:`InstanceTooLarge`
-    when ``instance.n > max_n``.
+    when ``instance.n > min(max_n, BRUTE_FORCE_MAX_N)``, before enumerating.
     """
     validate_instance(instance)
-    if instance.n > max_n:
+    cap = min(max_n, BRUTE_FORCE_MAX_N)
+    if instance.n > cap:
         raise InstanceTooLarge(
-            f"n={instance.n} exceeds the brute-force cap of {max_n}"
+            f"n={instance.n} exceeds the brute-force cap of {cap}"
         )
     jobs = instance.job_map()
     ids = sorted(jobs)
@@ -181,15 +187,15 @@ def sorted_subset_cost(
     """
     beta = rational(beta)
     if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+        raise InvalidArgument(f"beta must be > 0, got {beta}")
     t = rational(t)
     if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise InvalidArgument(f"t must be >= 0, got {t}")
     g = 1 + beta
     completion = t
     for alpha in sorted(rational(a) for a in alphas):
         if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
+            raise InvalidArgument(f"alpha must be >= 0, got {alpha}")
         completion = alpha + g * completion
     return completion
 

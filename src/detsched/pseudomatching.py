@@ -32,6 +32,7 @@ from typing import Mapping
 
 from .model import (
     Instance,
+    InvalidArgument,
     Schedule,
     SchedulingError,
     ZERO,
@@ -86,15 +87,15 @@ class BoundingSets:
         object.__setattr__(self, "o_values", _as_value_map(self.o_values))
         object.__setattr__(self, "beta", rational(self.beta))
         if len(self.a_values) != len(self.o_values):
-            raise ValueError("the two sides must have equal cardinality")
+            raise InvalidArgument("the two sides must have equal cardinality")
         if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+            raise InvalidArgument(f"beta must be > 0, got {self.beta}")
         for side, values in (("a", self.a_values), ("o", self.o_values)):
             for index, value in values.items():
                 if index < 1 or index > self.n:
-                    raise ValueError(f"{side}-index {index} outside 1..{self.n}")
+                    raise InvalidArgument(f"{side}-index {index} outside 1..{self.n}")
                 if value <= 0:
-                    raise ValueError(f"{side}[{index}] must be > 0, got {value}")
+                    raise InvalidArgument(f"{side}[{index}] must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def verify_rho_pm(
     """
     rho = rational(rho)
     if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
+        raise InvalidArgument(f"rho must be >= 1, got {rho}")
     cap = math.floor(rho)
     bad = _edge_range_violation(sets, matching)
     if bad:

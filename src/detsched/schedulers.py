@@ -6,16 +6,36 @@ earlier release, then the smaller id; the completion-estimate policy
 prefers the smaller estimate, then the smaller fixed part, then the
 smaller id.  Ratio experiments on tie-heavy instances are sensitive to
 these choices, so they are part of the contract, not a detail.
+
+The three greedy policies are event loops.  Each sorts the jobs once by
+``(release, alpha, id)`` and keeps a pointer to the first job not yet
+released at the current time ``t``.
+
+- Non-idling and non-interfering push every released job onto a heap
+  keyed by ``(alpha, release, id)`` and take its head.  Non-interfering
+  first walks the unreleased jobs from the pointer while their release is
+  below the candidate's completion ``(1 + beta) * t + alpha``; the first
+  with a smaller fixed part blocks the candidate, and ``t`` moves to its
+  release.
+- ECTF keeps two heaps: released jobs keyed by ``(alpha, id)``, whose
+  estimate is ``(1 + beta) * t + alpha``, and unreleased jobs keyed by
+  ``((1 + beta) * release + alpha, alpha, id)``.  The smaller of the two
+  heads, compared as ``(estimate, alpha, id)``, starts next.
+
+Every job is pushed and popped at most twice, so the loops take
+O(n log n) heap steps.  Non-interfering's blocking walk adds O(n) per
+decision in the worst case, when many unreleased jobs with larger fixed
+parts fall inside the candidate's window.
 """
 
 from __future__ import annotations
 
+import heapq
 from enum import Enum
 from fractions import Fraction
 
 from .model import (
     Instance,
-    Job,
     Schedule,
     ZERO,
     evaluate,
@@ -31,31 +51,54 @@ class SchedulerChoice(Enum):
     ECTF = "ectf"
 
 
-def _greedy_key(job: Job) -> tuple[Fraction, Fraction, int]:
-    return (job.alpha, job.release, job.id)
+def _greedy(instance: Instance, block: bool) -> Schedule:
+    """Shortest pending job first; with ``block``, never start a job whose
+    window ``(t, (1 + beta) * t + alpha)`` holds the release of a job with a
+    strictly smaller fixed part, and jump to that release instead."""
+    validate_instance(instance)
+    g = instance.growth
+    by_release = sorted(instance.jobs, key=lambda j: (j.release, j.alpha, j.id))
+    n = len(by_release)
+    i = 0
+    pending: list[tuple[Fraction, Fraction, int]] = []
+    t = ZERO
+    order: list[int] = []
+    starts: list[Fraction] = []
+    while len(order) < n:
+        while i < n and by_release[i].release <= t:
+            job = by_release[i]
+            heapq.heappush(pending, (job.alpha, job.release, job.id))
+            i += 1
+        if not pending:
+            t = by_release[i].release
+            continue
+        alpha, _, jid = pending[0]
+        completion = alpha + g * t
+        if block:
+            # Releases from the pointer on are > t; the first smaller fixed
+            # part in release order is the smallest blocking release.
+            blocking = None
+            for k in range(i, n):
+                if not by_release[k].release < completion:
+                    break
+                if by_release[k].alpha < alpha:
+                    blocking = by_release[k].release
+                    break
+            if blocking is not None:
+                t = blocking
+                continue
+        heapq.heappop(pending)
+        order.append(jid)
+        starts.append(t)
+        t = completion
+    return Schedule(tuple(order), tuple(starts))
 
 
 def non_idling(instance: Instance) -> Schedule:
     """Whenever the machine frees up, start the shortest pending job; never
     idle while something is pending.  If nothing is pending, advance to the
     next release."""
-    validate_instance(instance)
-    g = instance.growth
-    remaining = list(instance.jobs)
-    t = ZERO
-    order: list[int] = []
-    starts: list[Fraction] = []
-    while remaining:
-        pending = [j for j in remaining if j.release <= t]
-        if not pending:
-            t = min(j.release for j in remaining)
-            continue
-        job = min(pending, key=_greedy_key)
-        remaining.remove(job)
-        order.append(job.id)
-        starts.append(t)
-        t = job.alpha + g * t
-    return Schedule(tuple(order), tuple(starts))
+    return _greedy(instance, block=False)
 
 
 def is_interfering(instance: Instance, candidate_id: int, t: int | Fraction) -> Fraction | None:
@@ -65,7 +108,8 @@ def is_interfering(instance: Instance, candidate_id: int, t: int | Fraction) -> 
     Returns the smallest release ``r`` with ``t < r < (1 + beta) * t +
     alpha_candidate`` among jobs with a strictly smaller fixed part, or
     ``None``.  Both inequalities are strict: a release exactly at ``t`` or
-    exactly at the projected completion does not block.
+    exactly at the projected completion does not block.  An independent
+    O(n) check of :func:`non_interfering`'s choices.
     """
     candidate = instance.job(candidate_id)
     horizon = instance.growth * t + candidate.alpha
@@ -83,28 +127,7 @@ def non_interfering(instance: Instance) -> Schedule:
     """Like :func:`non_idling`, but refuse to start a job that would run over
     a shorter job's release; instead idle until that release and reconsider
     from scratch."""
-    validate_instance(instance)
-    g = instance.growth
-    remaining = list(instance.jobs)
-    t = ZERO
-    order: list[int] = []
-    starts: list[Fraction] = []
-    while remaining:
-        pending = [j for j in remaining if j.release <= t]
-        if not pending:
-            t = min(j.release for j in remaining)
-            continue
-        candidate = min(pending, key=_greedy_key)
-        blocking = is_interfering(instance, candidate.id, t)
-        if blocking is not None:
-            # Jobs already started can never block: their releases are <= t.
-            t = blocking
-            continue
-        remaining.remove(candidate)
-        order.append(candidate.id)
-        starts.append(t)
-        t = candidate.alpha + g * t
-    return Schedule(tuple(order), tuple(starts))
+    return _greedy(instance, block=True)
 
 
 def ectf(instance: Instance) -> Schedule:
@@ -113,21 +136,40 @@ def ectf(instance: Instance) -> Schedule:
     smallest, idling up to its release if needed."""
     validate_instance(instance)
     g = instance.growth
-    remaining = list(instance.jobs)
+    by_release = sorted(instance.jobs, key=lambda j: (j.release, j.alpha, j.id))
+    n = len(by_release)
+    i = 0
+    released: list[tuple[Fraction, int]] = []
+    # The release rides along for lazy deletion; ids are unique, so it is
+    # never compared.
+    unreleased = [(g * j.release + j.alpha, j.alpha, j.id, j.release) for j in by_release]
+    heapq.heapify(unreleased)
+    started: set[int] = set()
     t = ZERO
     order: list[int] = []
     starts: list[Fraction] = []
-    while remaining:
-        def estimate_key(job: Job) -> tuple[Fraction, Fraction, int]:
-            s = t if t > job.release else job.release
-            return (g * s + job.alpha, job.alpha, job.id)
-
-        job = min(remaining, key=estimate_key)
-        remaining.remove(job)
-        s = t if t > job.release else job.release
-        order.append(job.id)
+    while len(order) < n:
+        while i < n and by_release[i].release <= t:
+            job = by_release[i]
+            if job.id not in started:
+                heapq.heappush(released, (job.alpha, job.id))
+            i += 1
+        while unreleased and unreleased[0][3] <= t:
+            heapq.heappop(unreleased)
+        best = None
+        if released:
+            alpha, jid = released[0]
+            best = (alpha + g * t, alpha, jid)
+        if unreleased and (best is None or unreleased[0][:3] < best):
+            estimate, alpha, jid, s = heapq.heappop(unreleased)
+            best = (estimate, alpha, jid)
+        else:
+            heapq.heappop(released)
+            s = t
+        t, _, jid = best
+        started.add(jid)
+        order.append(jid)
         starts.append(s)
-        t = job.alpha + g * s
     return Schedule(tuple(order), tuple(starts))
 
 

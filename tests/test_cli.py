@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from detsched.cli import main
-from detsched.oracle import DP_MAX_N
+from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
 from detsched.serialization import parse_instance, parse_rational, write_instance
 
 from conftest import make_instance
@@ -29,6 +29,31 @@ def two_job_file(tmp_path, two_job_instance):
     path = tmp_path / "two_job.json"
     path.write_text(write_instance(two_job_instance), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture()
+def past_ceiling_file(tmp_path):
+    """One job more than brute force will ever enumerate."""
+    n = BRUTE_FORCE_MAX_N + 1
+    path = tmp_path / "past_ceiling.json"
+    inst = make_instance(1, [(i, i, 0) for i in range(1, n + 1)])
+    path.write_text(write_instance(inst), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["opt", "--objective", "makespan"],
+        ["opt", "--objective", "total-completion"],
+        ["cross-check"],
+        ["verify-pm"],
+    ],
+)
+def test_bruteforce_ceiling_ignores_raised_cap(capsys, past_ceiling_file, command):
+    argv = command + ["--instance", past_ceiling_file, "--max-bruteforce-n", "25"]
+    assert main(argv) == 1
+    assert f"brute-force cap of {BRUTE_FORCE_MAX_N}" in capsys.readouterr().err
 
 
 class TestGen:
@@ -181,6 +206,15 @@ class TestExperiment:
         ]
         assert main(args) == 1
         assert "subset-DP cap" in capsys.readouterr().err
+
+    def test_trial_past_bruteforce_ceiling(self, capsys):
+        # total completion has no DP: a raised cap used to start a 13! run
+        args = [
+            "experiment", "--objective", "total-completion", "--max-bruteforce-n", "25",
+            "--trials", "1", "--n-min", "13", "--n-max", "13", "--seed", "0",
+        ]
+        assert main(args) == 1
+        assert f"brute-force cap of {BRUTE_FORCE_MAX_N}" in capsys.readouterr().err
 
 
 class TestVerifyPm:

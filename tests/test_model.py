@@ -15,17 +15,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsched import (
+    BoundingSets,
     EvalReport,
+    ExperimentConfig,
+    Family,
     Instance,
+    InvalidArgument,
     Job,
+    Pseudomatching,
     Schedule,
+    SchedulerChoice,
+    SchedulingError,
     canonical_starts,
-    completion_estimate,
     evaluate,
     fixed_cost_identity,
     makespan_closed_form,
+    sorted_subset_cost,
     total_completion,
     validate_instance,
+    verify_rho_pm,
 )
 from detsched.model import (
     BetaNonPositive,
@@ -34,9 +42,7 @@ from detsched.model import (
     InfeasibleSchedule,
     NegativeParameter,
     NotAPermutation,
-    UnknownJobId,
     rational,
-    shift_releases,
 )
 
 from conftest import instances, make_instance
@@ -246,31 +252,6 @@ class TestFixedCostIdentity:
         assert lhs == rhs
 
 
-class TestCompletionEstimate:
-    def test_released_job(self):
-        inst = make_instance(1, [(1, 5, 0), (2, 1, 2)])
-        assert completion_estimate(inst, 1, F(0)) == F(5)
-
-    def test_future_release(self):
-        inst = make_instance(1, [(1, 5, 0), (2, 1, 2)])
-        # starts at its release: 2*2 + 1
-        assert completion_estimate(inst, 2, F(0)) == F(5)
-
-    def test_zero_everything(self):
-        inst = make_instance(5, [(1, 0, 0)])
-        assert completion_estimate(inst, 1, F(0)) == F(0)
-
-    def test_negative_time_rejected(self):
-        inst = make_instance(1, [(1, 1, 0)])
-        with pytest.raises(ValueError):
-            completion_estimate(inst, 1, F(-1))
-
-    def test_unknown_id(self):
-        inst = make_instance(1, [(1, 1, 0)])
-        with pytest.raises(UnknownJobId):
-            completion_estimate(inst, 9, F(0))
-
-
 class TestTotalCompletion:
     def test_gap_example(self):
         inst = make_instance(1, [(1, 1, 0), (2, 1, 3)])
@@ -298,21 +279,6 @@ class TestCanonicalMinimality:
         assert padded.total_completion >= canonical.total_completion
 
 
-class TestShiftReleases:
-    def test_shifts_to_zero(self):
-        inst = make_instance(1, [(1, 1, 4), (2, 2, 6)])
-        shifted = shift_releases(inst)
-        assert [j.release for j in shifted.jobs] == [F(0), F(2)]
-
-    def test_changes_makespan(self):
-        # not an equivalence transform: the origin matters under deterioration
-        inst = make_instance(1, [(1, 1, 4)])
-        shifted = shift_releases(inst)
-        t_orig = evaluate(inst, canonical_starts(inst, (1,))).makespan
-        t_shift = evaluate(shifted, canonical_starts(shifted, (1,))).makespan
-        assert t_orig == F(9) and t_shift == F(1)
-
-
 class TestDeterminism:
     def test_evaluate_repeatable(self, two_job_instance):
         sched = canonical_starts(two_job_instance, (1, 2))
@@ -325,3 +291,42 @@ class TestDeterminism:
             makespan=F(11),
             total_completion=F(16),
         )
+
+
+def _config(**overrides) -> ExperimentConfig:
+    base = dict(
+        family=Family.RANDOM, trials=1, n_min=1, n_max=1, betas=(F(1),), seed=0,
+        algorithms=(SchedulerChoice.ECTF,),
+    )
+    return ExperimentConfig(**{**base, **overrides})
+
+
+class TestInvalidArgumentIsTyped:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: Schedule((1, 2), (F(0),)),
+            lambda: sorted_subset_cost(F(0), [F(1)], F(0)),
+            lambda: sorted_subset_cost(F(1), [F(1)], F(-1)),
+            lambda: sorted_subset_cost(F(1), [F(-1)], F(0)),
+            lambda: _config(trials=-1),
+            lambda: _config(n_min=0),
+            lambda: _config(n_min=2, n_max=1),
+            lambda: _config(betas=()),
+            lambda: _config(algorithms=()),
+            lambda: BoundingSets([F(1)], [F(1), F(2)], n=2, beta=F(1)),
+            lambda: BoundingSets([F(1)], [F(1)], n=1, beta=F(0)),
+            lambda: BoundingSets({2: F(1)}, {1: F(1)}, n=1, beta=F(1)),
+            lambda: BoundingSets([F(0)], [F(1)], n=1, beta=F(1)),
+            lambda: verify_rho_pm(
+                BoundingSets([F(1)], [F(1)], n=1, beta=F(1)),
+                Pseudomatching(((1, 1),)),
+                F(1, 2),
+            ),
+        ],
+    )
+    def test_is_a_scheduling_error(self, call):
+        with pytest.raises(InvalidArgument) as caught:
+            call()
+        assert isinstance(caught.value, SchedulingError)
+        assert isinstance(caught.value, ValueError)

@@ -28,7 +28,14 @@ from detsched import (
     validate_instance,
 )
 from detsched.generators import Family, FamilySpec, generate
-from detsched.oracle import DP_MAX_N, DegenerateOptimum, InstanceTooLarge, value_ratio
+from detsched.experiment import cross_objective_check
+from detsched.oracle import (
+    BRUTE_FORCE_MAX_N,
+    DP_MAX_N,
+    DegenerateOptimum,
+    InstanceTooLarge,
+    value_ratio,
+)
 
 from conftest import betas, instances, make_instance
 
@@ -112,6 +119,18 @@ class TestBruteForce:
             brute_force(inst, Objective.MAKESPAN)
         with pytest.raises(InstanceTooLarge):
             brute_force(inst, Objective.MAKESPAN, max_n=11)
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_ceiling_beats_a_raised_cap(self, objective):
+        # one job past the ceiling: a cap of 25 must not unlock 11! orders
+        n = BRUTE_FORCE_MAX_N + 1
+        inst = make_instance(1, [(i, i, 0) for i in range(1, n + 1)])
+        with pytest.raises(InstanceTooLarge, match=f"cap of {BRUTE_FORCE_MAX_N}"):
+            brute_force(inst, objective, max_n=25)
+        with pytest.raises(InstanceTooLarge):
+            approximation_ratio(inst, non_idling(inst), objective, max_n=25)
+        with pytest.raises(InstanceTooLarge):
+            cross_objective_check(inst, max_n=25)
 
     def test_permutation_count(self):
         inst = make_instance(1, [(i, i, 0) for i in range(1, 6)])

@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsched import (
+    Family,
+    FamilySpec,
+    Instance,
+    Job,
     Objective,
+    Schedule,
     SchedulerChoice,
     best_of_two,
     brute_force,
@@ -22,17 +27,124 @@ from detsched import (
     earliest_release_order,
     ectf,
     evaluate,
+    generate,
     is_interfering,
     non_idling,
     non_interfering,
     solve,
+    validate_instance,
 )
+from detsched.model import ZERO
 
-from conftest import instances, make_instance, small_rationals
+from conftest import betas, instances, make_instance, small_rationals
 
 F = Fraction
 
 ALL = [non_idling, non_interfering, best_of_two, ectf]
+
+
+# The O(n^2) loops the heap-based policies replaced, kept as the reference
+# the event loops must match schedule for schedule, tie-breaks included.
+
+def _greedy_key(job: Job) -> tuple[Fraction, Fraction, int]:
+    return (job.alpha, job.release, job.id)
+
+
+def _reference_non_idling(instance: Instance) -> Schedule:
+    validate_instance(instance)
+    g = instance.growth
+    remaining = list(instance.jobs)
+    t = ZERO
+    order: list[int] = []
+    starts: list[Fraction] = []
+    while remaining:
+        pending = [j for j in remaining if j.release <= t]
+        if not pending:
+            t = min(j.release for j in remaining)
+            continue
+        job = min(pending, key=_greedy_key)
+        remaining.remove(job)
+        order.append(job.id)
+        starts.append(t)
+        t = job.alpha + g * t
+    return Schedule(tuple(order), tuple(starts))
+
+
+def _reference_non_interfering(instance: Instance) -> Schedule:
+    validate_instance(instance)
+    g = instance.growth
+    remaining = list(instance.jobs)
+    t = ZERO
+    order: list[int] = []
+    starts: list[Fraction] = []
+    while remaining:
+        pending = [j for j in remaining if j.release <= t]
+        if not pending:
+            t = min(j.release for j in remaining)
+            continue
+        candidate = min(pending, key=_greedy_key)
+        blocking = is_interfering(instance, candidate.id, t)
+        if blocking is not None:
+            # Jobs already started can never block: their releases are <= t.
+            t = blocking
+            continue
+        remaining.remove(candidate)
+        order.append(candidate.id)
+        starts.append(t)
+        t = candidate.alpha + g * t
+    return Schedule(tuple(order), tuple(starts))
+
+
+def _reference_ectf(instance: Instance) -> Schedule:
+    validate_instance(instance)
+    g = instance.growth
+    remaining = list(instance.jobs)
+    t = ZERO
+    order: list[int] = []
+    starts: list[Fraction] = []
+    while remaining:
+        def estimate_key(job: Job) -> tuple[Fraction, Fraction, int]:
+            s = t if t > job.release else job.release
+            return (g * s + job.alpha, job.alpha, job.id)
+
+        job = min(remaining, key=estimate_key)
+        remaining.remove(job)
+        s = t if t > job.release else job.release
+        order.append(job.id)
+        starts.append(s)
+        t = job.alpha + g * s
+    return Schedule(tuple(order), tuple(starts))
+
+
+REFERENCES = [
+    (non_idling, _reference_non_idling),
+    (non_interfering, _reference_non_interfering),
+    (ectf, _reference_ectf),
+]
+
+
+def _size_betas(n: int) -> st.SearchStrategy[Fraction]:
+    return st.sampled_from([F(1, n), F(n)]) | betas
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Alphas and releases in {0..3} with shuffled ids, so every tie-break
+    of both keys comes into play."""
+    n = draw(st.integers(1, 12))
+    beta = draw(_size_betas(n))
+    ids = draw(st.permutations(range(1, n + 1)))
+    jobs = tuple(Job(i, F(draw(st.integers(0, 3))), F(draw(st.integers(0, 3)))) for i in ids)
+    return validate_instance(Instance(beta, jobs))
+
+
+@st.composite
+def family_instances(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(2, 30 if family in (Family.RANDOM, Family.TWO_RELEASE) else 10))
+    beta = draw(_size_betas(n))
+    seed = draw(st.integers(0, 2**16))
+    return generate(FamilySpec(family=family, n=n, beta=beta, seed=seed))
 
 
 class TestNonIdling:
@@ -253,3 +365,18 @@ class TestSchedulerContracts:
             sched = scheduler(inst)
             assert sched.order == spt
             assert evaluate(inst, sched).makespan == optimum
+
+
+class TestMatchesReferenceLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(inst=st.one_of(instances(), tie_heavy_instances(), family_instances()))
+    def test_same_schedules(self, inst):
+        for policy, reference in REFERENCES:
+            assert policy(inst) == reference(inst)
+
+    def test_long_horizon_instance(self):
+        inst = generate(
+            FamilySpec(family=Family.RANDOM, n=400, beta=F(1, 400), seed=7, r_max=1600)
+        )
+        for policy, reference in REFERENCES:
+            assert policy(inst) == reference(inst)
