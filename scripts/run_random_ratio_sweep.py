@@ -8,9 +8,9 @@ Each algorithm is run in the parameter regime its guarantee addresses:
 * estimate-first at the sampled beta, bound 3 + 1/beta;
 * best-of-two on two-release instances, bound 2.
 
-Every instance stays within the brute-force cap so each trial compares
-against the exact optimum.  Prints the worst ratio and margin per regime;
-exit code 2 if any trial exceeds its bound.
+Every instance stays within the subset DP's cap (``DP_MAX_N``) so each
+trial compares against the exact optimum.  Prints the worst ratio and
+margin per regime; exit code 2 if any trial exceeds its bound.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from detsched import (
     solve,
     value_ratio,
 )
+from detsched.oracle import DP_MAX_N
 from detsched.serialization import decimal_string, parse_rational
 
 # rational over-approximation of e, good to 10 decimal digits
@@ -78,8 +79,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--betas", default="1/2,1,2", help="base rates, comma-separated rationals")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.n_max > 10:
-        parser.error("--n-max beyond 10 would leave trials without an exact optimum")
+    if args.n_max > DP_MAX_N:
+        parser.error(f"--n-max beyond {DP_MAX_N} would leave trials without an exact optimum")
 
     regimes, betas = regime_specs(args)
     span = args.n_max - args.n_min + 1

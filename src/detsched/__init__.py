@@ -17,7 +17,6 @@ from .model import (
     evaluate,
     fixed_cost_identity,
     makespan_closed_form,
-    total_completion,
     validate_instance,
 )
 from .schedulers import (
@@ -33,7 +32,6 @@ from .schedulers import (
 from .oracle import (
     Objective,
     OptResult,
-    approximation_ratio,
     brute_force,
     dp_min_makespan,
     lb_combined,
@@ -76,65 +74,3 @@ from .experiment import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EvalReport",
-    "Instance",
-    "InvalidArgument",
-    "Job",
-    "Schedule",
-    "SchedulingError",
-    "canonical_starts",
-    "evaluate",
-    "fixed_cost_identity",
-    "makespan_closed_form",
-    "total_completion",
-    "validate_instance",
-    "SchedulerChoice",
-    "best_of_two",
-    "earliest_release_order",
-    "ectf",
-    "is_interfering",
-    "non_idling",
-    "non_interfering",
-    "solve",
-    "Objective",
-    "OptResult",
-    "approximation_ratio",
-    "brute_force",
-    "dp_min_makespan",
-    "lb_combined",
-    "lb_release",
-    "objective_value",
-    "sorted_subset_cost",
-    "value_ratio",
-    "BoundingSets",
-    "PMConstructionReport",
-    "Pseudomatching",
-    "check_two_pm",
-    "construct_two_pm",
-    "last_critical_index",
-    "rho_bound_check",
-    "verify_rho_pm",
-    "verify_weak_pm",
-    "weak_bound_check",
-    "Family",
-    "FamilySpec",
-    "generate",
-    "reduce_instance",
-    "ParseError",
-    "decimal_string",
-    "format_rational",
-    "parse_instance",
-    "parse_rational",
-    "parse_schedule",
-    "write_instance",
-    "write_schedule",
-    "CrossObjectiveReport",
-    "ExperimentConfig",
-    "ExperimentRow",
-    "InequalityCheck",
-    "cross_objective_check",
-    "run_experiment",
-    "write_csv",
-]

@@ -24,7 +24,7 @@ from .experiment import (
 )
 from .generators import Family, FamilySpec, generate
 from .model import SchedulingError, evaluate
-from .oracle import Objective, brute_force
+from .oracle import BRUTE_FORCE_MAX_N, Objective, brute_force
 from .pseudomatching import ConstructionFailed, construct_two_pm
 from .schedulers import SchedulerChoice, non_interfering, solve
 from .serialization import (
@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--objective", choices=objectives, default=Objective.MAKESPAN.value
     )
-    p_opt.add_argument("--max-bruteforce-n", type=int, default=10)
+    p_opt.add_argument("--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N)
     p_opt.add_argument("--out", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a schedule against an instance")
@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--alpha-max", type=int, default=8)
     p_exp.add_argument("--r-max", type=int, default=12)
     p_exp.add_argument("--b", default=None)
-    p_exp.add_argument("--max-bruteforce-n", type=int, default=10)
+    p_exp.add_argument("--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N)
     p_exp.add_argument(
         "--timings", action="store_true",
         help="fill wall_time_ms (breaks byte-identical reruns)",
@@ -156,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="build and check the stage-by-stage bounding certificate",
     )
     p_pm.add_argument("--instance", required=True)
-    p_pm.add_argument("--max-bruteforce-n", type=int, default=10)
+    p_pm.add_argument("--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N)
     p_pm.add_argument(
         "--no-reduce", action="store_true",
         help="run the construction directly even when the schedule has gaps",
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "cross-check", help="check the cross-objective inequalities"
     )
     p_cross.add_argument("--instance", required=True)
-    p_cross.add_argument("--max-bruteforce-n", type=int, default=10)
+    p_cross.add_argument("--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N)
     p_cross.add_argument("--out", default=None)
 
     return parser

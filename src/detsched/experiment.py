@@ -28,10 +28,9 @@ from .model import (
     ZERO,
     evaluate,
     rational,
-    total_completion,
 )
 from .oracle import (
-    DEFAULT_BRUTEFORCE_CAP,
+    BRUTE_FORCE_MAX_N,
     Objective,
     OptResult,
     brute_force,
@@ -60,7 +59,7 @@ class ExperimentConfig:
     alpha_max: int = 8
     r_max: int = 12
     b: Fraction | None = None
-    max_bruteforce_n: int = DEFAULT_BRUTEFORCE_CAP
+    max_bruteforce_n: int = BRUTE_FORCE_MAX_N
     timings: bool = False
 
     def __post_init__(self) -> None:
@@ -240,7 +239,7 @@ class CrossObjectiveReport:
 
 
 def cross_objective_check(
-    instance: Instance, max_n: int = DEFAULT_BRUTEFORCE_CAP
+    instance: Instance, max_n: int = BRUTE_FORCE_MAX_N
 ) -> CrossObjectiveReport:
     """How well each objective's optimum serves the other objective.
 
@@ -257,8 +256,8 @@ def cross_objective_check(
     inv_beta = Fraction(1) / instance.beta
 
     sum_opt_makespan = evaluate(instance, c_opt.best_schedule).makespan
-    makespan_opt_sum = total_completion(instance, t_opt.best_schedule)
-    ectf_sum = total_completion(instance, ectf(instance))
+    makespan_opt_sum = evaluate(instance, t_opt.best_schedule).total_completion
+    ectf_sum = evaluate(instance, ectf(instance)).total_completion
 
     checks = (
         InequalityCheck(

@@ -54,6 +54,12 @@ class InvalidArgument(SchedulingError, ValueError):
     ``ValueError``, so callers that catch that keep working."""
 
 
+class NotRational(SchedulingError, TypeError):
+    """A scheduling quantity is not an int or a Fraction (floats and bools
+    are refused).  Also a ``TypeError``, so callers that catch that keep
+    working."""
+
+
 ZERO = Fraction(0)
 
 
@@ -62,10 +68,10 @@ def rational(value: int | Fraction) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise TypeError("booleans are not scheduling quantities")
+        raise NotRational("booleans are not scheduling quantities")
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+    raise NotRational(f"expected an int or Fraction, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +166,45 @@ def validate_instance(instance: Instance) -> Instance:
     return instance
 
 
-def _check_permutation(instance: Instance, order: Sequence[int]) -> None:
+def _timeline(
+    instance: Instance, order: Sequence[int], starts: Sequence[Fraction] | None
+) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """The one forward pass of ``s = max(release, C); C = alpha + (1+beta)*s``.
+
+    With ``starts`` None each job starts as early as it can; otherwise the
+    given starts are checked against releases and predecessor completions
+    and the idle gap ahead of each position is recorded.  Returns the
+    starts, the completions and the gaps (empty when the starts are derived).
+    """
     if sorted(order) != sorted(job.id for job in instance.jobs):
         raise NotAPermutation("order must list every job id of the instance exactly once")
+    jobs = instance.job_map()
+    g = instance.growth
+    derived = starts is None
+    out_starts: list[Fraction] = [] if derived else list(starts)
+    completions: list[Fraction] = []
+    gaps: list[Fraction] = []
+    completion = ZERO
+    for k, jid in enumerate(order):
+        job = jobs[jid]
+        if derived:
+            s = job.release if job.release > completion else completion
+            out_starts.append(s)
+        else:
+            s = out_starts[k]
+            if s < job.release:
+                raise InfeasibleSchedule(
+                    f"job {jid} starts at {s}, before its release {job.release}"
+                )
+            gap = s - completion
+            if gap < 0:
+                raise InfeasibleSchedule(
+                    f"job {jid} starts at {s}, before its predecessor completes at {completion}"
+                )
+            gaps.append(gap)
+        completion = job.alpha + g * s
+        completions.append(completion)
+    return out_starts, completions, gaps
 
 
 def canonical_starts(instance: Instance, order: Sequence[int]) -> Schedule:
@@ -173,16 +215,7 @@ def canonical_starts(instance: Instance, order: Sequence[int]) -> Schedule:
     assignments with this order the canonical one minimizes both the
     makespan and the total completion time.
     """
-    _check_permutation(instance, order)
-    jobs = instance.job_map()
-    g = instance.growth
-    starts: list[Fraction] = []
-    completion = ZERO
-    for jid in order:
-        job = jobs[jid]
-        s = job.release if job.release > completion else completion
-        starts.append(s)
-        completion = job.alpha + g * s
+    starts, _, _ = _timeline(instance, order, None)
     return Schedule(tuple(order), tuple(starts))
 
 
@@ -195,34 +228,13 @@ def evaluate(instance: Instance, schedule: Schedule) -> EvalReport:
     :class:`InfeasibleSchedule` when a start precedes a release or its
     predecessor's completion.
     """
-    _check_permutation(instance, schedule.order)
-    jobs = instance.job_map()
-    g = instance.growth
-    completions: list[Fraction] = []
-    gaps: list[Fraction] = []
-    total = ZERO
-    completion = ZERO
-    for jid, s in zip(schedule.order, schedule.starts):
-        job = jobs[jid]
-        if s < job.release:
-            raise InfeasibleSchedule(
-                f"job {jid} starts at {s}, before its release {job.release}"
-            )
-        gap = s - completion
-        if gap < 0:
-            raise InfeasibleSchedule(
-                f"job {jid} starts at {s}, before its predecessor completes at {completion}"
-            )
-        completion = job.alpha + g * s
-        gaps.append(gap)
-        completions.append(completion)
-        total += completion
+    _, completions, gaps = _timeline(instance, schedule.order, schedule.starts)
     return EvalReport(
         starts=schedule.starts,
         completions=tuple(completions),
         gaps=tuple(gaps),
-        makespan=completion,
-        total_completion=total,
+        makespan=completions[-1] if completions else ZERO,
+        total_completion=sum(completions, ZERO),
     )
 
 
@@ -231,29 +243,18 @@ def makespan_closed_form(instance: Instance, schedule: Schedule) -> Fraction:
 
     With ``g = 1 + beta`` and 1-based positions ``i`` of ``n``, returns
     ``sum g**(n-i+1) * q_i  +  sum g**(n-i) * alpha_i`` where ``q_i`` is the
-    gap ahead of position ``i``.  This avoids the forward recurrence that
-    :func:`evaluate` uses and must agree with it exactly on every feasible
+    gap ahead of position ``i``, as :func:`evaluate` reports it (which also
+    checks feasibility).  The sum never uses a completion time and must
+    agree exactly with :func:`evaluate`'s makespan on every feasible
     schedule.
     """
-    _check_permutation(instance, schedule.order)
+    gaps = evaluate(instance, schedule).gaps
     jobs = instance.job_map()
     g = instance.growth
     n = len(schedule.order)
     total = ZERO
-    prev_completion = ZERO
-    for i, (jid, s) in enumerate(zip(schedule.order, schedule.starts), start=1):
-        job = jobs[jid]
-        if s < job.release:
-            raise InfeasibleSchedule(
-                f"job {jid} starts at {s}, before its release {job.release}"
-            )
-        gap = s - prev_completion
-        if gap < 0:
-            raise InfeasibleSchedule(
-                f"job {jid} starts at {s}, before its predecessor completes at {prev_completion}"
-            )
-        total += g ** (n - i + 1) * gap + g ** (n - i) * job.alpha
-        prev_completion = job.alpha + g * s
+    for i, (jid, gap) in enumerate(zip(schedule.order, gaps), start=1):
+        total += g ** (n - i + 1) * gap + g ** (n - i) * jobs[jid].alpha
     return total
 
 
@@ -279,8 +280,3 @@ def fixed_cost_identity(instance: Instance, schedule: Schedule) -> tuple[Fractio
         prefix += alphas[k - 2]
         rhs += instance.beta * g ** (n - k) * prefix
     return lhs, rhs
-
-
-def total_completion(instance: Instance, schedule: Schedule) -> Fraction:
-    """Sum of completion times of ``schedule``."""
-    return evaluate(instance, schedule).total_completion

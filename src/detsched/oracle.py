@@ -35,10 +35,8 @@ class DegenerateOptimum(SchedulingError):
     """The optimum is zero but the evaluated schedule's value is not."""
 
 
-DEFAULT_BRUTEFORCE_CAP = 10
-
-# Hard ceiling on brute force, whatever cap a caller passes: n=9 already
-# takes about 20 s, and each further job multiplies that by n.
+# Default cap and hard ceiling on brute force, whatever cap a caller passes:
+# n=9 already takes about 20 s, and each further job multiplies that by n.
 BRUTE_FORCE_MAX_N = 10
 
 # The integer table at n=20 holds 2^20 entries, about 40 MB.
@@ -63,7 +61,7 @@ def objective_value(instance: Instance, schedule: Schedule, objective: Objective
 def brute_force(
     instance: Instance,
     objective: Objective,
-    max_n: int = DEFAULT_BRUTEFORCE_CAP,
+    max_n: int = BRUTE_FORCE_MAX_N,
 ) -> OptResult:
     """Enumerate all n! orders with canonical starts and keep the best.
 
@@ -217,15 +215,3 @@ def value_ratio(value: Fraction, optimum: Fraction) -> Fraction:
             return Fraction(1)
         raise DegenerateOptimum(f"optimum is 0 but the value is {value}")
     return value / optimum
-
-
-def approximation_ratio(
-    instance: Instance,
-    schedule: Schedule,
-    objective: Objective,
-    max_n: int = DEFAULT_BRUTEFORCE_CAP,
-) -> Fraction:
-    """Ratio of the schedule's objective value to the brute-force optimum."""
-    value = objective_value(instance, schedule, objective)
-    optimum = brute_force(instance, objective, max_n=max_n).best_value
-    return value_ratio(value, optimum)

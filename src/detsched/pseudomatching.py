@@ -26,6 +26,7 @@ the constructor.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -126,12 +127,19 @@ class BoundCheck:
     holds: bool
 
 
-def _edge_range_violation(sets: BoundingSets, matching: Pseudomatching) -> str | None:
+def _shared_violation(sets: BoundingSets, matching: Pseudomatching) -> str | None:
+    """The checks both pseudomatching kinds share, first violation first:
+    every edge joins known indices, and every a-index is matched exactly
+    once."""
     for i, j in matching.edges:
         if i not in sets.a_values:
             return f"edge ({i},{j}) references unknown a-index {i}"
         if j not in sets.o_values:
             return f"edge ({i},{j}) references unknown o-index {j}"
+    a_counts = Counter(i for i, _ in matching.edges)
+    for i in sorted(sets.a_values):
+        if a_counts[i] != 1:
+            return f"a-index {i} matched {a_counts[i]} times (expected exactly 1)"
     return None
 
 
@@ -149,19 +157,10 @@ def verify_rho_pm(
     if rho < 1:
         raise InvalidArgument(f"rho must be >= 1, got {rho}")
     cap = math.floor(rho)
-    bad = _edge_range_violation(sets, matching)
+    bad = _shared_violation(sets, matching)
     if bad:
         return Verification(False, bad)
-    a_counts: dict[int, int] = {i: 0 for i in sets.a_values}
-    o_counts: dict[int, int] = {j: 0 for j in sets.o_values}
-    for i, j in matching.edges:
-        a_counts[i] += 1
-        o_counts[j] += 1
-    for i, count in sorted(a_counts.items()):
-        if count != 1:
-            return Verification(
-                False, f"a-index {i} matched {count} times (expected exactly 1)"
-            )
+    o_counts = Counter(j for _, j in matching.edges)
     for j, count in sorted(o_counts.items()):
         if count > cap:
             return Verification(
@@ -192,17 +191,9 @@ def verify_weak_pm(sets: BoundingSets, matching: Pseudomatching) -> Verification
     """Check the weak-pseudomatching conditions, reporting the first violated
     one: every a-index matched exactly once, and every edge has ``i > j``
     with ``a_i <= o_j``.  O-side multiplicity is unrestricted."""
-    bad = _edge_range_violation(sets, matching)
+    bad = _shared_violation(sets, matching)
     if bad:
         return Verification(False, bad)
-    a_counts: dict[int, int] = {i: 0 for i in sets.a_values}
-    for i, _ in matching.edges:
-        a_counts[i] += 1
-    for i, count in sorted(a_counts.items()):
-        if count != 1:
-            return Verification(
-                False, f"a-index {i} matched {count} times (expected exactly 1)"
-            )
     for i, j in matching.edges:
         if i <= j:
             return Verification(False, f"edge ({i},{j}) must have i > j")
@@ -445,47 +436,34 @@ def construct_two_pm(
         edges.add((i, j))
 
     for k in range(ell + 1, n + 1):
-        if k == ell + 1:
-            jid = ni.order[k - 1]
-            if opt_pos[jid] <= k:
-                add_edge(k, opt_pos[jid])
-            else:
-                candidates = [
-                    j for j in range(1, k + 1) if ni_pos[opt.order[j - 1]] > k
-                ]
-                if not candidates:
-                    raise ConstructionFailed(
-                        f"stage {k}: no reference job runs after position {k}"
-                    )
-                add_edge(k, min(candidates))
+        # the reference side's entrant (at k = ell+1 the tail is empty, so
+        # there is nothing to rewire)
+        entrant = opt.order[k - 1]
+        p = ni_pos[entrant]
+        if ell + 1 <= p <= k - 1:
+            current = [(i, j) for (i, j) in edges if i == p]
+            if len(current) != 1:
+                raise ConstructionFailed(
+                    f"stage {k}: position {p} holds {len(current)} edges"
+                )
+            edges.remove(current[0])
+            add_edge(p, k)
+        # the algorithm side's entrant
+        jid = ni.order[k - 1]
+        if opt_pos[jid] <= k:
+            add_edge(k, opt_pos[jid])
         else:
-            # the reference side's entrant
-            entrant = opt.order[k - 1]
-            p = ni_pos[entrant]
-            if ell + 1 <= p <= k - 1:
-                current = [(i, j) for (i, j) in edges if i == p]
-                if len(current) != 1:
-                    raise ConstructionFailed(
-                        f"stage {k}: position {p} holds {len(current)} edges"
-                    )
-                edges.remove(current[0])
-                add_edge(p, k)
-            # the algorithm side's entrant
-            jid = ni.order[k - 1]
-            if opt_pos[jid] <= k:
-                add_edge(k, opt_pos[jid])
-            else:
-                used = {j for (_, j) in edges}
-                candidates = [
-                    j
-                    for j in range(1, k + 1)
-                    if j not in used and ni_pos[opt.order[j - 1]] > k
-                ]
-                if not candidates:
-                    raise ConstructionFailed(
-                        f"stage {k}: every free reference position is exhausted"
-                    )
-                add_edge(k, min(candidates))
+            used = {j for (_, j) in edges}
+            candidates = [
+                j
+                for j in range(1, k + 1)
+                if j not in used and ni_pos[opt.order[j - 1]] > k
+            ]
+            if not candidates:
+                raise ConstructionFailed(
+                    f"stage {k}: every free reference position is exhausted"
+                )
+            add_edge(k, min(candidates))
 
         matching = Pseudomatching(tuple(sorted(edges)))
         verdict = check_two_pm(inst, ni, opt, ell, k, matching)

@@ -31,7 +31,6 @@ from detsched import (
     fixed_cost_identity,
     makespan_closed_form,
     sorted_subset_cost,
-    total_completion,
     validate_instance,
     verify_rho_pm,
 )
@@ -48,6 +47,9 @@ from detsched.model import (
 from conftest import instances, make_instance
 
 F = Fraction
+
+# every entry point that takes a schedule's start times and must check them
+CHECKED_ENTRY_POINTS = (evaluate, makespan_closed_form, fixed_cost_identity)
 
 
 class TestValidation:
@@ -94,14 +96,17 @@ class TestValidation:
         make_instance(1, [(1, 0, 0)])
 
     def test_floats_rejected_at_construction(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as caught:
             Job(1, 0.5, F(0))
-        with pytest.raises(TypeError):
+        assert isinstance(caught.value, SchedulingError)
+        with pytest.raises(TypeError) as caught:
             rational(0.5)
+        assert isinstance(caught.value, SchedulingError)
 
     def test_bools_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as caught:
             rational(True)
+        assert isinstance(caught.value, SchedulingError)
 
 
 class TestCanonicalStarts:
@@ -156,16 +161,18 @@ class TestEvaluate:
         assert report.makespan == F(0)
         assert report.total_completion == F(0)
 
-    def test_start_before_release_infeasible(self):
+    @pytest.mark.parametrize("entry", CHECKED_ENTRY_POINTS, ids=lambda f: f.__name__)
+    def test_start_before_release_infeasible(self, entry):
         inst = make_instance(1, [(1, 1, 2)])
-        with pytest.raises(InfeasibleSchedule):
-            evaluate(inst, Schedule((1,), (F(1),)))
+        with pytest.raises(InfeasibleSchedule, match="before its release 2"):
+            entry(inst, Schedule((1,), (F(1),)))
 
-    def test_start_before_predecessor_completion_infeasible(self):
+    @pytest.mark.parametrize("entry", CHECKED_ENTRY_POINTS, ids=lambda f: f.__name__)
+    def test_start_before_predecessor_completion_infeasible(self, entry):
         inst = make_instance(1, [(1, 5, 0), (2, 1, 0)])
         # C1 = 5; starting j2 at 4 overlaps
-        with pytest.raises(InfeasibleSchedule):
-            evaluate(inst, Schedule((1, 2), (F(0), F(4))))
+        with pytest.raises(InfeasibleSchedule, match="before its predecessor completes at 5"):
+            entry(inst, Schedule((1, 2), (F(0), F(4))))
 
     def test_padded_feasible_starts_accepted(self):
         inst = make_instance(1, [(1, 1, 0), (2, 1, 0)])
@@ -255,15 +262,15 @@ class TestFixedCostIdentity:
 class TestTotalCompletion:
     def test_gap_example(self):
         inst = make_instance(1, [(1, 1, 0), (2, 1, 3)])
-        assert total_completion(inst, canonical_starts(inst, (1, 2))) == F(8)
+        assert evaluate(inst, canonical_starts(inst, (1, 2))).total_completion == F(8)
 
     def test_single_job(self):
         inst = make_instance(1, [(1, 6, 0)])
-        assert total_completion(inst, canonical_starts(inst, (1,))) == F(6)
+        assert evaluate(inst, canonical_starts(inst, (1,))).total_completion == F(6)
 
     def test_two_jobs_no_release(self):
         inst = make_instance(1, [(1, 1, 0), (2, 2, 0)])
-        assert total_completion(inst, canonical_starts(inst, (1, 2))) == F(5)
+        assert evaluate(inst, canonical_starts(inst, (1, 2))).total_completion == F(5)
 
 
 class TestCanonicalMinimality:
