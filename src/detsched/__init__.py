@@ -37,6 +37,7 @@ from .oracle import (
     lb_combined,
     lb_release,
     objective_value,
+    optimum,
     sorted_subset_cost,
     value_ratio,
 )

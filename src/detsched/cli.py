@@ -24,15 +24,15 @@ from .experiment import (
 )
 from .generators import Family, FamilySpec, generate
 from .model import SchedulingError, evaluate
-from .oracle import BRUTE_FORCE_MAX_N, Objective, brute_force
+from .oracle import BRUTE_FORCE_MAX_N, Objective, optimum
 from .pseudomatching import ConstructionFailed, construct_two_pm
 from .schedulers import SchedulerChoice, non_interfering, solve
 from .serialization import (
+    _schedule_from_text,
     decimal_string,
     format_rational,
     parse_instance,
     parse_rational,
-    parse_schedule,
     write_instance,
     write_schedule,
 )
@@ -114,7 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", choices=algorithms, required=True)
     p_solve.add_argument("--out", default=None)
 
-    p_opt = sub.add_parser("opt", help="brute-force an exact optimum")
+    p_opt = sub.add_parser(
+        "opt",
+        help="exact optimum: subset DP for makespan, brute force for total completion",
+    )
     p_opt.add_argument("--instance", required=True)
     p_opt.add_argument(
         "--objective", choices=objectives, default=Objective.MAKESPAN.value
@@ -197,15 +200,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_opt(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    result = brute_force(
-        instance, Objective(args.objective), max_n=args.max_bruteforce_n
-    )
+    result = optimum(instance, Objective(args.objective), max_n=args.max_bruteforce_n)
     doc = {
         "objective": result.objective.value,
         "order": list(result.best_schedule.order),
         "starts": [format_rational(s) for s in result.best_schedule.starts],
         "value": format_rational(result.best_value),
-        "permutations_examined": result.permutations_examined,
     }
     _emit(_json(doc), args.out)
     return 0
@@ -213,7 +213,8 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    schedule = parse_schedule(_read(args.schedule), instance)
+    # evaluate is also the feasibility check parse_schedule would run
+    schedule, _ = _schedule_from_text(_read(args.schedule), instance)
     report = evaluate(instance, schedule)
     doc = {
         "order": list(schedule.order),
@@ -251,7 +252,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_verify_pm(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
     ni = non_interfering(instance)
-    optimal = brute_force(
+    optimal = optimum(
         instance, Objective.MAKESPAN, max_n=args.max_bruteforce_n
     ).best_schedule
     try:

@@ -1,4 +1,12 @@
-"""Exact optima for small instances, plus closed-form lower bounds."""
+"""Exact optima for small instances, plus closed-form lower bounds.
+
+:func:`optimum` is the one exact-optimum entry point.  Makespan runs on
+the subset DP (:func:`dp_min_makespan` for the value, then a backward
+table for the order), up to ``DP_MAX_N`` jobs; total completion runs on
+:func:`brute_force`, up to ``BRUTE_FORCE_MAX_N`` jobs.  Both routes return
+the lexicographically smallest optimal order by job id, so either one
+certifies the same schedule.
+"""
 
 from __future__ import annotations
 
@@ -48,7 +56,6 @@ class OptResult:
     objective: Objective
     best_schedule: Schedule
     best_value: Fraction
-    permutations_examined: int
 
 
 def objective_value(instance: Instance, schedule: Schedule, objective: Objective) -> Fraction:
@@ -81,9 +88,7 @@ def brute_force(
     want_total = objective is Objective.TOTAL_COMPLETION
     best_perm: tuple[int, ...] | None = None
     best_value: Fraction | None = None
-    examined = 0
     for perm in itertools.permutations(ids):
-        examined += 1
         completion = ZERO
         total = ZERO
         for jid in perm:
@@ -104,8 +109,35 @@ def brute_force(
         objective=objective,
         best_schedule=canonical_starts(instance, best_perm),
         best_value=best_value,
-        permutations_examined=examined,
     )
+
+
+def _scaled(instance: Instance) -> tuple[int, int, int, list[tuple[int, int, int]]]:
+    """The subset DP's integer time scale, shared by its forward and
+    backward passes.
+
+    Let ``d`` be the lcm of the alpha and release denominators and
+    ``beta = p/q``.  Every release is a multiple of ``1/d``, and a
+    completion after k steps is ``alpha + (p+q)/q * start``, so by
+    induction its denominator divides ``d * q**k``.  Scaling time by
+    ``L = d * q**n`` therefore makes every release, start and completion of
+    an n-job subset an integer, and every start of a job placed k <= n deep
+    is a multiple of ``q**(n-k+1)``, hence of ``q``.  The step
+    ``alpha + S // q * (p+q)``, which is ``alpha + (p+q) * S / q``, is then
+    exact.
+
+    Returns ``(L, q, p+q, jobs)`` with one ``(bit, alpha, release)`` per
+    job, in instance order, alpha and release scaled by ``L``.
+    """
+    q = instance.beta.denominator
+    pq = instance.beta.numerator + q
+    d = math.lcm(*(v.denominator for j in instance.jobs for v in (j.alpha, j.release)))
+    scale = d * q**instance.n
+    jobs = [
+        (1 << i, int(j.alpha * scale), int(j.release * scale))
+        for i, j in enumerate(instance.jobs)
+    ]
+    return scale, q, pq, jobs
 
 
 def dp_min_makespan(instance: Instance) -> Fraction:
@@ -115,17 +147,8 @@ def dp_min_makespan(instance: Instance) -> Fraction:
     ``min over last jobs j of alpha_j + (1 + beta) * max(release_j,
     earliest completion of the rest)``; completions are monotone in starts,
     so finishing each prefix as early as possible is optimal.  O(n * 2^n)
-    versus n! for :func:`brute_force`.
-
-    The loop runs on integers.  Let ``d`` be the lcm of the alpha and
-    release denominators and ``beta = p/q``.  Every release is a multiple
-    of ``1/d``, and a completion after k steps is
-    ``alpha + (p+q)/q * start``, so by induction its denominator divides
-    ``d * q**k``.  Scaling time by ``L = d * q**n`` therefore makes every
-    release, start and completion of an n-job subset an integer, and every
-    start of a job placed k <= n deep is a multiple of ``q**(n-k+1)``.  The
-    step ``alpha + S // q * (p+q)``, which is ``alpha + (p+q) * S / q``, is
-    then exact, and the result is ``Fraction(best, L)``.
+    versus n! for :func:`brute_force`.  The loop runs on the exact integers
+    of :func:`_scaled`, and the result is ``Fraction(best, L)``.
 
     :func:`brute_force` stays on Fractions: it is the independent route
     that the tests and the certificate checks compare this DP against, so
@@ -137,14 +160,7 @@ def dp_min_makespan(instance: Instance) -> Fraction:
     n = instance.n
     if n > DP_MAX_N:
         raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
-    q = instance.beta.denominator
-    pq = instance.beta.numerator + q
-    d = math.lcm(*(v.denominator for j in instance.jobs for v in (j.alpha, j.release)))
-    scale = d * q**n
-    jobs = [
-        (1 << i, int(j.alpha * scale), int(j.release * scale))
-        for i, j in enumerate(instance.jobs)
-    ]
+    scale, q, pq, jobs = _scaled(instance)
     best = [0] * (1 << n)
     for mask in range(1, 1 << n):
         value = None
@@ -156,6 +172,92 @@ def dp_min_makespan(instance: Instance) -> Fraction:
                     value = candidate
         best[mask] = value
     return Fraction(best[-1], scale)
+
+
+def _makespan_optimum(instance: Instance) -> OptResult:
+    """The makespan optimum with the order :func:`brute_force` picks: the
+    lexicographically smallest optimal order by job id.
+
+    The value comes from :func:`dp_min_makespan`, whose table is freed
+    before this one is built.  ``latest[R]`` is the latest free time from
+    which the remaining set R can still finish by the optimum:
+    ``latest[{}] = OPT``, and ``latest[R]`` is the max, over jobs j in R
+    with ``release_j <= s_j``, of ``s_j = (latest[R - j] - alpha_j) * q //
+    (p+q)``, or -1 when no job qualifies.  The floor is exact: a reachable
+    start is a multiple of q, so a reachable completion is an integer, and
+    an integer is at most x exactly when it is at most floor(x).  The walk
+    then takes, at each step, the smallest id whose completion still
+    leaves the rest finishable by the optimum.
+    """
+    value = dp_min_makespan(instance)
+    scale, q, pq, jobs = _scaled(instance)
+    full = (1 << instance.n) - 1
+    latest = [-1] * (full + 1)
+    latest[0] = value.numerator * (scale // value.denominator)
+    for rest in range(1, full + 1):
+        best = -1
+        for bit, alpha, release in jobs:
+            if rest & bit:
+                start = (latest[rest ^ bit] - alpha) * q // pq
+                if release <= start and start > best:
+                    best = start
+        latest[rest] = best
+    by_id = sorted(
+        (job.id, bit, alpha, release)
+        for job, (bit, alpha, release) in zip(instance.jobs, jobs)
+    )
+    order = []
+    free = 0
+    rest = full
+    while rest:
+        for jid, bit, alpha, release in by_id:
+            if rest & bit:
+                completion = alpha + (release if release > free else free) // q * pq
+                if completion <= latest[rest ^ bit]:
+                    break
+        else:  # latest[rest] >= free guarantees a job above
+            raise AssertionError("no job leaves the rest finishable by the optimum")
+        order.append(jid)
+        free = completion
+        rest ^= bit
+    return OptResult(
+        objective=Objective.MAKESPAN,
+        best_schedule=canonical_starts(instance, tuple(order)),
+        best_value=value,
+    )
+
+
+def check_optimum_cap(
+    instance: Instance, objective: Objective, max_n: int = BRUTE_FORCE_MAX_N
+) -> None:
+    """Raise :class:`InstanceTooLarge` when :func:`optimum` would refuse
+    ``instance``: past ``min(max_n, DP_MAX_N)`` jobs for makespan, past
+    ``min(max_n, BRUTE_FORCE_MAX_N)`` for total completion."""
+    if objective is Objective.MAKESPAN:
+        route, cap = "subset-DP", min(max_n, DP_MAX_N)
+    else:
+        route, cap = "brute-force", min(max_n, BRUTE_FORCE_MAX_N)
+    if instance.n > cap:
+        raise InstanceTooLarge(f"n={instance.n} exceeds the {route} cap of {cap}")
+
+
+def optimum(
+    instance: Instance,
+    objective: Objective,
+    max_n: int = BRUTE_FORCE_MAX_N,
+) -> OptResult:
+    """An exact optimum and its schedule: the lexicographically smallest
+    optimal order by job id, with canonical starts.
+
+    Makespan runs on the subset DP, total completion on
+    :func:`brute_force`.  Raises :class:`InstanceTooLarge` (see
+    :func:`check_optimum_cap`) before anything is allocated.
+    """
+    validate_instance(instance)
+    check_optimum_cap(instance, objective, max_n)
+    if objective is Objective.MAKESPAN:
+        return _makespan_optimum(instance)
+    return brute_force(instance, objective, max_n=max_n)
 
 
 def lb_release(instance: Instance) -> Fraction:

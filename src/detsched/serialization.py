@@ -41,11 +41,18 @@ def parse_rational(text: str, context: str = "value") -> Fraction:
             f"{context}: {text!r} is not 'p' or 'p/q' in decimal digits"
         )
     num, _, den = text.partition("/")
-    if den:
-        if int(den) == 0:
-            raise ParseError(f"{context}: zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    try:
+        if not den:
+            return Fraction(int(num))
+        numerator, denominator = int(num), int(den)
+    except ValueError:  # the interpreter's limit on digits per conversion
+        digits = max(len(num.lstrip("-")), len(den))
+        raise ParseError(
+            f"{context}: {digits} digits exceed the limit for integer string conversion"
+        ) from None
+    if denominator == 0:
+        raise ParseError(f"{context}: zero denominator in {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:
@@ -123,6 +130,16 @@ def parse_schedule(text: str, instance: Instance) -> Schedule:
     A document without ``starts`` yields the canonical schedule of its
     order; explicit starts are validated for feasibility.
     """
+    schedule, explicit = _schedule_from_text(text, instance)
+    if explicit:
+        evaluate(instance, schedule)  # raises on infeasible or non-permutation input
+    return schedule
+
+
+def _schedule_from_text(text: str, instance: Instance) -> tuple[Schedule, bool]:
+    """A schedule document's schedule, and whether its starts came from the
+    document: those are not yet checked against ``instance``, and
+    :func:`evaluate` is the check."""
     doc = _loads(text, "schedule")
     if not isinstance(doc, dict):
         raise ParseError("schedule: top level must be an object")
@@ -135,7 +152,7 @@ def parse_schedule(text: str, instance: Instance) -> Schedule:
         raise ParseError("order: expected an array of integers")
     order = tuple(order_doc)
     if "starts" not in doc or doc["starts"] is None:
-        return canonical_starts(instance, order)
+        return canonical_starts(instance, order), False
     starts_doc = doc["starts"]
     if not isinstance(starts_doc, list):
         raise ParseError("starts: expected an array")
@@ -146,9 +163,7 @@ def parse_schedule(text: str, instance: Instance) -> Schedule:
     starts = tuple(
         parse_rational(s, f"starts[{i}]") for i, s in enumerate(starts_doc)
     )
-    schedule = Schedule(order, starts)
-    evaluate(instance, schedule)  # raises on infeasible or non-permutation input
-    return schedule
+    return Schedule(order, starts), True
 
 
 def write_schedule(schedule: Schedule) -> str:

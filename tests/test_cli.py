@@ -41,19 +41,46 @@ def past_ceiling_file(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["opt", "--objective", "makespan"],
-        ["opt", "--objective", "total-completion"],
-        ["cross-check"],
-        ["verify-pm"],
-    ],
-)
+@pytest.fixture()
+def past_dp_cap_file(tmp_path):
+    """One job more than the subset DP will ever tabulate."""
+    n = DP_MAX_N + 1
+    path = tmp_path / "past_dp_cap.json"
+    inst = make_instance(1, [(i, i, 0) for i in range(1, n + 1)])
+    path.write_text(write_instance(inst), encoding="utf-8")
+    return str(path)
+
+
+BRUTE_FORCE_COMMANDS = [
+    pytest.param(["opt", "--objective", "total-completion"], id="opt-total-completion"),
+    pytest.param(["cross-check"], id="cross-check"),
+]
+SUBSET_DP_COMMANDS = [
+    pytest.param(["opt", "--objective", "makespan"], id="opt-makespan"),
+    pytest.param(["verify-pm"], id="verify-pm"),
+]
+
+
+@pytest.mark.parametrize("command", BRUTE_FORCE_COMMANDS)
 def test_bruteforce_ceiling_ignores_raised_cap(capsys, past_ceiling_file, command):
     argv = command + ["--instance", past_ceiling_file, "--max-bruteforce-n", "25"]
     assert main(argv) == 1
     assert f"brute-force cap of {BRUTE_FORCE_MAX_N}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", SUBSET_DP_COMMANDS)
+def test_raised_cap_reaches_past_bruteforce_ceiling(capsys, past_ceiling_file, command):
+    # makespan optima come from the subset DP, which a raised cap unlocks
+    argv = command + ["--instance", past_ceiling_file, "--max-bruteforce-n", "25"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", SUBSET_DP_COMMANDS)
+def test_subset_dp_ceiling_ignores_raised_cap(capsys, past_dp_cap_file, command):
+    argv = command + ["--instance", past_dp_cap_file, "--max-bruteforce-n", "25"]
+    assert main(argv) == 1
+    assert f"subset-DP cap of {DP_MAX_N}" in capsys.readouterr().err
 
 
 class TestGen:
@@ -139,7 +166,6 @@ class TestPipeline:
 
         assert main(["opt", "--instance", str(inst_path)]) == 0
         opt_doc = json.loads(capsys.readouterr().out)
-        assert opt_doc["permutations_examined"] == 120
         assert parse_rational(opt_doc["value"]) <= makespan
 
     def test_solve_missing_file(self, capsys):
@@ -159,6 +185,15 @@ class TestPipeline:
         )
         assert main(["eval", "--instance", two_job_file, "--schedule", str(sched)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_eval_rejects_over_long_number(self, tmp_path, capsys, two_job_file):
+        sched = tmp_path / "long.json"
+        sched.write_text(
+            json.dumps({"order": [1, 2], "starts": ["0", "1" * 5000]}) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["eval", "--instance", two_job_file, "--schedule", str(sched)]) == 1
+        assert "error: starts[1]: 5000 digits" in capsys.readouterr().err
 
     def test_unknown_algorithm(self, capsys, two_job_file):
         with pytest.raises(SystemExit):

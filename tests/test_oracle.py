@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -34,6 +33,7 @@ from detsched.oracle import (
     DegenerateOptimum,
     InstanceTooLarge,
     objective_value,
+    optimum,
     value_ratio,
 )
 
@@ -87,7 +87,6 @@ class TestBruteForce:
         result = brute_force(two_job_instance, Objective.MAKESPAN)
         assert result.best_schedule.order == (1, 2)
         assert result.best_value == F(11)
-        assert result.permutations_examined == 2
 
     def test_two_job_total_completion(self, two_job_instance):
         # (1,2): completions (5,11) sum 16; (2,1): (5,15) sum 20
@@ -99,7 +98,6 @@ class TestBruteForce:
         inst = make_instance(2, [(1, 3, 4)])
         result = brute_force(inst, Objective.MAKESPAN)
         assert result.best_value == 3 * 4 + 3  # (1+beta)r + alpha
-        assert result.permutations_examined == 1
 
     def test_long_job_first_beats_greedy(self):
         # long (alpha=2, r=0), short (alpha=0, r=1): 4 beats 6
@@ -129,11 +127,6 @@ class TestBruteForce:
             brute_force(inst, objective, max_n=25)
         with pytest.raises(InstanceTooLarge):
             cross_objective_check(inst, max_n=25)
-
-    def test_permutation_count(self):
-        inst = make_instance(1, [(i, i, 0) for i in range(1, 6)])
-        result = brute_force(inst, Objective.MAKESPAN)
-        assert result.permutations_examined == math.factorial(5)
 
     def test_best_value_matches_reevaluation(self, two_job_instance):
         for objective in Objective:
@@ -175,6 +168,97 @@ class TestDpMinMakespan:
     def test_agrees_with_enumeration(self, inst):
         # two independent routes to the same optimum
         assert dp_min_makespan(inst) == brute_force(inst, Objective.MAKESPAN).best_value
+
+
+def size_betas(n: int) -> st.SearchStrategy[Fraction]:
+    return st.sampled_from([F(1, 2), F(1), F(2), F(3, 7), F(1, n), F(n + 1)])
+
+
+@st.composite
+def tie_heavy_instances(draw, max_n=7):
+    """Alphas and releases in {0..3} with shuffled ids, so many orders tie
+    for the optimum and only the id tie-break tells them apart."""
+    n = draw(st.integers(1, max_n))
+    beta = draw(size_betas(n))
+    ids = draw(st.permutations(range(1, n + 1)))
+    jobs = tuple(Job(i, F(draw(st.integers(0, 3))), F(draw(st.integers(0, 3)))) for i in ids)
+    return validate_instance(Instance(beta, jobs))
+
+
+@st.composite
+def family_instances(draw, max_jobs=7):
+    """Every generator family, up to max_jobs jobs."""
+    family, k_max = draw(
+        st.sampled_from(
+            [
+                (Family.RANDOM, max_jobs),
+                (Family.TWO_RELEASE, max_jobs),
+                (Family.NONINTERFERING_ADV, max_jobs),
+                (Family.NONIDLING_ADV, max_jobs - 1),
+                (Family.ECTF_ADV, max_jobs // 2),
+            ]
+        )
+    )
+    k = draw(st.integers(min_value=2 if family is Family.TWO_RELEASE else 1, max_value=k_max))
+    beta = draw(size_betas(k))
+    seed = draw(st.integers(0, 2**16))
+    return generate(FamilySpec(family=family, n=k, beta=beta, seed=seed))
+
+
+class TestOptimum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(max_n=7, beta_strategy=st.sampled_from([F(1, 2), F(1), F(2), F(3, 7)])),
+            tie_heavy_instances(),
+            family_instances(),
+        )
+    )
+    def test_makespan_matches_brute_force(self, inst):
+        # same order, starts and value: both keep the smallest optimal order by id
+        assert optimum(inst, Objective.MAKESPAN) == brute_force(inst, Objective.MAKESPAN)
+
+    @pytest.mark.parametrize(
+        ("beta", "jobs", "order", "value"),
+        [
+            # job 1 first would start job 2 at 2, past its latest start of 3/2
+            (1, [(1, 0, 1), (2, 3, 0)], (2, 1), F(6)),
+            # job 2 before job 3 would have to start by 5/3, before its release at 2
+            (F(1, 2), [(1, 0, 1), (2, 0, 2), (3, 3, 0)], (3, 1, 2), F(27, 4)),
+        ],
+    )
+    def test_latest_starts_respect_releases(self, beta, jobs, order, value):
+        result = optimum(make_instance(beta, jobs), Objective.MAKESPAN)
+        assert (result.best_schedule.order, result.best_value) == (order, value)
+
+    def test_total_completion_is_brute_force(self, two_job_instance):
+        result = optimum(two_job_instance, Objective.TOTAL_COMPLETION)
+        assert result == brute_force(two_job_instance, Objective.TOTAL_COMPLETION)
+
+    def test_makespan_past_the_brute_force_ceiling(self):
+        # n=12 with a raised cap: the subset DP's order is optimal
+        inst = make_instance(F(1, 2), [(i, (7 * i) % 5, (3 * i) % 11) for i in range(1, 13)])
+        result = optimum(inst, Objective.MAKESPAN, max_n=25)
+        assert result.best_value == dp_min_makespan(inst)
+        assert evaluate(inst, result.best_schedule).makespan == result.best_value
+
+    @pytest.mark.parametrize(
+        ("objective", "n", "max_n", "message"),
+        [
+            (Objective.MAKESPAN, DP_MAX_N + 1, 25, f"subset-DP cap of {DP_MAX_N}"),
+            (Objective.MAKESPAN, 4, 3, "subset-DP cap of 3"),
+            (
+                Objective.TOTAL_COMPLETION,
+                BRUTE_FORCE_MAX_N + 1,
+                25,
+                f"brute-force cap of {BRUTE_FORCE_MAX_N}",
+            ),
+        ],
+    )
+    def test_caps(self, objective, n, max_n, message):
+        inst = make_instance(1, [(i, 1, 0) for i in range(1, n + 1)])
+        with pytest.raises(InstanceTooLarge, match=message):
+            optimum(inst, objective, max_n=max_n)
 
 
 class TestLbRelease:

@@ -62,6 +62,12 @@ class TestParseRational:
         with pytest.raises(ParseError, match="beta"):
             parse_rational("0.5", "beta")
 
+    @pytest.mark.parametrize("text", ["1" * 5000, "-" + "1" * 5000, "1/" + "7" * 5000])
+    def test_over_long_number_is_a_parse_error(self, text):
+        # past the interpreter's 4300-digit limit on int(str)
+        with pytest.raises(ParseError, match=r"starts\[3\]: 5000 digits"):
+            parse_rational(text, "starts[3]")
+
 
 class TestFormatRational:
     def test_integer(self):
