@@ -24,7 +24,7 @@ from .experiment import (
 )
 from .generators import Family, FamilySpec, generate
 from .model import SchedulingError, evaluate
-from .oracle import BRUTE_FORCE_MAX_N, Objective, optimum
+from .oracle import BRUTE_FORCE_MAX_N, DP_MAX_N, Objective, optimum
 from .pseudomatching import ConstructionFailed, construct_two_pm
 from .schedulers import SchedulerChoice, non_interfering, solve
 from .serialization import (
@@ -38,6 +38,13 @@ from .serialization import (
 )
 
 FOUND_VIOLATION = 2
+
+_MAX_N_HELP = (
+    "largest n for an exact optimum (default %(default)s): the makespan "
+    f"optimum runs on the subset DP up to {DP_MAX_N} jobs, the "
+    f"total-completion optimum on brute force up to {BRUTE_FORCE_MAX_N} jobs, "
+    "whatever this cap"
+)
 
 
 def _default_seed() -> int:
@@ -122,7 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--objective", choices=objectives, default=Objective.MAKESPAN.value
     )
-    p_opt.add_argument("--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N)
+    p_opt.add_argument(
+        "--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N, help=_MAX_N_HELP
+    )
     p_opt.add_argument("--out", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a schedule against an instance")
@@ -147,7 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--alpha-max", type=int, default=8)
     p_exp.add_argument("--r-max", type=int, default=12)
     p_exp.add_argument("--b", default=None)
-    p_exp.add_argument("--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N)
+    p_exp.add_argument(
+        "--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N, help=_MAX_N_HELP
+    )
     p_exp.add_argument(
         "--timings", action="store_true",
         help="fill wall_time_ms (breaks byte-identical reruns)",
@@ -159,7 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="build and check the stage-by-stage bounding certificate",
     )
     p_pm.add_argument("--instance", required=True)
-    p_pm.add_argument("--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N)
+    p_pm.add_argument(
+        "--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N, help=_MAX_N_HELP
+    )
     p_pm.add_argument(
         "--no-reduce", action="store_true",
         help="run the construction directly even when the schedule has gaps",
@@ -170,7 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "cross-check", help="check the cross-objective inequalities"
     )
     p_cross.add_argument("--instance", required=True)
-    p_cross.add_argument("--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N)
+    p_cross.add_argument(
+        "--max-bruteforce-n", type=int, default=BRUTE_FORCE_MAX_N, help=_MAX_N_HELP
+    )
     p_cross.add_argument("--out", default=None)
 
     return parser

@@ -12,6 +12,7 @@ to mean anything, so floats are kept out of every computation in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -166,6 +167,17 @@ def validate_instance(instance: Instance) -> Instance:
     return instance
 
 
+def _time_scale(instance: Instance) -> int:
+    """``d``, the lcm of every alpha and release denominator, so that
+    ``alpha * d`` and ``release * d`` are integers for every job."""
+    return math.lcm(*(v.denominator for j in instance.jobs for v in (j.alpha, j.release)))
+
+
+def _scale_int(value: Fraction, d: int) -> int:
+    """``value * d`` as an int, for a ``d`` that ``value``'s denominator divides."""
+    return value.numerator * (d // value.denominator)
+
+
 def _timeline(
     instance: Instance, order: Sequence[int], starts: Sequence[Fraction] | None
 ) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
@@ -196,7 +208,7 @@ def _timeline(
                 raise InfeasibleSchedule(
                     f"job {jid} starts at {s}, before its release {job.release}"
                 )
-            gap = s - completion
+            gap = ZERO if s == completion else s - completion
             if gap < 0:
                 raise InfeasibleSchedule(
                     f"job {jid} starts at {s}, before its predecessor completes at {completion}"
@@ -227,14 +239,20 @@ def evaluate(instance: Instance, schedule: Schedule) -> EvalReport:
     of position k-1`` (the first position's gap is its start time).  Raises
     :class:`InfeasibleSchedule` when a start precedes a release or its
     predecessor's completion.
+
+    The total completion is summed over the common denominator ``L`` of
+    the completions, as ``sum(num * (L // den)) / L``, so the big-int gcd
+    that reduces the result runs once rather than at every addition.
     """
     _, completions, gaps = _timeline(instance, schedule.order, schedule.starts)
+    common = math.lcm(*(c.denominator for c in completions))
+    total = sum(c.numerator * (common // c.denominator) for c in completions)
     return EvalReport(
         starts=schedule.starts,
         completions=tuple(completions),
         gaps=tuple(gaps),
         makespan=completions[-1] if completions else ZERO,
-        total_completion=sum(completions, ZERO),
+        total_completion=Fraction(total, common),
     )
 
 

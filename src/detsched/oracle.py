@@ -11,7 +11,6 @@ certifies the same schedule.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,6 +22,8 @@ from .model import (
     Schedule,
     SchedulingError,
     ZERO,
+    _scale_int,
+    _time_scale,
     canonical_starts,
     evaluate,
     rational,
@@ -131,10 +132,9 @@ def _scaled(instance: Instance) -> tuple[int, int, int, list[tuple[int, int, int
     """
     q = instance.beta.denominator
     pq = instance.beta.numerator + q
-    d = math.lcm(*(v.denominator for j in instance.jobs for v in (j.alpha, j.release)))
-    scale = d * q**instance.n
+    scale = _time_scale(instance) * q**instance.n
     jobs = [
-        (1 << i, int(j.alpha * scale), int(j.release * scale))
+        (1 << i, _scale_int(j.alpha, scale), _scale_int(j.release, scale))
         for i, j in enumerate(instance.jobs)
     ]
     return scale, q, pq, jobs

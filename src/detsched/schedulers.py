@@ -8,19 +8,29 @@ smaller id.  Ratio experiments on tie-heavy instances are sensitive to
 these choices, so they are part of the contract, not a detail.
 
 The three greedy policies are event loops.  Each sorts the jobs once by
-``(release, alpha, id)`` and keeps a pointer to the first job not yet
-released at the current time ``t``.
+``(R, A, id)`` and keeps a pointer to the first job not yet released at
+the current time ``t``.  ``R = release * d`` and ``A = alpha * d`` are
+exact integers, with ``d`` the lcm of every alpha and release
+denominator, so every sort and heap comparison is an int comparison that
+orders and ties exactly as the Fractions would.
 
 - Non-idling and non-interfering push every released job onto a heap
-  keyed by ``(alpha, release, id)`` and take its head.  Non-interfering
-  first walks the unreleased jobs from the pointer while their release is
-  below the candidate's completion ``(1 + beta) * t + alpha``; the first
-  with a smaller fixed part blocks the candidate, and ``t`` moves to its
-  release.
-- ECTF keeps two heaps: released jobs keyed by ``(alpha, id)``, whose
+  keyed by ``(A, R, id)`` and take its head.  Non-interfering first walks
+  the unreleased jobs from the pointer while their release is below the
+  candidate's completion ``(1 + beta) * t + alpha``; the first with a
+  smaller ``A`` blocks the candidate, and ``t`` moves to its release.
+- ECTF keeps two heaps: released jobs keyed by ``(A, id)``, whose
   estimate is ``(1 + beta) * t + alpha``, and unreleased jobs keyed by
-  ``((1 + beta) * release + alpha, alpha, id)``.  The smaller of the two
-  heads, compared as ``(estimate, alpha, id)``, starts next.
+  ``((p + q) * R + q * A, A, id)`` with ``beta = p/q``, which is ``q * d``
+  times the estimate ``(1 + beta) * release + alpha``.  The smaller of
+  the two heads, compared as ``(estimate, A, id)``, starts next; the
+  unreleased head's estimate becomes a Fraction only for that comparison.
+
+The time ``t`` stays a Fraction.  A completion after k jobs has a
+denominator dividing ``d * q**k``, so one integer scale for all of ``t``
+would be ``d * q**n``: every step, the first included, would carry the
+bits that only the last one needs, where a Fraction carries only the
+bits its value has.
 
 Every job is pushed and popped at most twice, so the loops take
 O(n log n) heap steps.  Non-interfering's blocking walk adds O(n) per
@@ -36,8 +46,11 @@ from fractions import Fraction
 
 from .model import (
     Instance,
+    Job,
     Schedule,
     ZERO,
+    _scale_int,
+    _time_scale,
     evaluate,
     canonical_starts,
     validate_instance,
@@ -51,38 +64,48 @@ class SchedulerChoice(Enum):
     ECTF = "ectf"
 
 
+def _by_release(instance: Instance, d: int) -> tuple[list[tuple[int, int, int]], list[Job]]:
+    """The keys ``(R, A, id)``, with ``R = release * d`` and ``A = alpha * d``
+    exact integers, sorted, and the jobs in the same order."""
+    keyed = sorted(
+        (_scale_int(j.release, d), _scale_int(j.alpha, d), j.id, j) for j in instance.jobs
+    )
+    return [entry[:3] for entry in keyed], [entry[3] for entry in keyed]
+
+
 def _greedy(instance: Instance, block: bool) -> Schedule:
     """Shortest pending job first; with ``block``, never start a job whose
     window ``(t, (1 + beta) * t + alpha)`` holds the release of a job with a
     strictly smaller fixed part, and jump to that release instead."""
     validate_instance(instance)
     g = instance.growth
-    by_release = sorted(instance.jobs, key=lambda j: (j.release, j.alpha, j.id))
-    n = len(by_release)
+    keys, jobs = _by_release(instance, _time_scale(instance))
+    n = len(jobs)
     i = 0
-    pending: list[tuple[Fraction, Fraction, int]] = []
+    # (A, R, id, position in release order)
+    pending: list[tuple[int, int, int, int]] = []
     t = ZERO
     order: list[int] = []
     starts: list[Fraction] = []
     while len(order) < n:
-        while i < n and by_release[i].release <= t:
-            job = by_release[i]
-            heapq.heappush(pending, (job.alpha, job.release, job.id))
+        while i < n and jobs[i].release <= t:
+            r, a, jid = keys[i]
+            heapq.heappush(pending, (a, r, jid, i))
             i += 1
         if not pending:
-            t = by_release[i].release
+            t = jobs[i].release
             continue
-        alpha, _, jid = pending[0]
-        completion = alpha + g * t
+        a, _, jid, k = pending[0]
+        completion = jobs[k].alpha + g * t
         if block:
             # Releases from the pointer on are > t; the first smaller fixed
             # part in release order is the smallest blocking release.
             blocking = None
-            for k in range(i, n):
-                if not by_release[k].release < completion:
+            for m in range(i, n):
+                if not jobs[m].release < completion:
                     break
-                if by_release[k].alpha < alpha:
-                    blocking = by_release[k].release
+                if keys[m][1] < a:
+                    blocking = jobs[m].release
                     break
             if blocking is not None:
                 t = blocking
@@ -136,36 +159,43 @@ def ectf(instance: Instance) -> Schedule:
     smallest, idling up to its release if needed."""
     validate_instance(instance)
     g = instance.growth
-    by_release = sorted(instance.jobs, key=lambda j: (j.release, j.alpha, j.id))
-    n = len(by_release)
+    p, q = instance.beta.numerator, instance.beta.denominator
+    d = _time_scale(instance)
+    scale = q * d
+    keys, jobs = _by_release(instance, d)
+    n = len(jobs)
     i = 0
-    released: list[tuple[Fraction, int]] = []
-    # The release rides along for lazy deletion; ids are unique, so it is
-    # never compared.
-    unreleased = [(g * j.release + j.alpha, j.alpha, j.id, j.release) for j in by_release]
+    # (A, id, position in release order)
+    released: list[tuple[int, int, int]] = []
+    # ((p+q) * R + q * A, A, id, position): the first entry is q * d times
+    # the estimate (1 + beta) * release + alpha.  The position rides along
+    # for the job's Fractions; ids are unique, so it is never compared.
+    unreleased = [
+        ((p + q) * r + q * a, a, jid, k) for k, (r, a, jid) in enumerate(keys)
+    ]
     heapq.heapify(unreleased)
     started: set[int] = set()
     t = ZERO
     order: list[int] = []
     starts: list[Fraction] = []
     while len(order) < n:
-        while i < n and by_release[i].release <= t:
-            job = by_release[i]
-            if job.id not in started:
-                heapq.heappush(released, (job.alpha, job.id))
+        while i < n and jobs[i].release <= t:
+            _, a, jid = keys[i]
+            if jid not in started:
+                heapq.heappush(released, (a, jid, i))
             i += 1
-        while unreleased and unreleased[0][3] <= t:
+        while unreleased and jobs[unreleased[0][3]].release <= t:
             heapq.heappop(unreleased)
         best = None
         if released:
-            alpha, jid = released[0]
-            best = (alpha + g * t, alpha, jid)
-        if unreleased and (best is None or unreleased[0][:3] < best):
-            estimate, alpha, jid, s = heapq.heappop(unreleased)
-            best = (estimate, alpha, jid)
-        else:
-            heapq.heappop(released)
-            s = t
+            a, jid, k = released[0]
+            best, s, heap = (jobs[k].alpha + g * t, a, jid), t, released
+        if unreleased:
+            key, a, jid, k = unreleased[0]
+            estimate = (Fraction(key, scale), a, jid)
+            if best is None or estimate < best:
+                best, s, heap = estimate, jobs[k].release, unreleased
+        heapq.heappop(heap)
         t, _, jid = best
         started.add(jid)
         order.append(jid)
@@ -188,7 +218,8 @@ def earliest_release_order(instance: Instance) -> Schedule:
     (release, id).  Used as a feasible benchmark on instances too big or too
     contrived for the exact oracle."""
     validate_instance(instance)
-    order = [j.id for j in sorted(instance.jobs, key=lambda j: (j.release, j.id))]
+    d = _time_scale(instance)
+    order = [j.id for j in sorted(instance.jobs, key=lambda j: (_scale_int(j.release, d), j.id))]
     return canonical_starts(instance, order)
 
 

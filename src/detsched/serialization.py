@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
@@ -56,10 +57,21 @@ def parse_rational(text: str, context: str = "value") -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``"p"`` or ``"p/q"``; exact round trip."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as ``"p"`` or ``"p/q"``; exact round trip.
+
+    Raises :class:`SchedulingError` for a value past the interpreter's
+    limit on digits per integer string conversion.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # the interpreter's limit on digits per conversion
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise SchedulingError(
+            f"cannot write a {bits}-bit value: it passes the limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
+        ) from None
 
 
 def decimal_string(value: Fraction, digits: int = 10) -> str:

@@ -8,6 +8,7 @@ handling through DETSCHED_SEED, and the JSON document shapes.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -81,6 +82,16 @@ def test_subset_dp_ceiling_ignores_raised_cap(capsys, past_dp_cap_file, command)
     argv = command + ["--instance", past_dp_cap_file, "--max-bruteforce-n", "25"]
     assert main(argv) == 1
     assert f"subset-DP cap of {DP_MAX_N}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["opt", "verify-pm", "cross-check", "experiment"])
+def test_max_n_help_names_both_caps(capsys, command):
+    with pytest.raises(SystemExit) as caught:
+        main([command, "--help"])
+    assert caught.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"subset DP up to {DP_MAX_N} jobs" in text
+    assert f"brute force up to {BRUTE_FORCE_MAX_N} jobs" in text
 
 
 class TestGen:
@@ -194,6 +205,20 @@ class TestPipeline:
         )
         assert main(["eval", "--instance", two_job_file, "--schedule", str(sched)]) == 1
         assert "error: starts[1]: 5000 digits" in capsys.readouterr().err
+
+    def test_solve_rejects_over_long_start(self, tmp_path, capsys):
+        # Each start is about 10**1000 times the one before, so the seventh
+        # passes the interpreter's 4300-digit limit on int-to-str.
+        inst = tmp_path / "steep.json"
+        inst.write_text(
+            write_instance(make_instance(10**1000, [(i, 1, 0) for i in range(1, 8)])),
+            encoding="utf-8",
+        )
+        out = tmp_path / "steep.schedule.json"
+        argv = ["solve", "--instance", str(inst), "--algorithm", "ectf", "--out", str(out)]
+        assert main(argv) == 1
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_algorithm(self, capsys, two_job_file):
         with pytest.raises(SystemExit):

@@ -8,6 +8,7 @@ existed; they are frozen here on purpose.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from detsched import (
     EvalReport,
     ExperimentConfig,
     Family,
+    FamilySpec,
     Instance,
     InvalidArgument,
     Job,
@@ -27,9 +29,13 @@ from detsched import (
     SchedulerChoice,
     SchedulingError,
     canonical_starts,
+    ectf,
     evaluate,
     fixed_cost_identity,
+    generate,
     makespan_closed_form,
+    non_idling,
+    non_interfering,
     sorted_subset_cost,
     validate_instance,
     verify_rho_pm,
@@ -41,6 +47,7 @@ from detsched.model import (
     InfeasibleSchedule,
     NegativeParameter,
     NotAPermutation,
+    ZERO,
     rational,
 )
 
@@ -183,6 +190,44 @@ class TestEvaluate:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Schedule((1, 2), (F(0),))
+
+
+class TestEvaluateSum:
+    """``evaluate`` sums completions over their common denominator and
+    takes an equal start and predecessor completion as a zero gap."""
+
+    @settings(max_examples=200)
+    @given(data=st.data(), inst=instances(max_n=8))
+    def test_delayed_starts(self, data, inst):
+        # Delaying position k by k/7 gives denominators unrelated to the
+        # instance's, so the completions share no obvious common one.
+        order = tuple(data.draw(st.permutations([job.id for job in inst.jobs])))
+        jobs = inst.job_map()
+        starts: list[Fraction] = []
+        completions: list[Fraction] = []
+        completion = ZERO
+        for k, jid in enumerate(order):
+            s = max(jobs[jid].release, completion) + F(k, 7)
+            completion = jobs[jid].alpha + inst.growth * s
+            starts.append(s)
+            completions.append(completion)
+        report = evaluate(inst, Schedule(order, tuple(starts)))
+        assert report.completions == tuple(completions)
+        assert report.total_completion == sum(completions, ZERO)
+        previous = [ZERO] + completions[:-1]
+        assert report.gaps == tuple(s - c for s, c in zip(starts, previous))
+        values = (*report.completions, *report.gaps, report.makespan, report.total_completion)
+        for value in values:
+            assert type(value) is Fraction
+            assert math.gcd(value.numerator, value.denominator) == 1
+
+    def test_long_horizon_policies(self):
+        inst = generate(
+            FamilySpec(family=Family.RANDOM, n=1600, beta=F(1, 1600), seed=5, r_max=6400)
+        )
+        for policy in (non_idling, non_interfering, ectf):
+            report = evaluate(inst, policy(inst))
+            assert report.total_completion == sum(report.completions, ZERO)
 
 
 class TestMakespanClosedForm:

@@ -138,6 +138,22 @@ def tie_heavy_instances(draw):
     return validate_instance(Instance(beta, jobs))
 
 
+RATIONAL_GRID = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
+
+
+@st.composite
+def rational_tie_heavy_instances(draw):
+    """Alphas and releases on a grid with denominators 1, 2 and 3 and ids
+    shuffled: the policies' integer keys order these correctly only when
+    scaled by the common denominator, and many of them tie."""
+    n = draw(st.integers(1, 12))
+    beta = draw(st.sampled_from([F(1, 2), F(1), F(2), F(3, 7), F(1, n), F(n + 1)]))
+    ids = draw(st.permutations(range(1, n + 1)))
+    grid = st.sampled_from(RATIONAL_GRID)
+    jobs = tuple(Job(i, draw(grid), draw(grid)) for i in ids)
+    return validate_instance(Instance(beta, jobs))
+
+
 @st.composite
 def family_instances(draw):
     family = draw(st.sampled_from(list(Family)))
@@ -369,7 +385,14 @@ class TestSchedulerContracts:
 
 class TestMatchesReferenceLoops:
     @settings(max_examples=400, deadline=None)
-    @given(inst=st.one_of(instances(), tie_heavy_instances(), family_instances()))
+    @given(
+        inst=st.one_of(
+            instances(),
+            tie_heavy_instances(),
+            rational_tie_heavy_instances(),
+            family_instances(),
+        )
+    )
     def test_same_schedules(self, inst):
         for policy, reference in REFERENCES:
             assert policy(inst) == reference(inst)

@@ -4,6 +4,7 @@ decimal rendering."""
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from detsched import (
     write_instance,
     write_schedule,
 )
-from detsched.model import InfeasibleSchedule, NotAPermutation
+from detsched.model import InfeasibleSchedule, NotAPermutation, SchedulingError
 from detsched.schedulers import non_idling
 
 from conftest import instances
@@ -80,6 +81,16 @@ class TestFormatRational:
     def test_round_trip(self, num, den):
         value = F(num, den)
         assert parse_rational(format_rational(value)) == value
+
+    @pytest.mark.parametrize(
+        "value", [F(10**5000), F(-(10**5000)), F(1, 10**5000), F(10**5000 + 1, 3)]
+    )
+    def test_over_long_value_is_a_scheduling_error(self, value):
+        # past the interpreter's 4300-digit limit on str(int)
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SchedulingError, match=f"limit of {limit} digits") as caught:
+            format_rational(value)
+        assert type(caught.value) is SchedulingError
 
 
 class TestDecimalString:
