@@ -58,14 +58,17 @@ def _default_seed() -> int:
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SchedulingError(f"cannot write {out}: {exc}") from None
 
 
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchedulingError(f"cannot read {path}: {exc}") from None
 
 
@@ -338,9 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except SchedulingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,6 @@ from .model import (
     SchedulingError,
     ZERO,
     rational,
-    validate_instance,
 )
 
 
@@ -77,7 +76,7 @@ def gen_random(spec: FamilySpec) -> Instance:
         Job(i, Fraction(rng.randint(0, spec.alpha_max)), Fraction(rng.randint(0, spec.r_max)))
         for i in range(1, spec.n + 1)
     )
-    return validate_instance(Instance(spec.beta, jobs))
+    return Instance(spec.beta, jobs)
 
 
 def gen_two_release(spec: FamilySpec) -> Instance:
@@ -101,7 +100,7 @@ def gen_two_release(spec: FamilySpec) -> Instance:
         Job(i + 1, Fraction(alphas[i]), Fraction(spec.r_max if late[i] else 0))
         for i in range(spec.n)
     )
-    return validate_instance(Instance(spec.beta, jobs))
+    return Instance(spec.beta, jobs)
 
 
 def gen_noninterfering_adv(spec: FamilySpec) -> Instance:
@@ -122,7 +121,7 @@ def gen_noninterfering_adv(spec: FamilySpec) -> Instance:
         release = release + weight * b
         weight = weight * g
         jobs.append(Job(j, b + n - j, release))
-    return validate_instance(Instance(spec.beta, tuple(jobs)))
+    return Instance(spec.beta, tuple(jobs))
 
 
 def gen_nonidling_adv(spec: FamilySpec) -> Instance:
@@ -137,7 +136,7 @@ def gen_nonidling_adv(spec: FamilySpec) -> Instance:
         raise BadSpec(f"B must be > 0, got {b}")
     jobs = [Job(1, b, ZERO)]
     jobs.extend(Job(i, ZERO, Fraction(1)) for i in range(2, k + 2))
-    return validate_instance(Instance(spec.beta, tuple(jobs)))
+    return Instance(spec.beta, tuple(jobs))
 
 
 def gen_ectf_adv(spec: FamilySpec) -> Instance:
@@ -158,7 +157,7 @@ def gen_ectf_adv(spec: FamilySpec) -> Instance:
         release = release + weight * b
         weight = weight * g
         jobs.append(Job(k + j, ZERO, release))
-    return validate_instance(Instance(spec.beta, tuple(jobs)))
+    return Instance(spec.beta, tuple(jobs))
 
 
 _GENERATORS = {
@@ -187,7 +186,6 @@ def reduce_instance(instance: Instance, ni_schedule: Schedule) -> Instance:
     collapse to 0, and the deterministic policy re-emits that block in id
     order.  Ids and fixed parts are untouched.
     """
-    validate_instance(instance)
     g = instance.growth
     new_release: dict[int, Fraction] = {}
     prefix = ZERO

@@ -90,7 +90,11 @@ class Job:
 
 @dataclass(frozen=True)
 class Instance:
-    """A deterioration rate and the jobs subject to it."""
+    """A deterioration rate and the jobs subject to it.
+
+    Every instance is valid once built: construction runs
+    :func:`validate_instance`, so nothing downstream checks it again.
+    """
 
     beta: Fraction
     jobs: tuple[Job, ...]
@@ -98,6 +102,7 @@ class Instance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", rational(self.beta))
         object.__setattr__(self, "jobs", tuple(self.jobs))
+        validate_instance(self)
 
     @property
     def n(self) -> int:
@@ -146,7 +151,8 @@ class EvalReport:
 def validate_instance(instance: Instance) -> Instance:
     """Check every instance invariant; return the instance unchanged.
 
-    Raises :class:`EmptyInstance`, :class:`BetaNonPositive`,
+    :class:`Instance` runs this when it is built, so a second call only
+    repeats the checks.  Raises :class:`EmptyInstance`, :class:`BetaNonPositive`,
     :class:`NegativeParameter`, or :class:`DuplicateId`.
     """
     if not instance.jobs:

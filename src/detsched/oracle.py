@@ -6,6 +6,14 @@ table for the order), up to ``DP_MAX_N`` jobs; total completion runs on
 :func:`brute_force`, up to ``BRUTE_FORCE_MAX_N`` jobs.  Both routes return
 the lexicographically smallest optimal order by job id, so either one
 certifies the same schedule.
+
+The subset DP closes a state once no remaining job is released after the
+state's completion time: it finishes the remaining jobs back to back in
+ascending alpha, which an exchange argument shows is optimal (see
+:func:`dp_min_makespan`), and does not expand the state.  In the worst
+case, when nothing closes before the full set, it fills the whole
+O(n * 2^n) table; when completions pass the last release after a few
+jobs, as on random instances, it touches only the masks of those prefixes.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ from .model import (
     canonical_starts,
     evaluate,
     rational,
-    validate_instance,
 )
 
 
@@ -77,7 +84,6 @@ def brute_force(
     enumeration order makes automatic.  Raises :class:`InstanceTooLarge`
     when ``instance.n > min(max_n, BRUTE_FORCE_MAX_N)``, before enumerating.
     """
-    validate_instance(instance)
     cap = min(max_n, BRUTE_FORCE_MAX_N)
     if instance.n > cap:
         raise InstanceTooLarge(
@@ -143,35 +149,68 @@ def _scaled(instance: Instance) -> tuple[int, int, int, list[tuple[int, int, int
 def dp_min_makespan(instance: Instance) -> Fraction:
     """Optimal makespan by dynamic programming over job subsets.
 
-    The earliest time a subset can be fully completed is
-    ``min over last jobs j of alpha_j + (1 + beta) * max(release_j,
-    earliest completion of the rest)``; completions are monotone in starts,
-    so finishing each prefix as early as possible is optimal.  O(n * 2^n)
-    versus n! for :func:`brute_force`.  The loop runs on the exact integers
-    of :func:`_scaled`, and the result is ``Fraction(best, L)``.
+    ``best[S]`` is the earliest time the subset S can be completed; since
+    completions are monotone in starts, finishing each prefix as early as
+    possible is optimal.  One pass over the masks in increasing order pushes
+    each reached ``best[S] = t`` to every child ``S + j`` as ``alpha_j +
+    (1 + beta) * max(release_j, t)``, keeping the minimum; a mask never
+    reached is skipped.
 
-    :func:`brute_force` stays on Fractions: it is the independent route
-    that the tests and the certificate checks compare this DP against, so
-    it must not share the scaling argument.  Raises
-    :class:`InstanceTooLarge` when ``instance.n > DP_MAX_N``, before the
-    2^n table is allocated.
+    A state is *closed* when no remaining job is released after ``t``.  It
+    is not expanded: its remaining jobs run back to back in ascending
+    alpha, and the result is the minimum over closed states.  That finish
+    is optimal by exchange: jobs i then j started back to back at ``x``,
+    both released by then, finish at ``A_j + g*A_i + g**2 * x`` with
+    ``g = 1 + beta > 1``, so the smaller alpha goes first, and completions
+    are monotone in starts, so each swap also helps every later job.  Every value computed is the makespan of a
+    real order, and along an optimal order's prefixes the DP is at most
+    that order up to its first closed prefix, whose finish is at most the
+    rest of that order; so the minimum is the optimum.  The full mask is
+    closed, so with no closure earlier this is the plain O(n * 2^n) DP;
+    on instances whose completions pass the last release after a few jobs
+    it touches only the masks of those prefixes.
+
+    The loop runs on the exact integers of :func:`_scaled`, and the result
+    is ``Fraction(best, L)``.  :func:`brute_force` stays on Fractions: it
+    is the independent route that the tests and the certificate checks
+    compare this DP against, so it must not share the scaling argument.
+    Raises :class:`InstanceTooLarge` when ``instance.n > DP_MAX_N``, before
+    the 2^n table is allocated.
     """
-    validate_instance(instance)
     n = instance.n
     if n > DP_MAX_N:
         raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
     scale, q, pq, jobs = _scaled(instance)
-    best = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        value = None
-        for bit, alpha, release in jobs:
-            if mask & bit:
-                prev = best[mask ^ bit]
-                candidate = alpha + (release if release > prev else prev) // q * pq
-                if value is None or candidate < value:
-                    value = candidate
-        best[mask] = value
-    return Fraction(best[-1], scale)
+    latest_first = sorted(jobs, key=lambda job: job[2], reverse=True)
+    by_alpha = sorted(jobs, key=lambda job: job[1])
+    best: list[int | None] = [None] * (1 << n)
+    best[0] = 0
+    result = None
+    # children are larger masks, so the iterator reads each one after its
+    # last push
+    for mask, t in enumerate(best):
+        if t is None:
+            continue
+        last_release = -1  # stays -1 for the full mask
+        for bit, _, release in latest_first:
+            if not mask & bit:
+                last_release = release
+                break
+        if last_release > t:
+            for bit, alpha, release in jobs:
+                if not mask & bit:
+                    child = mask | bit
+                    candidate = alpha + (release if release > t else t) // q * pq
+                    known = best[child]
+                    if known is None or candidate < known:
+                        best[child] = candidate
+        else:
+            for bit, alpha, _ in by_alpha:
+                if not mask & bit:
+                    t = alpha + t // q * pq
+            if result is None or t < result:
+                result = t
+    return Fraction(result, scale)
 
 
 def _makespan_optimum(instance: Instance) -> OptResult:
@@ -253,7 +292,6 @@ def optimum(
     :func:`brute_force`.  Raises :class:`InstanceTooLarge` (see
     :func:`check_optimum_cap`) before anything is allocated.
     """
-    validate_instance(instance)
     check_optimum_cap(instance, objective, max_n)
     if objective is Objective.MAKESPAN:
         return _makespan_optimum(instance)
@@ -267,7 +305,6 @@ def lb_release(instance: Instance) -> Fraction:
     at least ``sum beta**(n-i) * r_(i)``: every job started at or after its
     release inflates everything scheduled behind it.
     """
-    validate_instance(instance)
     releases = sorted(j.release for j in instance.jobs)
     n = len(releases)
     return sum(
@@ -302,7 +339,6 @@ def sorted_subset_cost(
 
 def lb_combined(instance: Instance) -> Fraction:
     """Max of the release-time bound and the sorted fixed-part bound."""
-    validate_instance(instance)
     fixed = sorted_subset_cost(instance.beta, [j.alpha for j in instance.jobs], 0)
     release = lb_release(instance)
     return fixed if fixed > release else release

@@ -12,7 +12,9 @@ The three greedy policies are event loops.  Each sorts the jobs once by
 the current time ``t``.  ``R = release * d`` and ``A = alpha * d`` are
 exact integers, with ``d`` the lcm of every alpha and release
 denominator, so every sort and heap comparison is an int comparison that
-orders and ties exactly as the Fractions would.
+orders and ties exactly as the Fractions would.  A release is compared
+with the time ``t``, or with a candidate's completion, in ints too:
+``R * den(t)`` against ``d * num(t)``.
 
 - Non-idling and non-interfering push every released job onto a heap
   keyed by ``(A, R, id)`` and take its head.  Non-interfering first walks
@@ -53,7 +55,6 @@ from .model import (
     _time_scale,
     evaluate,
     canonical_starts,
-    validate_instance,
 )
 
 
@@ -77,9 +78,9 @@ def _greedy(instance: Instance, block: bool) -> Schedule:
     """Shortest pending job first; with ``block``, never start a job whose
     window ``(t, (1 + beta) * t + alpha)`` holds the release of a job with a
     strictly smaller fixed part, and jump to that release instead."""
-    validate_instance(instance)
     g = instance.growth
-    keys, jobs = _by_release(instance, _time_scale(instance))
+    d = _time_scale(instance)
+    keys, jobs = _by_release(instance, d)
     n = len(jobs)
     i = 0
     # (A, R, id, position in release order)
@@ -88,7 +89,9 @@ def _greedy(instance: Instance, block: bool) -> Schedule:
     order: list[int] = []
     starts: list[Fraction] = []
     while len(order) < n:
-        while i < n and jobs[i].release <= t:
+        # release <= t, as R * den(t) <= d * num(t)
+        t_den, t_num = t.denominator, d * t.numerator
+        while i < n and keys[i][0] * t_den <= t_num:
             r, a, jid = keys[i]
             heapq.heappush(pending, (a, r, jid, i))
             i += 1
@@ -101,8 +104,9 @@ def _greedy(instance: Instance, block: bool) -> Schedule:
             # Releases from the pointer on are > t; the first smaller fixed
             # part in release order is the smallest blocking release.
             blocking = None
+            c_den, c_num = completion.denominator, d * completion.numerator
             for m in range(i, n):
-                if not jobs[m].release < completion:
+                if not keys[m][0] * c_den < c_num:
                     break
                 if keys[m][1] < a:
                     blocking = jobs[m].release
@@ -157,7 +161,6 @@ def ectf(instance: Instance) -> Schedule:
     """Estimated-completion-time-first: repeatedly start the uncompleted job
     whose completion estimate ``(1 + beta) * max(t, release) + alpha`` is
     smallest, idling up to its release if needed."""
-    validate_instance(instance)
     g = instance.growth
     p, q = instance.beta.numerator, instance.beta.denominator
     d = _time_scale(instance)
@@ -179,12 +182,14 @@ def ectf(instance: Instance) -> Schedule:
     order: list[int] = []
     starts: list[Fraction] = []
     while len(order) < n:
-        while i < n and jobs[i].release <= t:
+        # release <= t, as R * den(t) <= d * num(t)
+        t_den, t_num = t.denominator, d * t.numerator
+        while i < n and keys[i][0] * t_den <= t_num:
             _, a, jid = keys[i]
             if jid not in started:
                 heapq.heappush(released, (a, jid, i))
             i += 1
-        while unreleased and jobs[unreleased[0][3]].release <= t:
+        while unreleased and keys[unreleased[0][3]][0] * t_den <= t_num:
             heapq.heappop(unreleased)
         best = None
         if released:
@@ -217,7 +222,6 @@ def earliest_release_order(instance: Instance) -> Schedule:
     """Reference heuristic: canonical schedule of the order sorted by
     (release, id).  Used as a feasible benchmark on instances too big or too
     contrived for the exact oracle."""
-    validate_instance(instance)
     d = _time_scale(instance)
     order = [j.id for j in sorted(instance.jobs, key=lambda j: (_scale_int(j.release, d), j.id))]
     return canonical_starts(instance, order)

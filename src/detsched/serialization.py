@@ -22,7 +22,6 @@ from .model import (
     SchedulingError,
     canonical_starts,
     evaluate,
-    validate_instance,
 )
 
 
@@ -85,14 +84,23 @@ def decimal_string(value: Fraction, digits: int = 10) -> str:
 
 
 def _loads(text: str, what: str) -> object:
+    """``json.loads``, with every way it refuses a document as a
+    :class:`ParseError` naming ``what``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # an integer literal past the limit on digits per conversion
+        raise ParseError(
+            f"{what}: an integer exceeds the limit of {sys.get_int_max_str_digits()} "
+            "digits for integer string conversion"
+        ) from None
+    except RecursionError:
+        raise ParseError(f"{what}: arrays or objects nested too deeply") from None
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse an instance document and run full validation on the result."""
+    """Parse an instance document; building the :class:`Instance` validates it."""
     doc = _loads(text, "instance")
     if not isinstance(doc, dict):
         raise ParseError("instance: top level must be an object")
@@ -118,7 +126,7 @@ def parse_instance(text: str) -> Instance:
         alpha = parse_rational(job_doc["alpha"], f"{where}.alpha")
         release = parse_rational(job_doc["release"], f"{where}.release")
         jobs.append(Job(jid, alpha, release))
-    return validate_instance(Instance(beta, tuple(jobs)))
+    return Instance(beta, tuple(jobs))
 
 
 def write_instance(instance: Instance) -> str:

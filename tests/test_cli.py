@@ -13,8 +13,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from detsched import model
 from detsched.cli import main
 from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
+from detsched.schedulers import SchedulerChoice
 from detsched.serialization import parse_instance, parse_rational, write_instance
 
 from conftest import make_instance
@@ -220,6 +222,33 @@ class TestPipeline:
         assert f"limit of {sys.get_int_max_str_digits()} digits" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("choice", [c.value for c in SchedulerChoice])
+    def test_one_validation_per_solve(self, monkeypatch, two_job_file, choice):
+        # building the parsed instance checks it; no policy checks it again
+        calls = []
+        check = model.validate_instance
+
+        def counting(instance):
+            calls.append(instance)
+            return check(instance)
+
+        monkeypatch.setattr(model, "validate_instance", counting)
+        assert main(["solve", "--instance", two_job_file, "--algorithm", choice]) == 0
+        assert len(calls) == 1
+
+    def test_over_long_json_integers(self, tmp_path, capsys, two_job_file):
+        inst = tmp_path / "long_id.json"
+        inst.write_text(
+            '{"beta":"1","jobs":[{"id":' + "9" * 5000 + ',"alpha":"1","release":"0"}]}',
+            encoding="utf-8",
+        )
+        assert main(["solve", "--instance", str(inst), "--algorithm", "ectf"]) == 1
+        assert capsys.readouterr().err.startswith("error: instance: an integer exceeds")
+        sched = tmp_path / "long_order.json"
+        sched.write_text('{"order":[1,' + "2" * 5000 + "]}", encoding="utf-8")
+        assert main(["eval", "--instance", two_job_file, "--schedule", str(sched)]) == 1
+        assert capsys.readouterr().err.startswith("error: schedule: an integer exceeds")
+
     def test_unknown_algorithm(self, capsys, two_job_file):
         with pytest.raises(SystemExit):
             main(["solve", "--instance", two_job_file, "--algorithm", "spt"])
@@ -314,3 +343,79 @@ class TestCrossCheck:
 
     def test_cap_too_small(self, capsys, two_job_file):
         assert main(["cross-check", "--instance", two_job_file, "--max-bruteforce-n", "1"]) == 1
+
+
+@pytest.fixture()
+def bad_inputs(tmp_path, two_job_file):
+    """The error-path table's files by name: good inputs, inputs every
+    command must refuse, and output paths it cannot write."""
+    files = {
+        "missing": None,
+        "not_utf8": b'\xff\xfe{"beta": "1"}',
+        "deep": b"[" * 100_000,
+        "long_id": b'{"beta":"1","jobs":[{"id":' + b"9" * 5000 + b',"alpha":"1","release":"0"}]}',
+        "invalid": b'{"beta":"0","jobs":[{"id":1,"alpha":"1","release":"0"}]}',
+        "long_order": b'{"order":[1,' + b"2" * 5000 + b"]}",
+        "not_permutation": b'{"order":[1,1]}',
+    }
+    paths = {"good": two_job_file, "dir": str(tmp_path), "no_dir": str(tmp_path / "no" / "out")}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        if data is not None:
+            path.write_bytes(data)
+        paths[name] = str(path)
+    good_sched = tmp_path / "good_sched.json"
+    good_sched.write_text('{"order":[1,2]}', encoding="utf-8")
+    paths["good_sched"] = str(good_sched)
+    return paths
+
+
+BAD_INSTANCES = ["missing", "not_utf8", "deep", "long_id", "invalid"]
+UNWRITABLE = ["dir", "no_dir"]
+ERROR_PATHS = (
+    [["gen", "--out", out] for out in UNWRITABLE]
+    + [["gen", "--n", "0"], ["gen", "--beta", "0"], ["gen", "--alpha-max", "-1"]]
+    + [
+        [cmd, "--instance", inst] + extra
+        for cmd, extra in [
+            ("solve", ["--algorithm", "ectf"]),
+            ("opt", []),
+            ("opt", ["--objective", "total-completion"]),
+            ("verify-pm", []),
+            ("cross-check", []),
+            ("eval", ["--schedule", "good_sched"]),
+        ]
+        for inst in BAD_INSTANCES
+    ]
+    + [
+        ["eval", "--instance", "good", "--schedule", sched]
+        for sched in ["missing", "not_utf8", "deep", "long_order", "not_permutation"]
+    ]
+    + [
+        argv + ["--out", out]
+        for argv in [
+            ["solve", "--instance", "good", "--algorithm", "ectf"],
+            ["opt", "--instance", "good"],
+            ["eval", "--instance", "good", "--schedule", "good_sched"],
+            ["verify-pm", "--instance", "good"],
+            ["cross-check", "--instance", "good"],
+            ["experiment", "--trials", "1", "--n-max", "3", "--seed", "0"],
+        ]
+        for out in UNWRITABLE
+    ]
+    + [
+        ["experiment", "--trials", "-1", "--seed", "0"],
+        ["experiment", "--n-min", "0", "--seed", "0"],
+        ["experiment", "--betas", "0", "--trials", "1", "--seed", "0"],
+        ["experiment", "--alpha-max", "-1", "--trials", "1", "--seed", "0"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", ERROR_PATHS, ids=lambda argv: " ".join(argv))
+def test_error_paths_exit_one(capsys, bad_inputs, argv):
+    # every refusal is a SchedulingError: main has no other safety net
+    argv = [bad_inputs.get(arg, arg) for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

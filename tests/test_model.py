@@ -98,6 +98,22 @@ class TestValidation:
         with pytest.raises(NegativeParameter):
             validate_instance(Instance(F(1), (Job(bad_id, F(1), F(0)),)))
 
+    @pytest.mark.parametrize(
+        ("beta", "jobs", "error"),
+        [
+            (F(1), (), EmptyInstance),
+            (F(0), ((1, 1, 0),), BetaNonPositive),
+            (F(1), ((1, -1, 0),), NegativeParameter),
+            (F(1), ((1, 1, -1),), NegativeParameter),
+            (F(1), ((0, 1, 0),), NegativeParameter),
+            (F(1), ((1, 1, 0), (1, 2, 0)), DuplicateId),
+        ],
+    )
+    def test_invalid_instance_raises_when_built(self, beta, jobs, error):
+        # no validate_instance call: construction alone must refuse it
+        with pytest.raises(error):
+            Instance(beta, tuple(Job(i, F(a), F(r)) for i, a, r in jobs))
+
     def test_zero_alpha_allowed(self):
         # the estimate-first adversarial family needs alpha = 0 jobs
         make_instance(1, [(1, 0, 0)])

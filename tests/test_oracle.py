@@ -32,6 +32,7 @@ from detsched.oracle import (
     DP_MAX_N,
     DegenerateOptimum,
     InstanceTooLarge,
+    _scaled,
     objective_value,
     optimum,
     value_ratio,
@@ -203,6 +204,88 @@ def family_instances(draw, max_jobs=7):
     beta = draw(size_betas(k))
     seed = draw(st.integers(0, 2**16))
     return generate(FamilySpec(family=family, n=k, beta=beta, seed=seed))
+
+
+# The full-table DP that the closing push DP replaced, kept as the
+# reference it must match on every instance.
+
+def _reference_dp_min_makespan(instance: Instance) -> Fraction:
+    validate_instance(instance)
+    n = instance.n
+    if n > DP_MAX_N:
+        raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
+    scale, q, pq, jobs = _scaled(instance)
+    best = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        value = None
+        for bit, alpha, release in jobs:
+            if mask & bit:
+                prev = best[mask ^ bit]
+                candidate = alpha + (release if release > prev else prev) // q * pq
+                if value is None or candidate < value:
+                    value = candidate
+        best[mask] = value
+    return Fraction(best[-1], scale)
+
+
+DP_GRID = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
+
+
+@st.composite
+def rational_tie_heavy_instances(draw, max_n=12):
+    """Alphas and releases on a grid with denominators 1, 2 and 3 and ids
+    shuffled, so many states close at the same time with tied alphas."""
+    n = draw(st.integers(1, max_n))
+    beta = draw(size_betas(n))
+    ids = draw(st.permutations(range(1, n + 1)))
+    grid = st.sampled_from(DP_GRID)
+    return validate_instance(Instance(beta, tuple(Job(i, draw(grid), draw(grid)) for i in ids)))
+
+
+@st.composite
+def far_release_instances(draw, max_n=12):
+    """Small alphas and releases up to 10**6, so states stay open deep
+    into the table."""
+    n = draw(st.integers(1, max_n))
+    beta = draw(size_betas(n))
+    r_max = draw(st.sampled_from([10, 10**3, 10**6]))
+    jobs = tuple(
+        Job(i, F(draw(st.integers(0, 8))), F(draw(st.integers(0, r_max))))
+        for i in range(1, n + 1)
+    )
+    return validate_instance(Instance(beta, jobs))
+
+
+class TestDpMatchesFullTable:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(max_n=12),
+            tie_heavy_instances(max_n=12),
+            family_instances(max_jobs=12),
+            rational_tie_heavy_instances(),
+            far_release_instances(),
+        )
+    )
+    def test_same_value(self, inst):
+        assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst)
+
+    def test_closes_at_the_empty_mask(self):
+        # every job is released at 0, so the ascending-alpha finish from 0
+        # is the whole answer; at n = DP_MAX_N the full table is not filled
+        inst = make_instance(F(1, 2), [(i, (5 * i) % 7, 0) for i in range(1, DP_MAX_N + 1)])
+        alphas = [job.alpha for job in inst.jobs]
+        assert dp_min_makespan(inst) == sorted_subset_cost(inst.beta, alphas, 0)
+        small = make_instance(F(1, 2), [(i, (5 * i) % 7, 0) for i in range(1, 9)])
+        assert dp_min_makespan(small) == _reference_dp_min_makespan(small)
+
+    def test_optimum_closes_only_at_the_full_mask(self):
+        # in the order 1, 2, 3, 4 each job completes before the next release
+        # (0 -> 2 -> 6 -> 14), so every prefix of the optimal order is open;
+        # every state that closes earlier finishes later than 14
+        inst = make_instance(1, [(1, 0, 0), (2, 0, 1), (3, 0, 3), (4, 0, 7)])
+        assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst) == F(14)
+        assert brute_force(inst, Objective.MAKESPAN).best_schedule.order == (1, 2, 3, 4)
 
 
 class TestOptimum:

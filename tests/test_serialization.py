@@ -152,6 +152,16 @@ class TestInstanceDocuments:
         with pytest.raises(ParseError, match="line"):
             parse_instance('{"beta":')
 
+    def test_over_long_id_is_a_parse_error(self):
+        # json.loads itself raises a bare ValueError for this literal
+        doc = '{"beta":"1","jobs":[{"id":' + "9" * 5000 + ',"alpha":"1","release":"0"}]}'
+        with pytest.raises(ParseError, match=r"^instance: .* digits"):
+            parse_instance(doc)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^instance: .* nested too deeply"):
+            parse_instance("[" * 100_000)
+
     def test_validation_applies(self):
         from detsched.model import BetaNonPositive
 
@@ -192,6 +202,11 @@ class TestScheduleDocuments:
     def test_length_mismatch(self, two_job_instance):
         with pytest.raises(ParseError, match="starts"):
             parse_schedule('{"order":[2,1],"starts":["2"]}', two_job_instance)
+
+    def test_over_long_order_entry_is_a_parse_error(self, two_job_instance):
+        doc = '{"order":[1,' + "2" * 5000 + "]}"
+        with pytest.raises(ParseError, match=r"^schedule: .* digits"):
+            parse_schedule(doc, two_job_instance)
 
     def test_missing_order(self, two_job_instance):
         with pytest.raises(ParseError, match="order"):
