@@ -31,6 +31,7 @@ from .serialization import (
     _schedule_from_text,
     decimal_string,
     format_rational,
+    format_rationals,
     parse_instance,
     parse_rational,
     write_instance,
@@ -222,8 +223,8 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     doc = {
         "objective": result.objective.value,
         "order": list(result.best_schedule.order),
-        "starts": [format_rational(s) for s in result.best_schedule.starts],
-        "value": format_rational(result.best_value),
+        "starts": format_rationals(result.best_schedule.starts, "starts"),
+        "value": format_rational(result.best_value, "value"),
     }
     _emit(_json(doc), args.out)
     return 0
@@ -236,11 +237,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(instance, schedule)
     doc = {
         "order": list(schedule.order),
-        "starts": [format_rational(s) for s in report.starts],
-        "completions": [format_rational(c) for c in report.completions],
-        "gaps": [format_rational(g) for g in report.gaps],
-        "makespan": format_rational(report.makespan),
-        "total_completion": format_rational(report.total_completion),
+        "starts": format_rationals(report.starts, "starts"),
+        "completions": format_rationals(report.completions, "completions"),
+        "gaps": format_rationals(report.gaps, "gaps"),
+        "makespan": format_rational(report.makespan, "makespan"),
+        "total_completion": format_rational(report.total_completion, "total_completion"),
     }
     _emit(_json(doc), args.out)
     return 0
@@ -284,14 +285,14 @@ def _cmd_verify_pm(args: argparse.Namespace) -> int:
         {
             "k": k,
             "edges": [list(edge) for edge in report.per_k_matchings[k].edges],
-            "load_lhs": format_rational(lhs),
-            "load_rhs": format_rational(rhs),
+            "load_lhs": format_rational(lhs, f"stages[{idx}].load_lhs"),
+            "load_rhs": format_rational(rhs, f"stages[{idx}].load_rhs"),
         }
-        for k, lhs, rhs in zip(
+        for idx, (k, lhs, rhs) in enumerate(zip(
             sorted(report.per_k_matchings),
             report.per_k_bound_lhs,
             report.per_k_bound_rhs,
-        )
+        ))
     ]
     doc = {
         "verdict": "ok",
@@ -310,13 +311,13 @@ def _cmd_cross_check(args: argparse.Namespace) -> int:
         "checks": [
             {
                 "label": check.label,
-                "lhs": format_rational(check.lhs),
-                "rhs": format_rational(check.rhs),
+                "lhs": format_rational(check.lhs, f"checks[{idx}].lhs"),
+                "rhs": format_rational(check.rhs, f"checks[{idx}].rhs"),
                 "lhs_decimal": decimal_string(check.lhs),
                 "rhs_decimal": decimal_string(check.rhs),
                 "holds": check.holds,
             }
-            for check in report.checks
+            for idx, check in enumerate(report.checks)
         ],
         "all_hold": report.all_hold,
     }

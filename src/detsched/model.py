@@ -148,6 +148,16 @@ class EvalReport:
     total_completion: Fraction
 
 
+def _show(value: Fraction) -> str:
+    """``str(value)`` for an error message, or the value's size when its
+    digits would pass the interpreter's limit on integer string conversion."""
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        return f"a {bits}-bit value"
+
+
 def validate_instance(instance: Instance) -> Instance:
     """Check every instance invariant; return the instance unchanged.
 
@@ -157,16 +167,17 @@ def validate_instance(instance: Instance) -> Instance:
     """
     if not instance.jobs:
         raise EmptyInstance("instance has no jobs")
-    if instance.beta <= 0:
-        raise BetaNonPositive(f"beta must be > 0, got {instance.beta}")
+    # a Fraction's sign is its numerator's: its denominator is positive
+    if instance.beta.numerator <= 0:
+        raise BetaNonPositive(f"beta must be > 0, got {_show(instance.beta)}")
     seen: set[int] = set()
     for job in instance.jobs:
         if not isinstance(job.id, int) or isinstance(job.id, bool) or job.id < 1:
             raise NegativeParameter(f"job id must be a positive integer, got {job.id}")
-        if job.alpha < 0:
-            raise NegativeParameter(f"job {job.id}: alpha must be >= 0, got {job.alpha}")
-        if job.release < 0:
-            raise NegativeParameter(f"job {job.id}: release must be >= 0, got {job.release}")
+        if job.alpha.numerator < 0:
+            raise NegativeParameter(f"job {job.id}: alpha must be >= 0, got {_show(job.alpha)}")
+        if job.release.numerator < 0:
+            raise NegativeParameter(f"job {job.id}: release must be >= 0, got {_show(job.release)}")
         if job.id in seen:
             raise DuplicateId(f"job id {job.id} occurs more than once")
         seen.add(job.id)
@@ -212,12 +223,13 @@ def _timeline(
             s = out_starts[k]
             if s < job.release:
                 raise InfeasibleSchedule(
-                    f"job {jid} starts at {s}, before its release {job.release}"
+                    f"job {jid} starts at {_show(s)}, before its release {_show(job.release)}"
                 )
             gap = ZERO if s == completion else s - completion
             if gap < 0:
                 raise InfeasibleSchedule(
-                    f"job {jid} starts at {s}, before its predecessor completes at {completion}"
+                    f"job {jid} starts at {_show(s)}, before its predecessor "
+                    f"completes at {_show(completion)}"
                 )
             gaps.append(gap)
         completion = job.alpha + g * s

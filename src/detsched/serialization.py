@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections.abc import Sequence
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
@@ -55,22 +56,48 @@ def parse_rational(text: str, context: str = "value") -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Fraction, context: str | None = None) -> str:
     """Render a Fraction as ``"p"`` or ``"p/q"``; exact round trip.
 
-    Raises :class:`SchedulingError` for a value past the interpreter's
-    limit on digits per integer string conversion.
+    Raises :class:`SchedulingError`, naming ``context`` when given, for a
+    value past the interpreter's limit on digits per integer string
+    conversion.
     """
     try:
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     except ValueError:  # the interpreter's limit on digits per conversion
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-        raise SchedulingError(
-            f"cannot write a {bits}-bit value: it passes the limit of "
-            f"{sys.get_int_max_str_digits()} digits for integer string conversion"
-        ) from None
+        raise _unwritable(value, context, sys.get_int_max_str_digits()) from None
+
+
+def format_rationals(values: Sequence[Fraction], context: str) -> list[str]:
+    """Render every value of a list, or none of them.
+
+    Each value is checked against the interpreter's limit on digits per
+    integer string conversion before any is converted, so a list that
+    cannot be written costs no conversion.  The check is the interpreter's
+    own rule: a nonzero int has more than ``limit`` digits exactly when its
+    absolute value is at least ``10**limit``; a limit of 0 means none.
+    Raises :class:`SchedulingError` naming ``context[i]`` for the first
+    value past the limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        bound = 10**limit
+        for i, value in enumerate(values):
+            if abs(value.numerator) >= bound or value.denominator >= bound:
+                raise _unwritable(value, f"{context}[{i}]", limit)
+    return [format_rational(value) for value in values]
+
+
+def _unwritable(value: Fraction, context: str | None, limit: int) -> SchedulingError:
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    where = "" if context is None else f"{context}: "
+    return SchedulingError(
+        f"{where}cannot write a {bits}-bit value: it passes the limit of "
+        f"{limit} digits for integer string conversion"
+    )
 
 
 def decimal_string(value: Fraction, digits: int = 10) -> str:
@@ -189,6 +216,6 @@ def _schedule_from_text(text: str, instance: Instance) -> tuple[Schedule, bool]:
 def write_schedule(schedule: Schedule) -> str:
     doc = {
         "order": list(schedule.order),
-        "starts": [format_rational(s) for s in schedule.starts],
+        "starts": format_rationals(schedule.starts, "starts"),
     }
     return json.dumps(doc, indent=2) + "\n"

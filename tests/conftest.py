@@ -6,6 +6,7 @@ small denominators so brute-force comparisons stay fast.
 
 from __future__ import annotations
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,36 @@ def instances(draw, min_n=1, max_n=6, beta_strategy=betas):
 def two_job_instance() -> Instance:
     """The running example: beta=1, j1 (alpha 5, release 0), j2 (alpha 1, release 2)."""
     return make_instance(1, [(1, 5, 0), (2, 1, 2)])
+
+
+# A slip that stops an event loop from advancing would hang the suite; this
+# limit fails the test instead.  It is generous: the slowest test, C03,
+# takes about 20 s at the slower of a shared host's speeds.
+TEST_TIME_LIMIT_S = 300
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past ``TEST_TIME_LIMIT_S``.  Not an
+    ``Exception``, so neither the code under test nor hypothesis (which
+    would replay the example with no time limit left) catches it."""
+
+
+@pytest.fixture(autouse=True)
+def per_test_time_limit():
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # The acceptance tests record one verdict line apiece; replay them after the

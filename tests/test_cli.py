@@ -8,12 +8,13 @@ handling through DETSCHED_SEED, and the JSON document shapes.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from detsched import model
+from detsched import cli, model, serialization
 from detsched.cli import main
 from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
 from detsched.schedulers import SchedulerChoice
@@ -52,6 +53,21 @@ def past_dp_cap_file(tmp_path):
     inst = make_instance(1, [(i, i, 0) for i in range(1, n + 1)])
     path.write_text(write_instance(inst), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture()
+def steep_files(tmp_path):
+    """Seven jobs whose starts grow about 10**1000-fold each, so the seventh
+    passes the interpreter's 4300-digit limit on int-to-str, and an
+    order-only schedule of them."""
+    inst = tmp_path / "steep.json"
+    inst.write_text(
+        write_instance(make_instance(10**1000, [(i, 1, 0) for i in range(1, 8)])),
+        encoding="utf-8",
+    )
+    sched = tmp_path / "steep_order.json"
+    sched.write_text('{"order":[1,2,3,4,5,6,7]}', encoding="utf-8")
+    return {"instance": str(inst), "order": str(sched)}
 
 
 BRUTE_FORCE_COMMANDS = [
@@ -221,6 +237,52 @@ class TestPipeline:
         assert main(argv) == 1
         assert f"limit of {sys.get_int_max_str_digits()} digits" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "--algorithm", "ectf"],
+            ["opt"],
+            ["opt", "--objective", "total-completion"],
+            ["eval", "--schedule", "order"],
+        ],
+        ids=["solve", "opt", "opt-total-completion", "eval"],
+    )
+    def test_unwritable_list_converts_nothing(self, monkeypatch, capsys, steep_files, command):
+        # the whole list of starts is checked against the digit limit before
+        # any of it is converted, and the refusal names the first value past it
+        conversions = []
+        convert = serialization.format_rational
+
+        def counting(value, context=None):
+            conversions.append(value)
+            return convert(value, context)
+
+        monkeypatch.setattr(serialization, "format_rational", counting)
+        monkeypatch.setattr(cli, "format_rational", counting)
+        argv = [command[0], "--instance", steep_files["instance"]] + [
+            steep_files.get(arg, arg) for arg in command[1:]
+        ]
+        assert main(argv) == 1
+        limit = sys.get_int_max_str_digits()
+        assert re.match(
+            rf"error: starts\[6\]: cannot write a \d+-bit value: "
+            f"it passes the limit of {limit} digits",
+            capsys.readouterr().err,
+        )
+        assert conversions == []
+
+    def test_eval_names_the_unwritable_completion(self, tmp_path, capsys):
+        # six jobs: the last start has about 4000 digits, its completion 5000
+        inst = tmp_path / "steep6.json"
+        inst.write_text(
+            write_instance(make_instance(10**1000, [(i, 1, 0) for i in range(1, 7)])),
+            encoding="utf-8",
+        )
+        sched = tmp_path / "order.json"
+        sched.write_text('{"order":[1,2,3,4,5,6]}', encoding="utf-8")
+        assert main(["eval", "--instance", str(inst), "--schedule", str(sched)]) == 1
+        assert capsys.readouterr().err.startswith("error: completions[5]: cannot write a")
 
     @pytest.mark.parametrize("choice", [c.value for c in SchedulerChoice])
     def test_one_validation_per_solve(self, monkeypatch, two_job_file, choice):

@@ -114,6 +114,23 @@ class TestValidation:
         with pytest.raises(error):
             Instance(beta, tuple(Job(i, F(a), F(r)) for i, a, r in jobs))
 
+    @pytest.mark.parametrize(
+        ("beta", "job", "message"),
+        [
+            (F(-1), (1, 1, 0), "beta must be > 0, got -1"),
+            (F(1), (1, F(-1, 2), 0), "job 1: alpha must be >= 0, got -1/2"),
+            (F(1), (1, 1, -2), "job 1: release must be >= 0, got -2"),
+            (F(-(10**5000)), (1, 1, 0), "beta must be > 0, got a 16610-bit value"),
+            (F(1), (1, -(10**5000), 0), "job 1: alpha must be >= 0, got a 16610-bit value"),
+            (F(1), (1, 1, F(-1, 10**5000)), "job 1: release must be >= 0, got a 16610-bit value"),
+        ],
+    )
+    def test_validation_messages(self, beta, job, message):
+        # a value whose digits pass the interpreter's limit is named by size
+        with pytest.raises((BetaNonPositive, NegativeParameter)) as caught:
+            Instance(beta, (Job(*job),))
+        assert str(caught.value) == message
+
     def test_zero_alpha_allowed(self):
         # the estimate-first adversarial family needs alpha = 0 jobs
         make_instance(1, [(1, 0, 0)])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsched import (
+    Instance,
     ParseError,
+    Schedule,
     decimal_string,
     format_rational,
     parse_instance,
@@ -23,6 +26,7 @@ from detsched import (
 )
 from detsched.model import InfeasibleSchedule, NotAPermutation, SchedulingError
 from detsched.schedulers import non_idling
+from detsched.serialization import format_rationals
 
 from conftest import instances
 
@@ -91,6 +95,56 @@ class TestFormatRational:
         with pytest.raises(SchedulingError, match=f"limit of {limit} digits") as caught:
             format_rational(value)
         assert type(caught.value) is SchedulingError
+
+    def test_over_long_value_names_its_field(self):
+        with pytest.raises(SchedulingError, match=r"^makespan: cannot write a 16610-bit value: "):
+            format_rational(F(10**5000), "makespan")
+
+
+@contextmanager
+def digit_limit(limit):
+    """The interpreter's limit on digits per integer string conversion, set
+    to ``limit`` for the block (0 means no limit)."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+class TestFormatRationals:
+    def test_renders_each_value(self):
+        values = (F(0), F(5), F(-7, 2))
+        assert format_rationals(values, "starts") == ["0", "5", "-7/2"]
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    @pytest.mark.parametrize(
+        "make",
+        [F, lambda x: F(-x), lambda x: F(1, x)],
+        ids=["numerator", "negative-numerator", "denominator"],
+    )
+    def test_limit_digits_pass_and_one_more_fail(self, limit, make):
+        at, past = make(10**limit - 1), make(10**limit)
+        with digit_limit(limit):
+            assert format_rationals([at], "starts") == [format_rational(at)]
+            bits = (10**limit).bit_length()
+            with pytest.raises(
+                SchedulingError,
+                match=rf"^starts\[1\]: cannot write a {bits}-bit value: it passes the limit of {limit} digits",
+            ):
+                format_rationals([at, past], "starts")
+            # the interpreter draws the line at the same place
+            with pytest.raises(SchedulingError):
+                format_rational(past)
+
+    def test_limit_zero_means_no_check(self):
+        values = [F(10**5000), F(-1, 10**5000)]
+        with digit_limit(0):
+            assert format_rationals(values, "starts") == [
+                str(10**5000),
+                "-1/" + str(10**5000),
+            ]
 
 
 class TestDecimalString:
@@ -208,6 +262,12 @@ class TestScheduleDocuments:
         with pytest.raises(ParseError, match=r"^schedule: .* digits"):
             parse_schedule(doc, two_job_instance)
 
+    def test_infeasible_start_message_stays_within_the_digit_limit(self, two_job_instance):
+        # the predecessor completes at 5 + 2 * 7...7, one digit past the limit
+        doc = json.dumps({"order": [1, 2], "starts": ["7" * 4300, "2"]})
+        with pytest.raises(InfeasibleSchedule, match=r"completes at a \d+-bit value$"):
+            parse_schedule(doc, two_job_instance)
+
     def test_missing_order(self, two_job_instance):
         with pytest.raises(ParseError, match="order"):
             parse_schedule('{"starts":["2","5"]}', two_job_instance)
@@ -217,3 +277,74 @@ class TestScheduleDocuments:
     def test_round_trip(self, inst):
         sched = non_idling(inst)
         assert parse_schedule(write_schedule(sched), inst) == sched
+
+
+# Fuzzing the parsers: every input gives a valid object or a SchedulingError.
+
+_HUGE = "\x00huge literal"  # swapped for a 5000-digit JSON integer after dumping
+
+_rational_texts = st.one_of(
+    st.integers(-3, 10).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 10), st.integers(-2, 10)),
+    st.one_of(
+        st.sampled_from([4299, 4300, 4301, 5000]).map(lambda k: "7" * k),
+        st.text(st.characters(categories=["Nd"]), min_size=1, max_size=4),
+        st.text(max_size=6),
+    ),
+)
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),
+        st.just(_HUGE),
+        _rational_texts,
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_fields = _rational_texts | _json_values
+_ids = st.integers(-1, 4) | st.booleans() | st.just(_HUGE) | _json_values
+# Each document is well formed in shape or arbitrary, so that both the
+# syntax checks and the instance and schedule checks behind them are reached.
+_jobs = st.fixed_dictionaries(
+    {"id": st.integers(1, 4), "alpha": _rational_texts, "release": _rational_texts}
+) | st.fixed_dictionaries({}, optional={"id": _ids, "alpha": _fields, "release": _fields})
+_instance_docs = st.fixed_dictionaries(
+    {"beta": _rational_texts, "jobs": st.lists(_jobs, min_size=1, max_size=4)}
+) | st.fixed_dictionaries(
+    {}, optional={"beta": _fields, "jobs": st.lists(_jobs | _json_values, max_size=4) | _json_values}
+)
+_schedule_docs = st.fixed_dictionaries(
+    {"order": st.permutations([1, 2]), "starts": st.lists(_rational_texts, min_size=2, max_size=2)}
+) | st.fixed_dictionaries(
+    {},
+    optional={
+        "order": st.lists(_ids, max_size=3) | st.permutations([1, 2]) | _json_values,
+        "starts": st.none() | st.lists(_fields, max_size=3) | _json_values,
+    },
+)
+
+
+def _to_text(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(_HUGE), "9" * 5000)
+
+
+class TestParsersFuzz:
+    @settings(max_examples=400)
+    @given(text=st.text() | _instance_docs.map(_to_text))
+    def test_parse_instance(self, text):
+        try:
+            assert isinstance(parse_instance(text), Instance)
+        except SchedulingError:
+            pass
+
+    @settings(max_examples=400)
+    @given(text=st.text() | _schedule_docs.map(_to_text))
+    def test_parse_schedule(self, text):
+        instance = parse_instance(TWO_JOB_DOC)
+        try:
+            assert isinstance(parse_schedule(text, instance), Schedule)
+        except SchedulingError:
+            pass
