@@ -117,7 +117,7 @@ class Instance:
         for job in self.jobs:
             if job.id == job_id:
                 return job
-        raise UnknownJobId(f"no job with id {job_id}")
+        raise UnknownJobId(f"no job with id {_show(job_id)}")
 
     def job_map(self) -> dict[int, Job]:
         return {job.id: job for job in self.jobs}
@@ -148,9 +148,10 @@ class EvalReport:
     total_completion: Fraction
 
 
-def _show(value: Fraction) -> str:
+def _show(value: int | Fraction) -> str:
     """``str(value)`` for an error message, or the value's size when its
-    digits would pass the interpreter's limit on integer string conversion."""
+    digits would pass the interpreter's limit on integer string conversion.
+    Takes job ids too: an int has a numerator and a denominator."""
     try:
         return str(value)
     except ValueError:
@@ -173,13 +174,13 @@ def validate_instance(instance: Instance) -> Instance:
     seen: set[int] = set()
     for job in instance.jobs:
         if not isinstance(job.id, int) or isinstance(job.id, bool) or job.id < 1:
-            raise NegativeParameter(f"job id must be a positive integer, got {job.id}")
+            raise NegativeParameter(f"job id must be a positive integer, got {_show(job.id)}")
         if job.alpha.numerator < 0:
-            raise NegativeParameter(f"job {job.id}: alpha must be >= 0, got {_show(job.alpha)}")
+            raise NegativeParameter(f"job {_show(job.id)}: alpha must be >= 0, got {_show(job.alpha)}")
         if job.release.numerator < 0:
-            raise NegativeParameter(f"job {job.id}: release must be >= 0, got {_show(job.release)}")
+            raise NegativeParameter(f"job {_show(job.id)}: release must be >= 0, got {_show(job.release)}")
         if job.id in seen:
-            raise DuplicateId(f"job id {job.id} occurs more than once")
+            raise DuplicateId(f"job id {_show(job.id)} occurs more than once")
         seen.add(job.id)
     return instance
 
@@ -223,12 +224,12 @@ def _timeline(
             s = out_starts[k]
             if s < job.release:
                 raise InfeasibleSchedule(
-                    f"job {jid} starts at {_show(s)}, before its release {_show(job.release)}"
+                    f"job {_show(jid)} starts at {_show(s)}, before its release {_show(job.release)}"
                 )
             gap = ZERO if s == completion else s - completion
             if gap < 0:
                 raise InfeasibleSchedule(
-                    f"job {jid} starts at {_show(s)}, before its predecessor "
+                    f"job {_show(jid)} starts at {_show(s)}, before its predecessor "
                     f"completes at {_show(completion)}"
                 )
             gaps.append(gap)

@@ -303,14 +303,13 @@ def lb_release(instance: Instance) -> Fraction:
 
     With releases sorted ascending as r_(1) <= ... <= r_(n), the optimum is
     at least ``sum beta**(n-i) * r_(i)``: every job started at or after its
-    release inflates everything scheduled behind it.
+    release inflates everything scheduled behind it.  The sum runs by
+    Horner's rule over the ascending releases, one multiply per job.
     """
-    releases = sorted(j.release for j in instance.jobs)
-    n = len(releases)
-    return sum(
-        (instance.beta ** (n - i) * r for i, r in enumerate(releases, start=1)),
-        ZERO,
-    )
+    total = ZERO
+    for release in sorted(j.release for j in instance.jobs):
+        total = total * instance.beta + release
+    return total
 
 
 def sorted_subset_cost(

@@ -37,6 +37,7 @@ from .model import (
     Schedule,
     SchedulingError,
     ZERO,
+    _show,
     canonical_starts,
     evaluate,
     rational,
@@ -327,20 +328,20 @@ def check_two_pm(
             if partner_jid != jid:
                 return Verification(
                     False,
-                    f"position {i} (job {jid}) is in the reference prefix but "
-                    f"matched to job {partner_jid}",
+                    f"position {i} (job {_show(jid)}) is in the reference prefix but "
+                    f"matched to job {_show(partner_jid)}",
                 )
         else:
             # condition 3
             if partner_jid == jid:
                 return Verification(
-                    False, f"position {i} (job {jid}) cannot self-match"
+                    False, f"position {i} (job {_show(jid)}) cannot self-match"
                 )
             if ni_pos[partner_jid] <= ell:
                 return Verification(
                     False,
                     f"position {i} matched into the critical prefix "
-                    f"(job {partner_jid} at algorithm position {ni_pos[partner_jid]})",
+                    f"(job {_show(partner_jid)} at algorithm position {ni_pos[partner_jid]})",
                 )
 
     # condition 4

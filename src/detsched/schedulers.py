@@ -38,6 +38,12 @@ Every job is pushed and popped at most twice, so the loops take
 O(n log n) heap steps.  Non-interfering's blocking walk adds O(n) per
 decision in the worst case, when many unreleased jobs with larger fixed
 parts fall inside the candidate's window.
+
+The greedy loop ends with ``t`` at the last completion, so it returns the
+makespan with the schedule.  Best-of-two runs the loop once per variant
+and picks on those makespans (:func:`_pick_best_of_two`, the one place
+its tie rule lives) without evaluating either schedule; the experiment
+harness calls the same pick on the greedy runs its other rows share.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ from .model import (
     ZERO,
     _scale_int,
     _time_scale,
-    evaluate,
     canonical_starts,
 )
 
@@ -74,10 +79,11 @@ def _by_release(instance: Instance, d: int) -> tuple[list[tuple[int, int, int]],
     return [entry[:3] for entry in keyed], [entry[3] for entry in keyed]
 
 
-def _greedy(instance: Instance, block: bool) -> Schedule:
+def _greedy(instance: Instance, block: bool) -> tuple[Schedule, Fraction]:
     """Shortest pending job first; with ``block``, never start a job whose
     window ``(t, (1 + beta) * t + alpha)`` holds the release of a job with a
-    strictly smaller fixed part, and jump to that release instead."""
+    strictly smaller fixed part, and jump to that release instead.  Returns
+    the schedule and its makespan, the time ``t`` the loop ends at."""
     g = instance.growth
     d = _time_scale(instance)
     keys, jobs = _by_release(instance, d)
@@ -118,14 +124,14 @@ def _greedy(instance: Instance, block: bool) -> Schedule:
         order.append(jid)
         starts.append(t)
         t = completion
-    return Schedule(tuple(order), tuple(starts))
+    return Schedule(tuple(order), tuple(starts)), t
 
 
 def non_idling(instance: Instance) -> Schedule:
     """Whenever the machine frees up, start the shortest pending job; never
     idle while something is pending.  If nothing is pending, advance to the
     next release."""
-    return _greedy(instance, block=False)
+    return _greedy(instance, block=False)[0]
 
 
 def is_interfering(instance: Instance, candidate_id: int, t: int | Fraction) -> Fraction | None:
@@ -154,7 +160,7 @@ def non_interfering(instance: Instance) -> Schedule:
     """Like :func:`non_idling`, but refuse to start a job that would run over
     a shorter job's release; instead idle until that release and reconsider
     from scratch."""
-    return _greedy(instance, block=True)
+    return _greedy(instance, block=True)[0]
 
 
 def ectf(instance: Instance) -> Schedule:
@@ -208,14 +214,22 @@ def ectf(instance: Instance) -> Schedule:
     return Schedule(tuple(order), tuple(starts))
 
 
+def _pick_best_of_two(
+    idling: tuple[Schedule, Fraction], interfering: tuple[Schedule, Fraction]
+) -> tuple[Schedule, Fraction]:
+    """Best-of-two's pick between the non-idling and the non-interfering
+    ``(schedule, makespan)`` runs: the smaller makespan, non-idling on a
+    tie.  Returns one of the two pairs itself, not a copy."""
+    return idling if idling[1] <= interfering[1] else interfering
+
+
 def best_of_two(instance: Instance) -> Schedule:
-    """Run both :func:`non_idling` and :func:`non_interfering`; keep the one
-    with the smaller makespan (the non-idling result on a tie)."""
-    a = non_idling(instance)
-    b = non_interfering(instance)
-    if evaluate(instance, a).makespan <= evaluate(instance, b).makespan:
-        return a
-    return b
+    """Run the non-idling and the non-interfering loops once each; keep the
+    schedule with the smaller makespan (the non-idling one on a tie).  The
+    loops return their makespans, so neither schedule is evaluated."""
+    return _pick_best_of_two(
+        _greedy(instance, block=False), _greedy(instance, block=True)
+    )[0]
 
 
 def earliest_release_order(instance: Instance) -> Schedule:

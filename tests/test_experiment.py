@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,12 +14,16 @@ from detsched import (
     CrossObjectiveReport,
     ExperimentConfig,
     Family,
+    FamilySpec,
     Objective,
     SchedulerChoice,
+    best_of_two,
     cross_objective_check,
+    generate,
     run_experiment,
     write_csv,
 )
+from detsched import model, schedulers
 from detsched.experiment import CSV_HEADER
 from detsched.serialization import parse_rational
 
@@ -130,6 +135,52 @@ class TestRunExperiment:
             config(trials=4, n_min=3, n_max=3, betas=(F(1, 2), F(2)))
         )
         assert [row.beta for row in rows] == [F(1, 2), F(2), F(1, 2), F(2)]
+
+
+def count_calls(monkeypatch, function) -> list[tuple]:
+    """Record the arguments of every call to ``function``, wrapping it in
+    each package module that bound it at import."""
+    calls: list[tuple] = []
+
+    def counting(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "detsched" and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
+class TestOneRunPerTrial:
+    """Within a trial, each policy loop runs at most once and each distinct
+    schedule is evaluated once: best-of-two reuses the two greedy runs."""
+
+    @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+    @pytest.mark.parametrize(
+        "algorithms",
+        [tuple(SchedulerChoice), tuple(reversed(SchedulerChoice))],
+        ids=["best-of-two-third", "best-of-two-first"],
+    )
+    def test_one_trial_all_algorithms(self, monkeypatch, objective, algorithms):
+        greedy = count_calls(monkeypatch, schedulers._greedy)
+        ectf = count_calls(monkeypatch, schedulers.ectf)
+        evaluate = count_calls(monkeypatch, model.evaluate)
+        rows = run_experiment(
+            config(trials=1, n_min=5, n_max=5, algorithms=algorithms, objective=objective)
+        )
+        assert len(rows) == 4
+        assert sorted(block for _, block in greedy) == [False, True]
+        assert len(ectf) == 1
+        assert len(evaluate) == 3
+
+    def test_best_of_two_evaluates_nothing(self, monkeypatch):
+        greedy = count_calls(monkeypatch, schedulers._greedy)
+        evaluate = count_calls(monkeypatch, model.evaluate)
+        inst = generate(FamilySpec(family=Family.RANDOM, n=6, beta=F(1), seed=3))
+        best_of_two(inst)
+        assert len(greedy) == 2
+        assert evaluate == []
 
 
 class TestCsvContract:

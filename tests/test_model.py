@@ -47,6 +47,7 @@ from detsched.model import (
     InfeasibleSchedule,
     NegativeParameter,
     NotAPermutation,
+    UnknownJobId,
     ZERO,
     rational,
 )
@@ -131,6 +132,32 @@ class TestValidation:
             Instance(beta, (Job(*job),))
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        ("jobs", "error", "message"),
+        [
+            (
+                (Job(-(10**5000), 1, 0),),
+                NegativeParameter,
+                "job id must be a positive integer, got a 16610-bit value",
+            ),
+            (
+                (Job(10**5000, 1, 0), Job(10**5000, 2, 0)),
+                DuplicateId,
+                "job id a 16610-bit value occurs more than once",
+            ),
+        ],
+        ids=["negative", "duplicate"],
+    )
+    def test_ids_past_the_digit_limit(self, jobs, error, message):
+        # the typed error, not the interpreter's ValueError for str(id)
+        with pytest.raises(error) as caught:
+            Instance(F(1), jobs)
+        assert str(caught.value) == message
+
+    def test_unknown_id_past_the_digit_limit(self):
+        with pytest.raises(UnknownJobId, match="^no job with id a 16610-bit value$"):
+            make_instance(1, [(1, 1, 0)]).job(10**5000)
+
     def test_zero_alpha_allowed(self):
         # the estimate-first adversarial family needs alpha = 0 jobs
         make_instance(1, [(1, 0, 0)])
@@ -213,6 +240,28 @@ class TestEvaluate:
         # C1 = 5; starting j2 at 4 overlaps
         with pytest.raises(InfeasibleSchedule, match="before its predecessor completes at 5"):
             entry(inst, Schedule((1, 2), (F(0), F(4))))
+
+    @pytest.mark.parametrize(
+        ("jobs", "starts", "message"),
+        [
+            (
+                [(10**5000, 1, 2)],
+                (F(1),),
+                "job a 16610-bit value starts at 1, before its release 2",
+            ),
+            (
+                [(1, 5, 0), (10**5000, 1, 0)],
+                (F(0), F(4)),
+                "job a 16610-bit value starts at 4, before its predecessor completes at 5",
+            ),
+        ],
+        ids=["release", "predecessor"],
+    )
+    def test_infeasible_id_past_the_digit_limit(self, jobs, starts, message):
+        inst = make_instance(1, jobs)
+        with pytest.raises(InfeasibleSchedule) as caught:
+            evaluate(inst, Schedule(tuple(j[0] for j in jobs), starts))
+        assert str(caught.value) == message
 
     def test_padded_feasible_starts_accepted(self):
         inst = make_instance(1, [(1, 1, 0), (2, 1, 0)])

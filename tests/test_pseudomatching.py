@@ -327,6 +327,19 @@ class TestCheckTwoPm:
         assert not verdict.ok
         assert "in the reference prefix but matched to job 3" in verdict.violation
 
+    def test_id_past_the_digit_limit(self):
+        # the same violation with job 3's id past the interpreter's limit
+        big = 10**5000
+        inst = make_instance(1, [(1, 1, 0), (2, 2, 0), (big, 3, 0)])
+        ni = canonical_starts(inst, (1, 2, big))
+        opt = canonical_starts(inst, (2, big, 1))
+        matching = Pseudomatching(((1, 1), (2, 2)))
+        verdict = check_two_pm(inst, ni, opt, 0, 2, matching)
+        assert verdict.violation == (
+            "position 2 (job 2) is in the reference prefix but "
+            "matched to job a 16610-bit value"
+        )
+
     def test_partner_inside_critical_prefix(self):
         inst = make_instance(1, [(1, 1, 0), (2, 2, 0), (3, 1, 0)])
         ni = canonical_starts(inst, (2, 3, 1))

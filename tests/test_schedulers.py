@@ -123,6 +123,17 @@ REFERENCES = [
 ]
 
 
+# Best-of-two as it was before the greedy loop returned its makespan: both
+# loops, then an evaluation of each result, non-idling on a tie.
+
+def _reference_best_of_two(instance: Instance) -> Schedule:
+    a = non_idling(instance)
+    b = non_interfering(instance)
+    if evaluate(instance, a).makespan <= evaluate(instance, b).makespan:
+        return a
+    return b
+
+
 def _size_betas(n: int) -> st.SearchStrategy[Fraction]:
     return st.sampled_from([F(1, n), F(n)]) | betas
 
@@ -403,3 +414,15 @@ class TestMatchesReferenceLoops:
         )
         for policy, reference in REFERENCES:
             assert policy(inst) == reference(inst)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(),
+            tie_heavy_instances(),
+            rational_tie_heavy_instances(),
+            family_instances(),
+        )
+    )
+    def test_best_of_two_matches_reference(self, inst):
+        assert best_of_two(inst) == _reference_best_of_two(inst)
