@@ -4,18 +4,20 @@ cross-objective inequality checks.
 The harness generates one instance per trial (cycling through the size
 range and the β set), runs each requested algorithm, and compares
 against the exact optimum whenever the instance is within the oracle
-cap.  Within a trial each policy loop runs at most once and each
-distinct schedule is evaluated once: the non-idling, non-interfering and
-best-of-two rows share the two greedy runs.  Everything that feeds a
-comparison stays an exact rational; the CSV carries exact "p/q" strings
-next to a display-only decimal rendering.
+cap.  Within a trial each policy loop runs at most once: the non-idling,
+non-interfering and best-of-two rows share the two greedy runs.  Each
+loop returns its makespan, so a makespan sweep evaluates no schedule; a
+total-completion sweep evaluates each distinct schedule once.
+Everything that feeds a comparison stays an exact rational; the CSV
+carries exact "p/q" strings next to a display-only decimal rendering.
 
 Determinism contract: a fixed config produces byte-identical CSV.  Wall
 times are only measured under ``timings=True``, which deliberately
 breaks that contract for the one column that cannot be deterministic.
 A row's time covers only the work it did first in its trial, so a row
 whose loops an earlier row already ran (best-of-two after non-idling and
-non-interfering, say) times the pick and nothing else.
+non-interfering, say) times the pick and nothing else.  Under the
+makespan objective no row's time includes an evaluation.
 """
 
 from __future__ import annotations
@@ -42,12 +44,11 @@ from .oracle import (
     check_optimum_cap,
     dp_min_makespan,
     lb_release,
-    objective_value,
     optimum,
     sorted_subset_cost,
     value_ratio,
 )
-from .schedulers import SchedulerChoice, _greedy, _pick_best_of_two, ectf
+from .schedulers import SchedulerChoice, _ectf, _greedy, _pick_best_of_two, ectf
 from .serialization import decimal_string, format_rational
 
 
@@ -163,17 +164,17 @@ def _optimum(instance: Instance, objective: Objective, cap: int) -> Fraction | N
 def _policy_run(
     instance: Instance,
     algorithm: SchedulerChoice,
-    runs: dict[SchedulerChoice, tuple[Schedule, Fraction | None]],
-) -> tuple[Schedule, Fraction | None]:
+    runs: dict[SchedulerChoice, tuple[Schedule, Fraction]],
+) -> tuple[Schedule, Fraction]:
     """``algorithm``'s ``(schedule, makespan)`` on ``instance``, taken from
     ``runs`` when a trial's earlier row has it, else run and recorded there.
-    Best-of-two picks between the two greedy runs, running only the ones
-    not yet recorded, and records the winner's own pair.  ECTF's makespan
-    is not known without an evaluation, so it is None."""
+    The makespan is the time the policy's own loop ends at, for all four
+    algorithms.  Best-of-two picks between the two greedy runs, running
+    only the ones not yet recorded, and records the winner's own pair."""
     run = runs.get(algorithm)
     if run is None:
         if algorithm is SchedulerChoice.ECTF:
-            run = (ectf(instance), None)
+            run = _ectf(instance)
         elif algorithm is SchedulerChoice.BEST_OF_TWO:
             run = _pick_best_of_two(
                 _policy_run(instance, SchedulerChoice.NON_IDLING, runs),
@@ -189,10 +190,12 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run the configured sweep; rows come back sorted by
     (instance_id, algorithm) regardless of execution order.
 
-    Per trial, each policy loop runs at most once and each distinct
-    schedule is evaluated once (see :func:`_policy_run`).  Best-of-two's
-    schedule is the winning greedy run's own object, so its value is
-    found by identity, not by comparing or hashing Fractions."""
+    Per trial, each policy loop runs at most once (see
+    :func:`_policy_run`).  Under the makespan objective a row's value is
+    its run's makespan, so nothing is evaluated.  Under total completion
+    each distinct schedule is evaluated once: best-of-two's schedule is the
+    winning greedy run's own object, so its value is found by identity, not
+    by comparing or hashing Fractions."""
     span = config.n_max - config.n_min + 1
     rows: list[ExperimentRow] = []
     for trial in range(config.trials):
@@ -212,15 +215,16 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             instance.beta, [job.alpha for job in instance.jobs], ZERO
         )
         opt = _optimum(instance, config.objective, config.max_bruteforce_n)
-        runs: dict[SchedulerChoice, tuple[Schedule, Fraction | None]] = {}
+        runs: dict[SchedulerChoice, tuple[Schedule, Fraction]] = {}
         evaluated: list[tuple[Schedule, Fraction]] = []
         for algorithm in config.algorithms:
             started = time.perf_counter() if config.timings else 0.0
-            schedule = _policy_run(instance, algorithm, runs)[0]
-            value = next((v for s, v in evaluated if s is schedule), None)
-            if value is None:
-                value = objective_value(instance, schedule, config.objective)
-                evaluated.append((schedule, value))
+            schedule, value = _policy_run(instance, algorithm, runs)
+            if config.objective is Objective.TOTAL_COMPLETION:
+                value = next((v for s, v in evaluated if s is schedule), None)
+                if value is None:
+                    value = evaluate(instance, schedule).total_completion
+                    evaluated.append((schedule, value))
             elapsed = (
                 f"{(time.perf_counter() - started) * 1000.0:.3f}"
                 if config.timings

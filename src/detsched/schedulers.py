@@ -39,11 +39,14 @@ O(n log n) heap steps.  Non-interfering's blocking walk adds O(n) per
 decision in the worst case, when many unreleased jobs with larger fixed
 parts fall inside the candidate's window.
 
-The greedy loop ends with ``t`` at the last completion, so it returns the
-makespan with the schedule.  Best-of-two runs the loop once per variant
-and picks on those makespans (:func:`_pick_best_of_two`, the one place
-its tie rule lives) without evaluating either schedule; the experiment
-harness calls the same pick on the greedy runs its other rows share.
+Both loops, the greedy one (:func:`_greedy`) and ECTF's (:func:`_ectf`),
+end with ``t`` at the last completion, so each returns the makespan with
+the schedule; the public functions return the schedule alone.
+Best-of-two runs the greedy loop once per variant and picks on those
+makespans (:func:`_pick_best_of_two`, the one place its tie rule lives)
+without evaluating either schedule.  The experiment harness calls the
+private loops and the same pick, and takes every makespan row's value
+from them.
 """
 
 from __future__ import annotations
@@ -167,6 +170,12 @@ def ectf(instance: Instance) -> Schedule:
     """Estimated-completion-time-first: repeatedly start the uncompleted job
     whose completion estimate ``(1 + beta) * max(t, release) + alpha`` is
     smallest, idling up to its release if needed."""
+    return _ectf(instance)[0]
+
+
+def _ectf(instance: Instance) -> tuple[Schedule, Fraction]:
+    """:func:`ectf`'s loop.  Returns the schedule and its makespan: a
+    chosen job's estimate is its completion, so ``t`` ends at the last."""
     g = instance.growth
     p, q = instance.beta.numerator, instance.beta.denominator
     d = _time_scale(instance)
@@ -211,7 +220,7 @@ def ectf(instance: Instance) -> Schedule:
         started.add(jid)
         order.append(jid)
         starts.append(s)
-    return Schedule(tuple(order), tuple(starts))
+    return Schedule(tuple(order), tuple(starts)), t
 
 
 def _pick_best_of_two(

@@ -60,6 +60,7 @@ from detsched import (
     makespan_closed_form,
     non_idling,
     non_interfering,
+    optimum,
     reduce_instance,
     rho_bound_check,
     run_experiment,
@@ -553,7 +554,7 @@ def test_c10b_two_pm_construction(verdict):
         n = 2 + i % 5
         beta = (F(1, 2), F(1), F(2), F(3))[i % 4]
         inst = rand_instance(103001 + i, n, beta)
-        opt = brute_force(inst, Objective.MAKESPAN).best_schedule
+        opt = optimum(inst, Objective.MAKESPAN).best_schedule
         ni = non_interfering(inst)
         for reduce_gaps in (True, False):
             trials += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from detsched import (
 )
 from detsched.generators import Family, FamilySpec, generate
 from detsched.experiment import cross_objective_check
+from detsched.model import ZERO, InvalidArgument, NotRational, rational
 from detsched.oracle import (
     BRUTE_FORCE_MAX_N,
     DP_MAX_N,
@@ -38,7 +40,7 @@ from detsched.oracle import (
     value_ratio,
 )
 
-from conftest import betas, instances, make_instance
+from conftest import betas, instances, make_instance, small_rationals
 
 F = Fraction
 
@@ -256,6 +258,29 @@ def far_release_instances(draw, max_n=12):
     return validate_instance(Instance(beta, jobs))
 
 
+def _dense_instance(beta, others, late_alpha, ids) -> Instance:
+    """The jobs ``others`` ((alpha, release) pairs) plus one with fixed part
+    ``late_alpha`` released after every completion the others can reach,
+    so no state without it closes: the DP fills about half its table and
+    closes the rest as soon as it reaches them.  ``ids`` names the jobs,
+    the late one last."""
+    # by induction a completion after k of the others is at most
+    # g**k * (k * r_max + the sum of their alphas)
+    g, m = 1 + beta, len(others)
+    late = g**m * (m * max(r for _, r in others) + sum(a for a, _ in others)) + 1
+    jobs = list(others) + [(late_alpha, late)]
+    return make_instance(beta, [(i, a, r) for i, (a, r) in zip(ids, jobs)])
+
+
+@st.composite
+def dense_instances(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
+    beta = draw(st.one_of(odd_denominator_betas, betas))
+    others = [(draw(small_rationals), draw(small_rationals)) for _ in range(n - 1)]
+    ids = draw(st.permutations(range(1, n + 1)))
+    return _dense_instance(beta, others, draw(small_rationals), ids)
+
+
 class TestDpMatchesFullTable:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -265,10 +290,24 @@ class TestDpMatchesFullTable:
             family_instances(max_jobs=12),
             rational_tie_heavy_instances(),
             far_release_instances(),
+            dense_instances(max_n=10),
         )
     )
     def test_same_value(self, inst):
         assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst)
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=dense_instances())
+    def test_dense_agrees_with_enumeration(self, inst):
+        assert dp_min_makespan(inst) == brute_force(inst, Objective.MAKESPAN).best_value
+
+    def test_dense_eight_jobs(self):
+        # brute force takes seconds per dense instance at n=8, so one
+        # fixed instance covers that size; beta's denominator 7 makes the
+        # DP's time scale 7**8
+        others = [(F(k % 3, 2), F(5 * k % 8)) for k in range(7)]
+        inst = _dense_instance(F(2, 7), others, F(1), [3, 8, 1, 6, 2, 7, 5, 4])
+        assert dp_min_makespan(inst) == brute_force(inst, Objective.MAKESPAN).best_value
 
     def test_closes_at_the_empty_mask(self):
         # every job is released at 0, so the ascending-alpha finish from 0
@@ -342,6 +381,90 @@ class TestOptimum:
         inst = make_instance(1, [(i, 1, 0) for i in range(1, n + 1)])
         with pytest.raises(InstanceTooLarge, match=message):
             optimum(inst, objective, max_n=max_n)
+
+
+# The Fraction bodies that the integer Horner loops replaced, kept as the
+# references the bounds must match exactly, errors included.
+
+def _reference_lb_release(instance: Instance) -> Fraction:
+    total = ZERO
+    for release in sorted(j.release for j in instance.jobs):
+        total = total * instance.beta + release
+    return total
+
+
+def _reference_sorted_subset_cost(beta, alphas, t) -> Fraction:
+    beta = rational(beta)
+    if beta <= 0:
+        raise InvalidArgument(f"beta must be > 0, got {beta}")
+    t = rational(t)
+    if t < 0:
+        raise InvalidArgument(f"t must be >= 0, got {t}")
+    g = 1 + beta
+    completion = t
+    for alpha in sorted(rational(a) for a in alphas):
+        if alpha < 0:
+            raise InvalidArgument(f"alpha must be >= 0, got {alpha}")
+        completion = alpha + g * completion
+    return completion
+
+
+# ints, and Fractions over denominators 1 to 12
+mixed_values = st.one_of(
+    st.integers(0, 40),
+    st.builds(Fraction, st.integers(0, 60), st.integers(1, 12)),
+)
+mixed_betas = st.one_of(
+    st.integers(1, 5),
+    st.builds(Fraction, st.integers(1, 30), st.integers(1, 12)),
+)
+BOUND_ERRORS = (InvalidArgument, NotRational)
+
+
+class TestBoundsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(max_n=10),
+            coprime_instances(),
+            far_release_instances(),
+            family_instances(max_jobs=12),
+        )
+    )
+    def test_lb_release(self, inst):
+        assert lb_release(inst) == _reference_lb_release(inst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        beta=mixed_betas,
+        alphas=st.lists(mixed_values, max_size=12),
+        t=mixed_values,
+    )
+    def test_sorted_subset_cost(self, beta, alphas, t):
+        value = sorted_subset_cost(beta, alphas, t)
+        assert value == _reference_sorted_subset_cost(beta, alphas, t)
+        assert type(value) is Fraction
+
+    @pytest.mark.parametrize(
+        "beta, alphas, t",
+        [
+            (0, [1], 0),
+            (F(-1, 2), [1], 0),
+            (1, [1], -1),
+            (1, [1], F(-1, 3)),
+            (1, [2, F(-1, 2), -3], 0),
+            (F(0), [F(-1)], F(-1)),
+            (1, [1, 0.5], 0),
+            (1, [True], 0),
+            (1.0, [1], 0),
+            (1, [1], 0.0),
+        ],
+    )
+    def test_same_errors(self, beta, alphas, t):
+        with pytest.raises(BOUND_ERRORS) as expected:
+            _reference_sorted_subset_cost(beta, alphas, t)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            sorted_subset_cost(beta, alphas, t)
 
 
 class TestLbRelease:

@@ -35,6 +35,7 @@ from detsched import (
     validate_instance,
 )
 from detsched.model import ZERO
+from detsched.schedulers import _ectf, _greedy
 
 from conftest import betas, instances, make_instance, small_rationals
 
@@ -426,3 +427,25 @@ class TestMatchesReferenceLoops:
     )
     def test_best_of_two_matches_reference(self, inst):
         assert best_of_two(inst) == _reference_best_of_two(inst)
+
+
+class TestLoopMakespans:
+    """The loops' own makespans, which a makespan sweep reports without
+    evaluating any schedule, against :func:`evaluate` on their schedules."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(),
+            tie_heavy_instances(),
+            rational_tie_heavy_instances(),
+            family_instances(),
+        )
+    )
+    def test_equal_evaluate(self, inst):
+        for schedule, makespan in (
+            _greedy(inst, block=False),
+            _greedy(inst, block=True),
+            _ectf(inst),
+        ):
+            assert makespan == evaluate(inst, schedule).makespan
