@@ -23,11 +23,12 @@ from .experiment import (
     write_csv,
 )
 from .generators import Family, FamilySpec, generate
-from .model import SchedulingError, evaluate
+from .model import SchedulingError
 from .oracle import BRUTE_FORCE_MAX_N, DP_MAX_N, Objective, optimum
 from .pseudomatching import ConstructionFailed, construct_two_pm
 from .schedulers import SchedulerChoice, non_interfering, solve
 from .serialization import (
+    _eval_document,
     _schedule_from_text,
     decimal_string,
     format_rational,
@@ -232,18 +233,9 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    # evaluate is also the feasibility check parse_schedule would run
-    schedule, _ = _schedule_from_text(_read(args.schedule), instance)
-    report = evaluate(instance, schedule)
-    doc = {
-        "order": list(schedule.order),
-        "starts": format_rationals(report.starts, "starts"),
-        "completions": format_rationals(report.completions, "completions"),
-        "gaps": format_rationals(report.gaps, "gaps"),
-        "makespan": format_rational(report.makespan, "makespan"),
-        "total_completion": format_rational(report.total_completion, "total_completion"),
-    }
-    _emit(_json(doc), args.out)
+    # the walk that checks the schedule also gives its report
+    schedule, report, start_texts = _schedule_from_text(_read(args.schedule), instance)
+    _emit(_json(_eval_document(schedule.order, report, start_texts)), args.out)
     return 0
 
 

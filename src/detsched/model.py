@@ -202,9 +202,10 @@ def _timeline(
     """The one forward pass of ``s = max(release, C); C = alpha + (1+beta)*s``.
 
     With ``starts`` None each job starts as early as it can; otherwise the
-    given starts are checked against releases and predecessor completions
-    and the idle gap ahead of each position is recorded.  Returns the
-    starts, the completions and the gaps (empty when the starts are derived).
+    given starts are checked against releases and predecessor completions.
+    Returns the starts, the completions and the idle gap ahead of each
+    position, in both modes; a derived start's gap is zero unless the job
+    waits for its release.
     """
     if sorted(order) != sorted(job.id for job in instance.jobs):
         raise NotAPermutation("order must list every job id of the instance exactly once")
@@ -218,7 +219,12 @@ def _timeline(
     for k, jid in enumerate(order):
         job = jobs[jid]
         if derived:
-            s = job.release if job.release > completion else completion
+            if job.release > completion:
+                s = job.release
+                gaps.append(s - completion)
+            else:
+                s = completion
+                gaps.append(ZERO)
             out_starts.append(s)
         else:
             s = out_starts[k]
@@ -257,21 +263,40 @@ def evaluate(instance: Instance, schedule: Schedule) -> EvalReport:
     A gap is the idle interval before a position: ``starts[k] - completion
     of position k-1`` (the first position's gap is its start time).  Raises
     :class:`InfeasibleSchedule` when a start precedes a release or its
-    predecessor's completion.
-
-    The total completion is summed over the common denominator ``L`` of
-    the completions, as ``sum(num * (L // den)) / L``, so the big-int gcd
-    that reduces the result runs once rather than at every addition.
+    predecessor's completion.  The total completion is summed per distinct
+    denominator, then across them (see :func:`_report`).
     """
     _, completions, gaps = _timeline(instance, schedule.order, schedule.starts)
-    common = math.lcm(*(c.denominator for c in completions))
-    total = sum(c.numerator * (common // c.denominator) for c in completions)
+    return _report(schedule.starts, completions, gaps)
+
+
+def _report(
+    starts: Sequence[Fraction], completions: Sequence[Fraction], gaps: Sequence[Fraction]
+) -> EvalReport:
+    """The :class:`EvalReport` of a timeline that :func:`_timeline` walked.
+
+    The total completion adds the numerators of each distinct denominator
+    first, then folds those partial sums in ascending denominator order,
+    as ``num * (L // den) + part * (L // q)`` over ``L = lcm(den, q)``.
+    The big-int gcd that reduces the result runs once rather than at every
+    addition, and no numerator is scaled to the common denominator of all
+    the completions.  When each denominator divides the next, as powers of
+    ``1 + beta`` do, every scale factor is small.
+    """
+    parts: dict[int, int] = {}
+    for c in completions:
+        parts[c.denominator] = parts.get(c.denominator, 0) + c.numerator
+    num, den = 0, 1
+    for q in sorted(parts):
+        common = math.lcm(den, q)
+        num = num * (common // den) + parts[q] * (common // q)
+        den = common
     return EvalReport(
-        starts=schedule.starts,
+        starts=tuple(starts),
         completions=tuple(completions),
         gaps=tuple(gaps),
         makespan=completions[-1] if completions else ZERO,
-        total_completion=Fraction(total, common),
+        total_completion=Fraction(num, den),
     )
 
 

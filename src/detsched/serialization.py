@@ -1,9 +1,20 @@
 """Instance and schedule files, and the exact-rational text syntax.
 
-Rationals travel as strings, ``"p"`` or ``"p/q"`` in decimal digits.
-Decimal-point and exponent syntax is rejected on purpose: a ``0.1`` that
-silently became a float upstream would poison every exact comparison
-downstream, so the parser refuses to guess.
+Rationals travel as strings, ``"p"`` or ``"p/q"`` in the ASCII digits
+0-9.  Decimal-point and exponent syntax is rejected on purpose: a ``0.1``
+that silently became a float upstream would poison every exact
+comparison downstream, so the parser refuses to guess.
+
+Every rational has exactly one canonical text, the one
+:func:`format_rational` writes: lowest terms, a positive denominator
+written only when it is not 1, no sign on zero and no leading zeros.  So
+two canonical texts are equal exactly when their values are.  A schedule
+document's starts are checked against the earliest starts of its order
+by that text, position by position, and a start whose text matches is
+neither converted to an int nor written again: this is what every
+schedule that detsched writes looks like.  From the first start that
+does not match (a delayed start, or a spelling such as ``"6/4"`` or
+``"07"``) on, the starts are parsed, then checked.
 """
 
 from __future__ import annotations
@@ -16,13 +27,14 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
 from .model import (
+    EvalReport,
     Instance,
     Job,
     NotAPermutation,
     Schedule,
     SchedulingError,
-    canonical_starts,
-    evaluate,
+    _report,
+    _timeline,
 )
 
 
@@ -30,14 +42,14 @@ class ParseError(SchedulingError):
     """Malformed input text; the message names the offending field."""
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str, context: str = "value") -> Fraction:
-    """Parse ``"p"`` or ``"p/q"`` (decimal digits only) into a Fraction."""
+    """Parse ``"p"`` or ``"p/q"`` (ASCII digits only) into a Fraction."""
     if not isinstance(text, str):
         raise ParseError(f"{context}: expected a rational string, got {type(text).__name__}")
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ParseError(
             f"{context}: {text!r} is not 'p' or 'p/q' in decimal digits"
         )
@@ -82,13 +94,25 @@ def format_rationals(values: Sequence[Fraction], context: str) -> list[str]:
     Raises :class:`SchedulingError` naming ``context[i]`` for the first
     value past the limit.
     """
+    return _fill_texts(values, [None] * len(values), context)
+
+
+def _fill_texts(
+    values: Sequence[Fraction], texts: list[str | None], context: str
+) -> list[str]:
+    """``texts``, with each None replaced by the text of the value at its
+    position: :func:`format_rationals` for the positions whose text is not
+    known yet.  Texts already given are canonical, so within the limit."""
+    todo = [(i, value) for i, (value, text) in enumerate(zip(values, texts)) if text is None]
     limit = sys.get_int_max_str_digits()
     if limit:
         bound = 10**limit
-        for i, value in enumerate(values):
+        for i, value in todo:
             if abs(value.numerator) >= bound or value.denominator >= bound:
                 raise _unwritable(value, f"{context}[{i}]", limit)
-    return [format_rational(value) for value in values]
+    for i, value in todo:
+        texts[i] = format_rational(value)
+    return texts
 
 
 def _unwritable(value: Fraction, context: str | None, limit: int) -> SchedulingError:
@@ -175,18 +199,29 @@ def parse_schedule(text: str, instance: Instance) -> Schedule:
     """Parse a schedule document against ``instance``.
 
     A document without ``starts`` yields the canonical schedule of its
-    order; explicit starts are validated for feasibility.
+    order; explicit starts are checked for feasibility.  A start whose text
+    is the canonical text of its position's earliest start needs no check
+    and no parsing: the canonical text is unique, so the two values are
+    equal.  Raises :class:`ParseError` for a malformed document or start,
+    before :class:`NotAPermutation` or :class:`InfeasibleSchedule`.
     """
-    schedule, explicit = _schedule_from_text(text, instance)
-    if explicit:
-        evaluate(instance, schedule)  # raises on infeasible or non-permutation input
-    return schedule
+    return _schedule_from_text(text, instance)[0]
 
 
-def _schedule_from_text(text: str, instance: Instance) -> tuple[Schedule, bool]:
-    """A schedule document's schedule, and whether its starts came from the
-    document: those are not yet checked against ``instance``, and
-    :func:`evaluate` is the check."""
+def _schedule_from_text(
+    text: str, instance: Instance
+) -> tuple[Schedule, EvalReport, list[str | None]]:
+    """A schedule document's schedule, checked against ``instance``; the
+    report of its timeline; and the text of each start where the document
+    gave its canonical text (None where a start's text is still to be made).
+
+    The earliest starts of the order come from one derived walk.  The
+    document's starts keep them for as long as their texts match; from the
+    first mismatch on, the remaining starts are parsed, every one before
+    any is checked, and the whole schedule is walked once more with its
+    starts given.  An order that is not a permutation has no earliest
+    starts, so all its starts are parsed before that walk refuses it.
+    """
     doc = _loads(text, "schedule")
     if not isinstance(doc, dict):
         raise ParseError("schedule: top level must be an object")
@@ -199,7 +234,8 @@ def _schedule_from_text(text: str, instance: Instance) -> tuple[Schedule, bool]:
         raise ParseError("order: expected an array of integers")
     order = tuple(order_doc)
     if "starts" not in doc or doc["starts"] is None:
-        return canonical_starts(instance, order), False
+        starts, completions, gaps = _timeline(instance, order, None)
+        return Schedule(order, starts), _report(starts, completions, gaps), [None] * len(order)
     starts_doc = doc["starts"]
     if not isinstance(starts_doc, list):
         raise ParseError("starts: expected an array")
@@ -207,10 +243,53 @@ def _schedule_from_text(text: str, instance: Instance) -> tuple[Schedule, bool]:
         raise ParseError(
             f"starts: {len(starts_doc)} entries for {len(order)} order positions"
         )
-    starts = tuple(
-        parse_rational(s, f"starts[{i}]") for i, s in enumerate(starts_doc)
-    )
-    return Schedule(order, starts), True
+    try:
+        starts, completions, gaps = _timeline(instance, order, None)
+    except NotAPermutation:
+        starts = []  # so every start is parsed before the walk below refuses the order
+    texts: list[str | None] = []
+    for start, given in zip(starts, starts_doc):
+        try:
+            if format_rational(start) != given:
+                break
+        except SchedulingError:  # past the digit limit: the document's text decides
+            break
+        texts.append(given)
+    matched = len(texts)
+    if matched < len(order) or not starts:
+        starts = starts[:matched] + [
+            parse_rational(s, f"starts[{i}]")
+            for i, s in enumerate(starts_doc[matched:], start=matched)
+        ]
+        _, completions, gaps = _timeline(instance, order, starts)
+        texts += [None] * (len(order) - matched)
+    return Schedule(order, starts), _report(starts, completions, gaps), texts
+
+
+def _eval_document(
+    order: Sequence[int], report: EvalReport, start_texts: list[str | None]
+) -> dict:
+    """``eval``'s output document for ``report``, writing each text once.
+
+    A start keeps the text it came with (see :func:`_schedule_from_text`).
+    A completion followed by a zero gap is the next start, so it takes that
+    start's text; a zero gap is ``"0"``; the makespan is the last
+    completion's text.  The rest is written as :func:`format_rationals`
+    would, list by list in the output's order, so a list past the digit
+    limit is refused before any of it is converted.
+    """
+    starts = _fill_texts(report.starts, start_texts, "starts")
+    nexts = [starts[k] if not report.gaps[k] else None for k in range(1, len(starts))]
+    completions = _fill_texts(report.completions, nexts + [None], "completions")
+    gaps = _fill_texts(report.gaps, ["0" if not gap else None for gap in report.gaps], "gaps")
+    return {
+        "order": list(order),
+        "starts": starts,
+        "completions": completions,
+        "gaps": gaps,
+        "makespan": completions[-1],
+        "total_completion": format_rational(report.total_completion, "total_completion"),
+    }
 
 
 def write_schedule(schedule: Schedule) -> str:

@@ -7,6 +7,8 @@ small denominators so brute-force comparisons stay fast.
 from __future__ import annotations
 
 import signal
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,10 @@ small_rationals = st.builds(
     st.sampled_from([1, 2, 3, 4]),
 )
 
+# rational texts the syntax refuses: a trailing newline, which ``$``
+# matches before, and decimal digits outside ASCII, which ``\d`` matches
+LOOSE_RATIONALS = ["5\n", "3/4\n", "\u0663", "\uff11\uff12/\uff15"]
+
 betas = st.sampled_from(
     [Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5)]
 )
@@ -46,6 +52,35 @@ def instances(draw, min_n=1, max_n=6, beta_strategy=betas):
         for i in range(1, n + 1)
     )
     return validate_instance(Instance(beta, jobs))
+
+
+def delayed_starts(instance, order, delays, keep=None) -> list[Fraction]:
+    """Starts that wait ``delays[k]`` past the earliest start at each
+    position ``k``; with ``keep``, every undelayed start keeps its value
+    there instead, feasible or not."""
+    jobs = instance.job_map()
+    starts, completion = [], Fraction(0)
+    for k, jid in enumerate(order):
+        earliest = max(jobs[jid].release, completion)
+        if k in delays:
+            start = earliest + delays[k]
+        else:
+            start = earliest if keep is None else keep[k]
+        starts.append(start)
+        completion = jobs[jid].alpha + instance.growth * start
+    return starts
+
+
+@contextmanager
+def digit_limit(limit):
+    """The interpreter's limit on digits per integer string conversion, set
+    to ``limit`` for the block (0 means no limit)."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,7 @@ from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
 from detsched.schedulers import SchedulerChoice
 from detsched.serialization import parse_instance, parse_rational, write_instance
 
-from conftest import make_instance
+from conftest import LOOSE_RATIONALS, make_instance
 
 
 @pytest.fixture()
@@ -215,6 +216,14 @@ class TestPipeline:
         assert main(["eval", "--instance", two_job_file, "--schedule", str(sched)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", LOOSE_RATIONALS)
+    def test_eval_rejects_loose_rational(self, tmp_path, capsys, two_job_file, text):
+        # a trailing newline or non-ASCII digits, after a start that matches
+        sched = tmp_path / "loose.json"
+        sched.write_text(json.dumps({"order": [2, 1], "starts": ["2", text]}), encoding="utf-8")
+        assert main(["eval", "--instance", two_job_file, "--schedule", str(sched)]) == 1
+        assert capsys.readouterr().err.startswith("error: starts[1]: ")
+
     def test_eval_rejects_over_long_number(self, tmp_path, capsys, two_job_file):
         sched = tmp_path / "long.json"
         sched.write_text(
@@ -271,6 +280,42 @@ class TestPipeline:
             capsys.readouterr().err,
         )
         assert conversions == []
+
+    def test_eval_of_a_solve_output_parses_no_start(self, monkeypatch, tmp_path):
+        # every start that solve writes is its earliest start's canonical
+        # text, so eval converts none of them back; it writes a completion
+        # only where an idle gap follows it or no position does
+        inst, sched, out = (str(tmp_path / name) for name in ("i.json", "s.json", "r.json"))
+        gen = ["gen", "--family", "two-release", "--n", "8", "--beta", "1/2", "--seed", "2"]
+        assert main(gen + ["--out", inst]) == 0
+        solve = ["solve", "--instance", inst, "--algorithm", "non-interfering"]
+        assert main(solve + ["--out", sched]) == 0
+        parsed, formatted = [], []
+        parse, convert = serialization.parse_rational, serialization.format_rational
+
+        def counting_parse(text, context="value"):
+            parsed.append(context)
+            return parse(text, context)
+
+        def counting_format(value, context=None):
+            formatted.append(value)
+            return convert(value, context)
+
+        monkeypatch.setattr(serialization, "parse_rational", counting_parse)
+        monkeypatch.setattr(serialization, "format_rational", counting_format)
+        monkeypatch.setattr(cli, "format_rational", counting_format)
+        assert main(["eval", "--instance", inst, "--schedule", sched, "--out", out]) == 0
+        assert not [context for context in parsed if context.startswith("starts")]
+        report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        starts, completions, gaps = (
+            [F(text) for text in report[key]] for key in ("starts", "completions", "gaps")
+        )
+        gapped = [k for k in range(1, len(gaps)) if gaps[k]]
+        assert 0 < len(gapped) < len(gaps) - 1
+        # each start once, to compare its text with the document's
+        written = starts + [completions[k - 1] for k in gapped] + completions[-1:]
+        written += [gap for gap in gaps if gap] + [F(report["total_completion"])]
+        assert Counter(formatted) == Counter(written)
 
     def test_eval_names_the_unwritable_completion(self, tmp_path, capsys):
         # six jobs: the last start has about 4000 digits, its completion 5000

@@ -275,8 +275,8 @@ class TestEvaluate:
 
 
 class TestEvaluateSum:
-    """``evaluate`` sums completions over their common denominator and
-    takes an equal start and predecessor completion as a zero gap."""
+    """``evaluate`` sums completions exactly, one denominator at a time,
+    and takes an equal start and predecessor completion as a zero gap."""
 
     @settings(max_examples=200)
     @given(data=st.data(), inst=instances(max_n=8))

@@ -24,11 +24,16 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from detsched.cli import main
+from detsched.serialization import format_rational, parse_instance, parse_rational
+
+from conftest import delayed_starts
 
 # family -> (--n-min, --n-max); random and two-release go one job past
 # --max-bruteforce-n so that some rows leave the ratio blank
@@ -198,6 +203,52 @@ def test_eval(tmp_path, name, algorithm):
     assert main(solve + ["--out", str(schedule)]) == 0
     args = ["eval", "--instance", instance, "--schedule", str(schedule)]
     assert _run(tmp_path, args) == EVAL_DIGESTS[name, algorithm]
+
+
+def _delayed(instance, doc) -> list[str]:
+    """Position 2 waits 1/3 and the last position 1 past its earliest start;
+    every other start is the earliest its predecessor allows."""
+    delays = {2: Fraction(1, 3), len(doc["order"]) - 1: Fraction(1)}
+    return [format_rational(s) for s in delayed_starts(instance, doc["order"], delays)]
+
+
+def _respelled(instance, doc) -> list[str]:
+    """The starts from position 4 on in non-canonical text: integers with
+    a leading zero, fractions with both terms tripled."""
+    values = [parse_rational(s) for s in doc["starts"][4:]]
+    return doc["starts"][:4] + [
+        f"0{v.numerator}" if v.denominator == 1 else f"{3 * v.numerator}/{3 * v.denominator}"
+        for v in values
+    ]
+
+
+# edit -> (name, algorithm, digest of `eval` on that `solve` output with its
+# starts edited); eval parses and checks these starts one by one
+EDITED_EVAL_DIGESTS = {
+    "delayed": (
+        "two-release", "non-interfering",
+        "443fc25b4b712f68bf00c6a4c83e32c6a76e2115c5fef607e12e746dacb47486",
+    ),
+    "respelled": (
+        "two-release", "ectf",
+        "8915157a100586b2eff66a8203061c370e1c8dc64483cad2a1243d7cb0466c47",
+    ),
+}
+EDITS = {"delayed": _delayed, "respelled": _respelled}
+
+
+@pytest.mark.parametrize("edit", list(EDITED_EVAL_DIGESTS))
+def test_eval_edited_starts(tmp_path, edit):
+    name, algorithm, digest = EDITED_EVAL_DIGESTS[edit]
+    instance = _instance_file(tmp_path, name)
+    schedule = tmp_path / "schedule.json"
+    solve = ["solve", "--instance", instance, "--algorithm", algorithm]
+    assert main(solve + ["--out", str(schedule)]) == 0
+    doc = json.loads(schedule.read_text(encoding="utf-8"))
+    doc["starts"] = EDITS[edit](parse_instance(Path(instance).read_text(encoding="utf-8")), doc)
+    schedule.write_text(json.dumps(doc), encoding="utf-8")
+    args = ["eval", "--instance", instance, "--schedule", str(schedule)]
+    assert _run(tmp_path, args) == digest
 
 
 @pytest.mark.parametrize("name", list(CROSS_CHECK_DIGESTS))

@@ -1,0 +1,257 @@
+"""The text-checked schedule route and the per-denominator total against
+the routes they replaced, which are kept here as references.
+
+``reference_parse_schedule`` parses every start, then checks the schedule
+with :func:`evaluate`; ``reference_eval_document`` writes every value of
+the report with :func:`format_rationals`; ``reference_total`` sums the
+completions over the common denominator of them all.  The library's route
+must give the same schedule and the same output document, or the same
+exception type and text, on every document.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from detsched import (
+    Family,
+    FamilySpec,
+    Instance,
+    Objective,
+    Schedule,
+    SchedulerChoice,
+    canonical_starts,
+    evaluate,
+    generate,
+    optimum,
+    parse_schedule,
+    solve,
+)
+from detsched.model import SchedulingError
+from detsched.serialization import (
+    ParseError,
+    _eval_document,
+    _loads,
+    _schedule_from_text,
+    format_rational,
+    format_rationals,
+    parse_rational,
+)
+
+from conftest import delayed_starts, digit_limit, instances, make_instance, small_rationals
+
+F = Fraction
+
+
+def reference_parse_schedule(text: str, instance: Instance) -> Schedule:
+    """Every start parsed, then the whole schedule checked by evaluate."""
+    doc = _loads(text, "schedule")
+    if not isinstance(doc, dict):
+        raise ParseError("schedule: top level must be an object")
+    if "order" not in doc:
+        raise ParseError("schedule: missing field 'order'")
+    order_doc = doc["order"]
+    if not isinstance(order_doc, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in order_doc
+    ):
+        raise ParseError("order: expected an array of integers")
+    order = tuple(order_doc)
+    if "starts" not in doc or doc["starts"] is None:
+        return canonical_starts(instance, order)
+    starts_doc = doc["starts"]
+    if not isinstance(starts_doc, list):
+        raise ParseError("starts: expected an array")
+    if len(starts_doc) != len(order):
+        raise ParseError(
+            f"starts: {len(starts_doc)} entries for {len(order)} order positions"
+        )
+    starts = tuple(
+        parse_rational(s, f"starts[{i}]") for i, s in enumerate(starts_doc)
+    )
+    schedule = Schedule(order, starts)
+    evaluate(instance, schedule)
+    return schedule
+
+
+def reference_total(completions) -> Fraction:
+    common = math.lcm(*(c.denominator for c in completions))
+    return Fraction(sum(c.numerator * (common // c.denominator) for c in completions), common)
+
+
+def reference_eval_document(text: str, instance: Instance) -> dict:
+    schedule = reference_parse_schedule(text, instance)
+    report = evaluate(instance, schedule)
+    return {
+        "order": list(schedule.order),
+        "starts": format_rationals(report.starts, "starts"),
+        "completions": format_rationals(report.completions, "completions"),
+        "gaps": format_rationals(report.gaps, "gaps"),
+        "makespan": format_rational(report.makespan, "makespan"),
+        "total_completion": format_rational(reference_total(report.completions), "total_completion"),
+    }
+
+
+def eval_document(text: str, instance: Instance) -> dict:
+    schedule, report, start_texts = _schedule_from_text(text, instance)
+    return _eval_document(schedule.order, report, start_texts)
+
+
+def outcome(route, text: str, instance: Instance):
+    """What ``route`` gives: its result, or its exception's type and text."""
+    try:
+        return route(text, instance)
+    except SchedulingError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_routes(text: str, instance: Instance) -> None:
+    assert outcome(parse_schedule, text, instance) == outcome(reference_parse_schedule, text, instance)
+    assert outcome(eval_document, text, instance) == outcome(reference_eval_document, text, instance)
+
+
+def source_schedule(instance: Instance, source: str) -> Schedule:
+    if source == "opt-makespan":
+        return optimum(instance, Objective.MAKESPAN).best_schedule
+    if source == "opt-total-completion":
+        return optimum(instance, Objective.TOTAL_COMPLETION).best_schedule
+    return solve(instance, SchedulerChoice(source))
+
+
+SOURCES = [c.value for c in SchedulerChoice] + ["opt-makespan", "opt-total-completion"]
+
+
+def document(order, starts) -> str:
+    return json.dumps({"order": list(order), "starts": list(starts)})
+
+
+def respelled(value: Fraction, how: str) -> str:
+    """A non-canonical text of ``value``: a leading zero, a denominator of
+    1 for an integer, a signed zero, or else its terms scaled by 3."""
+    p, q = value.numerator, value.denominator
+    if how == "leading-zero":
+        return f"0{format_rational(value)}"
+    if how == "over-one" and q == 1:
+        return f"{p}/1"
+    if how == "signed" and p == 0:
+        return "-0"
+    return f"{3 * p}/{3 * q}"
+
+
+instance_betas = st.sampled_from([F(1, 2), F(1, 3), F(1), F(2), F(1, 10)])
+
+
+class TestScheduleRoutes:
+    @settings(max_examples=120, deadline=None)
+    @given(inst=instances(max_n=7, beta_strategy=instance_betas), source=st.sampled_from(SOURCES))
+    def test_written_schedules(self, inst, source):
+        schedule = source_schedule(inst, source)
+        assert_same_routes(document(schedule.order, map(format_rational, schedule.starts)), inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        inst=instances(min_n=2, max_n=7, beta_strategy=instance_betas),
+        source=st.sampled_from(SOURCES),
+        keep=st.booleans(),
+    )
+    def test_delayed_starts(self, data, inst, source, keep):
+        schedule = source_schedule(inst, source)
+        positions = data.draw(
+            st.lists(st.integers(0, inst.n - 1), min_size=1, max_size=3, unique=True)
+        )
+        delays = {k: data.draw(small_rationals.filter(bool)) for k in positions}
+        starts = delayed_starts(inst, schedule.order, delays, list(schedule.starts) if keep else None)
+        assert_same_routes(document(schedule.order, map(format_rational, starts)), inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        inst=instances(max_n=7, beta_strategy=instance_betas),
+        source=st.sampled_from(SOURCES),
+    )
+    def test_non_canonical_spellings(self, data, inst, source):
+        schedule = source_schedule(inst, source)
+        texts = [format_rational(s) for s in schedule.starts]
+        for k in data.draw(st.lists(st.integers(0, inst.n - 1), min_size=1, unique=True)):
+            how = data.draw(st.sampled_from(["scaled", "leading-zero", "over-one", "signed"]))
+            texts[k] = respelled(schedule.starts[k], how)
+        assert_same_routes(document(schedule.order, texts), inst)
+
+    def test_fixed_spellings(self):
+        # j1 starts at its release 3/2 and ends at 3, j2's release; j3 starts
+        # when j2 ends, at 15/2
+        inst = make_instance(1, [(1, 0, F(3, 2)), (2, F(3, 2), 3), (3, 0, 0)])
+        assert canonical_starts(inst, (1, 2, 3)).starts == (F(3, 2), F(3), F(15, 2))
+        for starts in (
+            ["6/4", "3", "15/2"],
+            ["3/2", "03", "15/2"],
+            ["3/2", "3/1", "15/2"],
+            ["3/2", "3", "30/4"],
+        ):
+            assert_same_routes(document((1, 2, 3), starts), inst)
+        zero = make_instance(1, [(1, 1, 0), (2, 1, 1)])
+        assert parse_schedule(document((1, 2), ["-0", "1"]), zero).starts == (F(0), F(1))
+        assert_same_routes(document((1, 2), ["-0", "1"]), zero)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        inst=instances(min_n=2, max_n=6, beta_strategy=instance_betas),
+        bad=st.sampled_from(["1.5", "x", "5\n", "٣", "", "1/0"]),
+    )
+    def test_bad_start_next_to_non_permutation(self, data, inst, bad):
+        schedule = source_schedule(inst, "ectf")
+        order = list(schedule.order)
+        order[-1] = order[0]
+        texts = [format_rational(s) for s in schedule.starts]
+        texts[data.draw(st.integers(0, inst.n - 1))] = bad
+        text = document(order, texts)
+        assert_same_routes(text, inst)
+        assert outcome(parse_schedule, text, inst)[0] is ParseError
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 6), change=st.booleans())
+    def test_past_a_lowered_digit_limit(self, data, n, change):
+        # each start is about 10**200 times the one before, so the fifth
+        # start and the fourth completion pass 640 digits
+        inst = make_instance(10**200, [(i, 1, 0) for i in range(1, n + 1)])
+        earliest = canonical_starts(inst, tuple(range(1, n + 1))).starts
+        texts = [format_rational(s) for s in earliest]
+        k = data.draw(st.integers(0, n - 1))
+        if change:  # a delayed start, or a start before its predecessor ends
+            texts[k] = format_rational(earliest[k] + 1) if k < 4 else "7"
+        with digit_limit(640):
+            assert_same_routes(document(range(1, n + 1), texts), inst)
+            assert_same_routes(json.dumps({"order": list(range(1, n + 1))}), inst)
+
+
+class TestTotalRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        inst=instances(max_n=8, beta_strategy=st.sampled_from([F(1, 2), F(1, 3)])),
+    )
+    def test_denominators_that_form_no_chain(self, data, inst):
+        # rational alphas and releases, delays of k/7 and k/5: the
+        # completions' denominators do not each divide the next
+        order = data.draw(st.permutations([job.id for job in inst.jobs]))
+        delays = {k: F(k + 1, 7 if k % 2 else 5) for k in range(inst.n)}
+        for schedule in (
+            canonical_starts(inst, order),
+            Schedule(order, delayed_starts(inst, order, delays)),
+        ):
+            report = evaluate(inst, schedule)
+            assert report.total_completion == reference_total(report.completions)
+
+    def test_long_horizon_regime(self):
+        inst = generate(
+            FamilySpec(family=Family.RANDOM, n=200, beta=F(1, 1600), seed=5, r_max=800)
+        )
+        for choice in SchedulerChoice:
+            report = evaluate(inst, solve(inst, choice))
+            assert report.total_completion == reference_total(report.completions)

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,7 @@ from detsched.model import InfeasibleSchedule, NotAPermutation, SchedulingError
 from detsched.schedulers import non_idling
 from detsched.serialization import format_rationals
 
-from conftest import instances
+from conftest import LOOSE_RATIONALS, digit_limit, instances
 
 F = Fraction
 
@@ -58,6 +58,11 @@ class TestParseRational:
     def test_rejects_non_rational_syntax(self, bad):
         with pytest.raises(ParseError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("text", LOOSE_RATIONALS)
+    def test_rejects_trailing_newline_and_non_ascii_digits(self, text):
+        with pytest.raises(ParseError, match=r"^beta: .* is not 'p' or 'p/q'"):
+            parse_rational(text, "beta")
 
     def test_rejects_zero_denominator(self):
         with pytest.raises(ParseError):
@@ -99,18 +104,6 @@ class TestFormatRational:
     def test_over_long_value_names_its_field(self):
         with pytest.raises(SchedulingError, match=r"^makespan: cannot write a 16610-bit value: "):
             format_rational(F(10**5000), "makespan")
-
-
-@contextmanager
-def digit_limit(limit):
-    """The interpreter's limit on digits per integer string conversion, set
-    to ``limit`` for the block (0 means no limit)."""
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
 
 
 class TestFormatRationals:
@@ -194,6 +187,24 @@ class TestInstanceDocuments:
                 '{"id":2,"alpha":"x","release":"0"}]}'
             )
 
+    @pytest.mark.parametrize("text", LOOSE_RATIONALS)
+    def test_loose_rational_names_its_field(self, text):
+        doc = json.dumps({"beta": "1", "jobs": [{"id": 1, "alpha": "1", "release": text}]})
+        with pytest.raises(ParseError, match=r"^jobs\[0\]\.release: "):
+            parse_instance(doc)
+
+    def test_readme_example_parses(self):
+        # the instance that README's "File formats" section shows
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## File formats", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        inst = parse_instance(block)
+        assert inst.beta == F(3, 2)
+        assert [(j.id, j.alpha, j.release) for j in inst.jobs] == [
+            (1, F(4), F(1, 2)),
+            (2, F(0), F(3)),
+        ]
+
     def test_missing_fields(self):
         with pytest.raises(ParseError, match="beta"):
             parse_instance('{"jobs":[]}')
@@ -252,6 +263,12 @@ class TestScheduleDocuments:
     def test_non_permutation_rejected(self, two_job_instance):
         with pytest.raises(NotAPermutation):
             parse_schedule('{"order":[2,2]}', two_job_instance)
+
+    @pytest.mark.parametrize("text", LOOSE_RATIONALS)
+    def test_loose_start_names_its_field(self, two_job_instance, text):
+        doc = json.dumps({"order": [2, 1], "starts": ["2", text]})
+        with pytest.raises(ParseError, match=r"^starts\[1\]: "):
+            parse_schedule(doc, two_job_instance)
 
     def test_length_mismatch(self, two_job_instance):
         with pytest.raises(ParseError, match="starts"):
