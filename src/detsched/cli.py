@@ -4,12 +4,14 @@ Subcommands: gen, solve, opt, eval, experiment, verify-pm, cross-check.
 Exit codes: 0 success, 1 validation or parse errors, 2 when a checked
 bound fails to hold (a finding, not a usage error).
 
-DETSCHED_SEED in the environment supplies the default seed.
+DETSCHED_SEED in the environment supplies the default seed.  The argument
+parser is built once per process, on the first call to :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,6 +30,7 @@ from .oracle import BRUTE_FORCE_MAX_N, DP_MAX_N, Objective, optimum
 from .pseudomatching import ConstructionFailed, construct_two_pm
 from .schedulers import SchedulerChoice, non_interfering, solve
 from .serialization import (
+    _dumps,
     _eval_document,
     _schedule_from_text,
     decimal_string,
@@ -96,6 +99,7 @@ def _parse_algorithms(text: str) -> tuple[SchedulerChoice, ...]:
         raise SchedulingError(f"{exc}; choose from: {names}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detsched",
@@ -227,7 +231,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
         "starts": format_rationals(result.best_schedule.starts, "starts"),
         "value": format_rational(result.best_value, "value"),
     }
-    _emit(_json(doc), args.out)
+    _emit(_dumps(doc), args.out)
     return 0
 
 
@@ -235,7 +239,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
     # the walk that checks the schedule also gives its report
     schedule, report, start_texts = _schedule_from_text(_read(args.schedule), instance)
-    _emit(_json(_eval_document(schedule.order, report, start_texts)), args.out)
+    _emit(_dumps(_eval_document(schedule.order, report, start_texts)), args.out)
     return 0
 
 

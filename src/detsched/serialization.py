@@ -7,14 +7,21 @@ comparison downstream, so the parser refuses to guess.
 
 Every rational has exactly one canonical text, the one
 :func:`format_rational` writes: lowest terms, a positive denominator
-written only when it is not 1, no sign on zero and no leading zeros.  So
-two canonical texts are equal exactly when their values are.  A schedule
-document's starts are checked against the earliest starts of its order
-by that text, position by position, and a start whose text matches is
-neither converted to an int nor written again: this is what every
-schedule that detsched writes looks like.  From the first start that
-does not match (a delayed start, or a spelling such as ``"6/4"`` or
-``"07"``) on, the starts are parsed, then checked.
+written only when it is not 1, no sign on zero and no leading zeros.  A
+schedule document's starts are checked against the earliest starts of its
+order position by position.  A start whose text has the canonical
+spelling (ASCII digits, no sign, no leading zero, a ``/q`` part exactly
+when the earliest start's denominator is not 1) and whose numerator and
+denominator read as that start's, compared as ints, is that start: it is
+neither reduced by a gcd nor written again.  This is what every schedule
+that detsched writes looks like.  From the first start that does not
+match (a delayed start, or a spelling such as ``"6/4"`` or ``"07"``) on,
+the starts are parsed, then checked.
+
+The schedule, ``eval`` and ``opt`` documents are flat: strings, and lists
+of ints or of strings that JSON never escapes.  :func:`_dumps` writes
+them byte for byte as ``json.dumps(doc, indent=2)`` would, without its
+per-character escaper and with one join over the pieces of the document.
 """
 
 from __future__ import annotations
@@ -66,6 +73,13 @@ def parse_rational(text: str, context: str = "value") -> Fraction:
     if denominator == 0:
         raise ParseError(f"{context}: zero denominator in {text!r}")
     return Fraction(numerator, denominator)
+
+
+def _digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits.  ``bytes.isdigit``
+    reads a table where ``str.isdigit`` looks each character up in the
+    Unicode database, several times slower on a text of thousands."""
+    return text.isascii() and text.encode().isdigit()
 
 
 def format_rational(value: Fraction, context: str | None = None) -> str:
@@ -165,19 +179,31 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("jobs: expected an array")
     jobs = []
     for idx, job_doc in enumerate(jobs_doc):
-        where = f"jobs[{idx}]"
         if not isinstance(job_doc, dict):
-            raise ParseError(f"{where}: expected an object")
+            raise ParseError(f"jobs[{idx}]: expected an object")
         for key in ("id", "alpha", "release"):
             if key not in job_doc:
-                raise ParseError(f"{where}: missing field '{key}'")
+                raise ParseError(f"jobs[{idx}]: missing field '{key}'")
         jid = job_doc["id"]
         if not isinstance(jid, int) or isinstance(jid, bool):
-            raise ParseError(f"{where}.id: expected an integer")
-        alpha = parse_rational(job_doc["alpha"], f"{where}.alpha")
-        release = parse_rational(job_doc["release"], f"{where}.release")
+            raise ParseError(f"jobs[{idx}].id: expected an integer")
+        alpha = _job_value(job_doc, idx, "alpha")
+        release = _job_value(job_doc, idx, "release")
         jobs.append(Job(jid, alpha, release))
     return Instance(beta, tuple(jobs))
+
+
+def _job_value(job_doc: dict, idx: int, key: str) -> Fraction:
+    """A job's ``alpha`` or ``release``: a text of ASCII digits only goes
+    straight to an int; any other text, or one past the digit limit, goes
+    through :func:`parse_rational`, whose message names the field."""
+    text = job_doc[key]
+    if isinstance(text, str) and _digits(text):
+        try:
+            return Fraction(int(text))
+        except ValueError:  # the interpreter's limit on digits per conversion
+            pass
+    return parse_rational(text, f"jobs[{idx}].{key}")
 
 
 def write_instance(instance: Instance) -> str:
@@ -200,9 +226,9 @@ def parse_schedule(text: str, instance: Instance) -> Schedule:
 
     A document without ``starts`` yields the canonical schedule of its
     order; explicit starts are checked for feasibility.  A start whose text
-    is the canonical text of its position's earliest start needs no check
-    and no parsing: the canonical text is unique, so the two values are
-    equal.  Raises :class:`ParseError` for a malformed document or start,
+    is the canonical text of its position's earliest start (see
+    :func:`_spells`) needs no check and is not parsed into a Fraction: the
+    canonical text is unique, so the two values are equal.  Raises :class:`ParseError` for a malformed document or start,
     before :class:`NotAPermutation` or :class:`InfeasibleSchedule`.
     """
     return _schedule_from_text(text, instance)[0]
@@ -216,10 +242,10 @@ def _schedule_from_text(
     gave its canonical text (None where a start's text is still to be made).
 
     The earliest starts of the order come from one derived walk.  The
-    document's starts keep them for as long as their texts match; from the
-    first mismatch on, the remaining starts are parsed, every one before
-    any is checked, and the whole schedule is walked once more with its
-    starts given.  An order that is not a permutation has no earliest
+    document's starts keep them for as long as their texts spell them;
+    from the first mismatch on, the remaining starts are parsed, every one
+    before any is checked, and the whole schedule is walked once more with
+    its starts given.  An order that is not a permutation has no earliest
     starts, so all its starts are parsed before that walk refuses it.
     """
     doc = _loads(text, "schedule")
@@ -249,10 +275,7 @@ def _schedule_from_text(
         starts = []  # so every start is parsed before the walk below refuses the order
     texts: list[str | None] = []
     for start, given in zip(starts, starts_doc):
-        try:
-            if format_rational(start) != given:
-                break
-        except SchedulingError:  # past the digit limit: the document's text decides
+        if not _spells(given, start):
             break
         texts.append(given)
     matched = len(texts)
@@ -264,6 +287,32 @@ def _schedule_from_text(
         _, completions, gaps = _timeline(instance, order, starts)
         texts += [None] * (len(order) - matched)
     return Schedule(order, starts), _report(starts, completions, gaps), texts
+
+
+def _spells(text: object, value: Fraction) -> bool:
+    """Whether ``text`` is the canonical text of ``value``, a value >= 0.
+
+    The spelling is checked first: ASCII digits, no sign, no leading zero,
+    and a ``/q`` part exactly when ``value``'s denominator is not 1.  Then
+    each part, read as an int, must equal ``value``'s numerator or
+    denominator; both are in lowest terms, so no gcd is needed.  A part
+    past the digit limit spells nothing here; :func:`parse_rational`
+    names it.
+    """
+    if not isinstance(text, str):
+        return False
+    num, slash, den = text.partition("/")
+    if not _digits(num) or (num[0] == "0" and len(num) > 1):
+        return False
+    try:
+        if value.denominator == 1:
+            if slash:
+                return False
+        elif not _digits(den) or den[0] == "0" or int(den) != value.denominator:
+            return False
+        return int(num) == value.numerator
+    except ValueError:  # the interpreter's limit on digits per conversion
+        return False
 
 
 def _eval_document(
@@ -297,4 +346,34 @@ def write_schedule(schedule: Schedule) -> str:
         "order": list(schedule.order),
         "starts": format_rationals(schedule.starts, "starts"),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc)
+
+
+def _dumps(doc: dict[str, str | Sequence[int] | Sequence[str]]) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for a flat document: every
+    value a string, or a list of ints or of strings.
+
+    Every string is quoted as it is, so none may need escaping: the
+    documents that detsched writes this way carry canonical rational texts
+    and enum values only (``[-0-9a-z/]``).  The pieces refer to the texts
+    already made, so the document is copied once, by one join.
+    """
+    pieces = ["{\n  "]
+    for i, (key, value) in enumerate(doc.items()):
+        if i:
+            pieces.append(",\n  ")
+        pieces += ('"', key, '": ')
+        if isinstance(value, str):
+            pieces += ('"', value, '"')
+        elif not value:
+            pieces.append("[]")
+        else:
+            quote = '"' if isinstance(value[0], str) else ""
+            items = value if quote else map(str, value)
+            pieces.append("[\n    " + quote)
+            separator = quote + ",\n    " + quote
+            for item in items:
+                pieces += (item, separator)
+            pieces[-1] = quote + "\n  ]"
+    pieces.append("\n}\n")
+    return "".join(pieces)

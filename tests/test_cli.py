@@ -17,6 +17,7 @@ import pytest
 
 from detsched import cli, model, serialization
 from detsched.cli import main
+from detsched.generators import Family, FamilySpec, generate
 from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
 from detsched.schedulers import SchedulerChoice
 from detsched.serialization import parse_instance, parse_rational, write_instance
@@ -283,8 +284,8 @@ class TestPipeline:
 
     def test_eval_of_a_solve_output_parses_no_start(self, monkeypatch, tmp_path):
         # every start that solve writes is its earliest start's canonical
-        # text, so eval converts none of them back; it writes a completion
-        # only where an idle gap follows it or no position does
+        # text, so eval neither parses nor formats any of them; it writes a
+        # completion only where an idle gap follows it or no position does
         inst, sched, out = (str(tmp_path / name) for name in ("i.json", "s.json", "r.json"))
         gen = ["gen", "--family", "two-release", "--n", "8", "--beta", "1/2", "--seed", "2"]
         assert main(gen + ["--out", inst]) == 0
@@ -307,15 +308,51 @@ class TestPipeline:
         assert main(["eval", "--instance", inst, "--schedule", sched, "--out", out]) == 0
         assert not [context for context in parsed if context.startswith("starts")]
         report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
-        starts, completions, gaps = (
-            [F(text) for text in report[key]] for key in ("starts", "completions", "gaps")
-        )
+        completions, gaps = ([F(text) for text in report[key]] for key in ("completions", "gaps"))
         gapped = [k for k in range(1, len(gaps)) if gaps[k]]
         assert 0 < len(gapped) < len(gaps) - 1
-        # each start once, to compare its text with the document's
-        written = starts + [completions[k - 1] for k in gapped] + completions[-1:]
+        written = [completions[k - 1] for k in gapped] + completions[-1:]
         written += [gap for gap in gaps if gap] + [F(report["total_completion"])]
         assert Counter(formatted) == Counter(written)
+
+    def test_long_horizon_round_trip(self, tmp_path):
+        # the long-horizon regime: starts of about 1700 digits, written as
+        # their canonical texts and read back by eval's integer compare
+        inst = generate(FamilySpec(family=Family.RANDOM, n=1600, beta=F(1, 1600), seed=5, r_max=6400))
+        path = tmp_path / "i.json"
+        path.write_text(write_instance(inst), encoding="utf-8")
+        jobs = inst.job_map()
+
+        def canonical(value):
+            return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+        for algorithm in ("non-interfering", "ectf"):
+            sched, out = tmp_path / f"{algorithm}.json", tmp_path / f"{algorithm}.eval.json"
+            assert main(["solve", "--instance", str(path), "--algorithm", algorithm, "--out", str(sched)]) == 0
+            assert main(["eval", "--instance", str(path), "--schedule", str(sched), "--out", str(out)]) == 0
+            texts = [p.read_text(encoding="utf-8") for p in (sched, out)]
+            schedule, report = (json.loads(text) for text in texts)
+            for doc, text in zip((schedule, report), texts):
+                assert text == json.dumps(doc, indent=2) + "\n"
+            # replay the order from its earliest starts, in Fractions
+            starts, completions, gaps, completion = [], [], [], F(0)
+            for jid in schedule["order"]:
+                start = max(jobs[jid].release, completion)
+                gaps.append(start - completion)
+                completion = jobs[jid].alpha + inst.growth * start
+                starts.append(start)
+                completions.append(completion)
+            start_texts = [canonical(s) for s in starts]
+            assert max(map(len, start_texts)) > 1500
+            assert schedule["starts"] == report["starts"] == start_texts
+            # a completion followed by no idle gap is the next start
+            assert report["completions"] == [
+                start_texts[k + 1] if k + 1 < len(gaps) and not gaps[k + 1] else canonical(c)
+                for k, c in enumerate(completions)
+            ]
+            assert report["gaps"] == [canonical(g) for g in gaps]
+            assert report["makespan"] == canonical(completion)
+            assert report["total_completion"] == canonical(sum(completions))
 
     def test_eval_names_the_unwritable_completion(self, tmp_path, capsys):
         # six jobs: the last start has about 4000 digits, its completion 5000

@@ -15,6 +15,7 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +198,34 @@ class TestScheduleRoutes:
         zero = make_instance(1, [(1, 1, 0), (2, 1, 1)])
         assert parse_schedule(document((1, 2), ["-0", "1"]), zero).starts == (F(0), F(1))
         assert_same_routes(document((1, 2), ["-0", "1"]), zero)
+
+    @pytest.mark.parametrize(
+        "position, text",
+        # the starts are 3/2, 3 and 15/2 (see test_fixed_spellings)
+        [(1, "+3"), (0, "03/2"), (0, "3/02"), (1, "\u0663"), (1, " 3"), (1, "3 "), (2, "15/2/1")],
+    )
+    def test_spellings_the_integer_compare_refuses(self, position, text):
+        inst = make_instance(1, [(1, 0, F(3, 2)), (2, F(3, 2), 3), (3, 0, 0)])
+        texts = ["3/2", "3", "15/2"]
+        texts[position] = text
+        assert_same_routes(document((1, 2, 3), texts), inst)
+
+    def test_zero_spelled_with_a_denominator(self):
+        zero = make_instance(1, [(1, 1, 0), (2, 1, 1)])
+        assert parse_schedule(document((1, 2), ["0/5", "1"]), zero).starts == (F(0), F(1))
+        assert_same_routes(document((1, 2), ["0/5", "1"]), zero)
+
+    @pytest.mark.parametrize("release", [F(10**700), F(1, 10**700), F(10**700 + 1, 10**700)])
+    def test_start_past_a_lowered_digit_limit(self, release):
+        # the first start is the release itself; past the limit, its
+        # numerator, its denominator or both cannot be read as ints
+        inst = make_instance(1, [(1, 1, release), (2, 1, 0)])
+        text = document((1, 2), [format_rational(release), format_rational(2 * release + 1)])
+        with digit_limit(640):
+            assert_same_routes(text, inst)
+            with pytest.raises(ParseError, match=r"^starts\[0\]: 701 digits"):
+                parse_schedule(text, inst)
+        assert parse_schedule(text, inst).starts == (release, 2 * release + 1)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -26,7 +26,7 @@ from detsched import (
 )
 from detsched.model import InfeasibleSchedule, NotAPermutation, SchedulingError
 from detsched.schedulers import non_idling
-from detsched.serialization import format_rationals
+from detsched.serialization import _dumps, format_rationals
 
 from conftest import LOOSE_RATIONALS, digit_limit, instances
 
@@ -244,6 +244,71 @@ class TestInstanceDocuments:
     def test_round_trip_identity(self, inst):
         assert parse_instance(write_instance(inst)) == inst
 
+    # Each bad job follows a valid one.  Plain digit texts skip
+    # parse_rational, so its messages, and which of a job's faults is
+    # reported first (id, then alpha, then release), are pinned here.
+    @pytest.mark.parametrize(
+        "job, message",
+        [
+            (["1", "0"], "jobs[1]: expected an object"),
+            ("job", "jobs[1]: expected an object"),
+            ({}, "jobs[1]: missing field 'id'"),
+            ({"alpha": "x", "release": "y"}, "jobs[1]: missing field 'id'"),
+            ({"id": True, "release": "y"}, "jobs[1]: missing field 'alpha'"),
+            ({"id": "1", "alpha": "x"}, "jobs[1]: missing field 'release'"),
+            ({"id": True, "alpha": "1", "release": "0"}, "jobs[1].id: expected an integer"),
+            ({"id": "1", "alpha": "x", "release": "0"}, "jobs[1].id: expected an integer"),
+            (
+                {"id": 1, "alpha": "0.5", "release": "x"},
+                "jobs[1].alpha: '0.5' is not 'p' or 'p/q' in decimal digits",
+            ),
+            (
+                {"id": 1, "alpha": "1/2", "release": "1e3"},
+                "jobs[1].release: '1e3' is not 'p' or 'p/q' in decimal digits",
+            ),
+            (
+                {"id": 1, "alpha": "7" * 5000, "release": "0"},
+                "jobs[1].alpha: 5000 digits exceed the limit for integer string conversion",
+            ),
+            (
+                {"id": 1, "alpha": "3", "release": "1/" + "7" * 5000},
+                "jobs[1].release: 5000 digits exceed the limit for integer string conversion",
+            ),
+            (
+                {"id": 1, "alpha": "\u0663", "release": "0"},
+                "jobs[1].alpha: '\u0663' is not 'p' or 'p/q' in decimal digits",
+            ),
+            (
+                {"id": 1, "alpha": "1", "release": "\uff11\uff12"},
+                "jobs[1].release: '\uff11\uff12' is not 'p' or 'p/q' in decimal digits",
+            ),
+            (
+                {"id": 1, "alpha": "\u00b2", "release": "0"},
+                "jobs[1].alpha: '\u00b2' is not 'p' or 'p/q' in decimal digits",
+            ),
+            ({"id": 1, "alpha": 3, "release": "0"}, "jobs[1].alpha: expected a rational string, got int"),
+            (
+                {"id": 1, "alpha": "3", "release": None},
+                "jobs[1].release: expected a rational string, got NoneType",
+            ),
+        ],
+    )
+    def test_job_errors_and_their_precedence(self, job, message):
+        doc = json.dumps({"beta": "1", "jobs": [{"id": 2, "alpha": "1", "release": "0"}, job]})
+        with pytest.raises(ParseError) as raised:
+            parse_instance(doc)
+        assert str(raised.value) == message
+
+    def test_plain_and_other_spellings_parse_alike(self):
+        doc = json.dumps({"beta": "1", "jobs": [
+            {"id": 1, "alpha": "007", "release": "6/4"},
+            {"id": 2, "alpha": "0", "release": "-0"},
+            {"id": 3, "alpha": "12/1", "release": "00"},
+        ]})
+        assert [(j.alpha, j.release) for j in parse_instance(doc).jobs] == [
+            (F(7), F(3, 2)), (F(0), F(0)), (F(12), F(0)),
+        ]
+
 
 class TestScheduleDocuments:
     def test_order_only_canonicalizes(self, two_job_instance):
@@ -294,6 +359,57 @@ class TestScheduleDocuments:
     def test_round_trip(self, inst):
         sched = non_idling(inst)
         assert parse_schedule(write_schedule(sched), inst) == sched
+
+
+# The flat-document writer against json.dumps, on the shapes of the
+# schedule, eval and opt documents.
+
+_canonical = st.one_of(
+    st.just(F(0)),
+    st.integers(0, 10**6).map(F),
+    st.builds(F, st.integers(0, 10**6), st.integers(1, 10**6)),
+    # numerators of 4290 to 4300 digits, just inside the 4300-digit limit
+    st.builds(
+        F, st.integers(10**4289, 10**4300 - 1), st.sampled_from([1, 7, 10**4299 + 1])
+    ),
+).map(format_rational)
+_texts = st.lists(_canonical, max_size=4)
+_order = st.lists(st.integers(1, 9) | st.integers(10**6, 10**40), max_size=4)
+
+
+class TestFlatDocuments:
+    @settings(max_examples=200)
+    @given(
+        doc=st.fixed_dictionaries({"order": _order, "starts": _texts})
+        | st.fixed_dictionaries(
+            {
+                "order": _order,
+                "starts": _texts,
+                "completions": _texts,
+                "gaps": _texts,
+                "makespan": _canonical,
+                "total_completion": _canonical,
+            }
+        )
+        | st.fixed_dictionaries(
+            {
+                "objective": st.sampled_from(["makespan", "total-completion"]),
+                "order": _order,
+                "starts": _texts,
+                "value": _canonical,
+            }
+        )
+    )
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_empty_and_single_lists(self):
+        for doc in (
+            {"order": [], "starts": []},
+            {"order": [3], "starts": ["0"]},
+            {"objective": "makespan", "order": [10**30], "starts": ["5/2"], "value": "5/2"},
+        ):
+            assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 # Fuzzing the parsers: every input gives a valid object or a SchedulingError.
