@@ -22,12 +22,10 @@ from fractions import Fraction
 from detsched import (
     Family,
     FamilySpec,
-    Objective,
     SchedulerChoice,
     dp_min_makespan,
     generate,
-    objective_value,
-    solve,
+    run,
     value_ratio,
 )
 from detsched.oracle import DP_MAX_N
@@ -98,8 +96,7 @@ def main(argv: list[str] | None = None) -> int:
                 family=family, n=n, beta=beta, seed=args.seed + trial
             )
             inst = generate(spec)
-            value = objective_value(inst, solve(inst, algorithm), Objective.MAKESPAN)
-            ratio = value_ratio(value, dp_min_makespan(inst))
+            ratio = value_ratio(run(inst, algorithm)[1], dp_min_makespan(inst))
             if ratio > worst:
                 worst, worst_seed = ratio, spec.seed
             if ratio > bound_for(n, beta):

@@ -27,7 +27,7 @@ from .schedulers import (
     is_interfering,
     non_idling,
     non_interfering,
-    solve,
+    run,
 )
 from .oracle import (
     Objective,
@@ -36,7 +36,6 @@ from .oracle import (
     dp_min_makespan,
     lb_combined,
     lb_release,
-    objective_value,
     optimum,
     sorted_subset_cost,
     value_ratio,

@@ -28,7 +28,7 @@ from .generators import Family, FamilySpec, generate
 from .model import SchedulingError
 from .oracle import BRUTE_FORCE_MAX_N, DP_MAX_N, Objective, optimum
 from .pseudomatching import ConstructionFailed, construct_two_pm
-from .schedulers import SchedulerChoice, non_interfering, solve
+from .schedulers import SchedulerChoice, non_interfering, run
 from .serialization import (
     _dumps,
     _eval_document,
@@ -217,7 +217,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    schedule = solve(instance, SchedulerChoice(args.algorithm))
+    schedule, _ = run(instance, SchedulerChoice(args.algorithm))
     _emit(write_schedule(schedule), args.out)
     return 0
 

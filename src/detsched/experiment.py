@@ -48,7 +48,7 @@ from .oracle import (
     sorted_subset_cost,
     value_ratio,
 )
-from .schedulers import SchedulerChoice, _ectf, _greedy, _pick_best_of_two, ectf
+from .schedulers import SchedulerChoice, ectf, run
 from .serialization import decimal_string, format_rational
 
 
@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise InvalidArgument("algorithms must be nonempty")
         object.__setattr__(self, "betas", tuple(rational(b) for b in self.betas))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        for i, algorithm in enumerate(self.algorithms):
+            if algorithm in self.algorithms[:i]:
+                raise InvalidArgument(f"algorithm {algorithm.value!r} is named twice")
         if self.b is not None:
             object.__setattr__(self, "b", rational(self.b))
 
@@ -161,41 +164,17 @@ def _optimum(instance: Instance, objective: Objective, cap: int) -> Fraction | N
     return optimum(instance, objective, max_n=cap).best_value
 
 
-def _policy_run(
-    instance: Instance,
-    algorithm: SchedulerChoice,
-    runs: dict[SchedulerChoice, tuple[Schedule, Fraction]],
-) -> tuple[Schedule, Fraction]:
-    """``algorithm``'s ``(schedule, makespan)`` on ``instance``, taken from
-    ``runs`` when a trial's earlier row has it, else run and recorded there.
-    The makespan is the time the policy's own loop ends at, for all four
-    algorithms.  Best-of-two picks between the two greedy runs, running
-    only the ones not yet recorded, and records the winner's own pair."""
-    run = runs.get(algorithm)
-    if run is None:
-        if algorithm is SchedulerChoice.ECTF:
-            run = _ectf(instance)
-        elif algorithm is SchedulerChoice.BEST_OF_TWO:
-            run = _pick_best_of_two(
-                _policy_run(instance, SchedulerChoice.NON_IDLING, runs),
-                _policy_run(instance, SchedulerChoice.NON_INTERFERING, runs),
-            )
-        else:
-            run = _greedy(instance, block=algorithm is SchedulerChoice.NON_INTERFERING)
-        runs[algorithm] = run
-    return run
-
-
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Run the configured sweep; rows come back sorted by
     (instance_id, algorithm) regardless of execution order.
 
-    Per trial, each policy loop runs at most once (see
-    :func:`_policy_run`).  Under the makespan objective a row's value is
-    its run's makespan, so nothing is evaluated.  Under total completion
-    each distinct schedule is evaluated once: best-of-two's schedule is the
-    winning greedy run's own object, so its value is found by identity, not
-    by comparing or hashing Fractions."""
+    Per trial, each policy loop runs at most once: every row calls
+    :func:`~detsched.schedulers.run` with the trial's one dict of runs.
+    Under the makespan objective a row's value is its run's makespan, so
+    nothing is evaluated.  Under total completion each distinct schedule
+    is evaluated once: best-of-two's schedule is the winning greedy run's
+    own object, so its value is found by identity, not by comparing or
+    hashing Fractions."""
     span = config.n_max - config.n_min + 1
     rows: list[ExperimentRow] = []
     for trial in range(config.trials):
@@ -219,7 +198,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         evaluated: list[tuple[Schedule, Fraction]] = []
         for algorithm in config.algorithms:
             started = time.perf_counter() if config.timings else 0.0
-            schedule, value = _policy_run(instance, algorithm, runs)
+            schedule, value = run(instance, algorithm, runs)
             if config.objective is Objective.TOTAL_COMPLETION:
                 value = next((v for s, v in evaluated if s is schedule), None)
                 if value is None:

@@ -37,7 +37,6 @@ from .model import (
     _scale_int,
     _time_scale,
     canonical_starts,
-    evaluate,
     rational,
 )
 
@@ -70,13 +69,6 @@ class OptResult:
     objective: Objective
     best_schedule: Schedule
     best_value: Fraction
-
-
-def objective_value(instance: Instance, schedule: Schedule, objective: Objective) -> Fraction:
-    report = evaluate(instance, schedule)
-    if objective is Objective.MAKESPAN:
-        return report.makespan
-    return report.total_completion
 
 
 def brute_force(

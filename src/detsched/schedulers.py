@@ -41,12 +41,13 @@ parts fall inside the candidate's window.
 
 Both loops, the greedy one (:func:`_greedy`) and ECTF's (:func:`_ectf`),
 end with ``t`` at the last completion, so each returns the makespan with
-the schedule; the public functions return the schedule alone.
-Best-of-two runs the greedy loop once per variant and picks on those
-makespans (:func:`_pick_best_of_two`, the one place its tie rule lives)
-without evaluating either schedule.  The experiment harness calls the
-private loops and the same pick, and takes every makespan row's value
-from them.
+the schedule.  :func:`run` is the one entry point to them: it maps a
+:class:`SchedulerChoice` to its loop and returns the schedule with that
+makespan.  Best-of-two picks on the two greedy makespans there, so
+neither schedule is evaluated.  A caller that runs several policies on
+one instance, as the experiment harness does per trial, passes a dict of
+runs and each loop runs once.  The four public functions return
+``run``'s schedule alone.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def non_idling(instance: Instance) -> Schedule:
     """Whenever the machine frees up, start the shortest pending job; never
     idle while something is pending.  If nothing is pending, advance to the
     next release."""
-    return _greedy(instance, block=False)[0]
+    return run(instance, SchedulerChoice.NON_IDLING)[0]
 
 
 def is_interfering(instance: Instance, candidate_id: int, t: int | Fraction) -> Fraction | None:
@@ -163,14 +164,14 @@ def non_interfering(instance: Instance) -> Schedule:
     """Like :func:`non_idling`, but refuse to start a job that would run over
     a shorter job's release; instead idle until that release and reconsider
     from scratch."""
-    return _greedy(instance, block=True)[0]
+    return run(instance, SchedulerChoice.NON_INTERFERING)[0]
 
 
 def ectf(instance: Instance) -> Schedule:
     """Estimated-completion-time-first: repeatedly start the uncompleted job
     whose completion estimate ``(1 + beta) * max(t, release) + alpha`` is
     smallest, idling up to its release if needed."""
-    return _ectf(instance)[0]
+    return run(instance, SchedulerChoice.ECTF)[0]
 
 
 def _ectf(instance: Instance) -> tuple[Schedule, Fraction]:
@@ -223,22 +224,37 @@ def _ectf(instance: Instance) -> tuple[Schedule, Fraction]:
     return Schedule(tuple(order), tuple(starts)), t
 
 
-def _pick_best_of_two(
-    idling: tuple[Schedule, Fraction], interfering: tuple[Schedule, Fraction]
+def run(
+    instance: Instance,
+    choice: SchedulerChoice,
+    runs: dict[SchedulerChoice, tuple[Schedule, Fraction]] | None = None,
 ) -> tuple[Schedule, Fraction]:
-    """Best-of-two's pick between the non-idling and the non-interfering
-    ``(schedule, makespan)`` runs: the smaller makespan, non-idling on a
-    tie.  Returns one of the two pairs itself, not a copy."""
-    return idling if idling[1] <= interfering[1] else interfering
+    """``choice``'s schedule on ``instance`` and the makespan its loop ends
+    at.  ``runs`` holds earlier runs on this same instance: one already
+    there is returned as it is, and a new one is recorded there.  Best-of-two takes both greedy runs through ``runs``
+    and returns the pair with the smaller makespan, non-idling on a tie:
+    one of the two pairs itself, not a copy."""
+    if runs is None:
+        runs = {}
+    pair = runs.get(choice)
+    if pair is None:
+        if choice is SchedulerChoice.ECTF:
+            pair = _ectf(instance)
+        elif choice is SchedulerChoice.BEST_OF_TWO:
+            idling = run(instance, SchedulerChoice.NON_IDLING, runs)
+            interfering = run(instance, SchedulerChoice.NON_INTERFERING, runs)
+            pair = idling if idling[1] <= interfering[1] else interfering
+        else:
+            pair = _greedy(instance, block=choice is SchedulerChoice.NON_INTERFERING)
+        runs[choice] = pair
+    return pair
 
 
 def best_of_two(instance: Instance) -> Schedule:
     """Run the non-idling and the non-interfering loops once each; keep the
     schedule with the smaller makespan (the non-idling one on a tie).  The
     loops return their makespans, so neither schedule is evaluated."""
-    return _pick_best_of_two(
-        _greedy(instance, block=False), _greedy(instance, block=True)
-    )[0]
+    return run(instance, SchedulerChoice.BEST_OF_TWO)[0]
 
 
 def earliest_release_order(instance: Instance) -> Schedule:
@@ -256,8 +272,3 @@ SCHEDULERS = {
     SchedulerChoice.BEST_OF_TWO: best_of_two,
     SchedulerChoice.ECTF: ectf,
 }
-
-
-def solve(instance: Instance, choice: SchedulerChoice) -> Schedule:
-    """Dispatch to the scheduler named by ``choice``."""
-    return SCHEDULERS[choice](instance)

@@ -71,6 +71,21 @@ def delayed_starts(instance, order, delays, keep=None) -> list[Fraction]:
     return starts
 
 
+def count_calls(monkeypatch, function) -> list[tuple]:
+    """Record the arguments of every call to ``function``, wrapping it in
+    each package module that bound it at import."""
+    calls: list[tuple] = []
+
+    def counting(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "detsched" and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
 @contextmanager
 def digit_limit(limit):
     """The interpreter's limit on digits per integer string conversion, set

@@ -1,0 +1,39 @@
+"""One pass of the benchmark's two cheap workloads, run the way the
+benchmark runs them: ``perfbench/run.py`` from a fresh copy of the
+checkout, importing the package from that copy's ``src/``.
+
+The ``certify`` workload spends seconds in brute force per pass, so it is
+left to the benchmark itself.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Operations that fail in every pass today.  Long-horizon's non-idling
+# chain writes a start past the interpreter's digit limit (ROADMAP item 3).
+EXPECTED_FAILED = {"sweep": 0, "long-horizon": 1}
+
+
+@pytest.mark.parametrize("workload", sorted(EXPECTED_FAILED))
+def test_one_pass_is_correct(tmp_path, workload):
+    ignore = shutil.ignore_patterns(".out", "__pycache__")
+    for part in ("perfbench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", "5", "--seconds", "0"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == EXPECTED_FAILED[workload]

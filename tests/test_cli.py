@@ -427,6 +427,15 @@ class TestExperiment:
         assert main(["experiment", "--algorithms", "ectf,, nope", "--seed", "0"]) == 1
         assert "choose from" in capsys.readouterr().err
 
+    def test_repeated_algorithm(self, tmp_path, capsys):
+        # one row per (trial, algorithm): a repeated name would write two
+        out = tmp_path / "rows.csv"
+        argv = ["experiment", "--algorithms", "ectf, non-idling,ectf", "--trials", "1",
+                "--seed", "0", "--out", str(out)]
+        assert main(argv) == 1
+        assert "'ectf' is named twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_betas(self, capsys):
         assert main(["experiment", "--betas", " , ", "--seed", "0"]) == 1
         assert "--betas" in capsys.readouterr().err

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +26,7 @@ from detsched import model, schedulers
 from detsched.experiment import CSV_HEADER
 from detsched.serialization import parse_rational
 
-from conftest import instances, make_instance
+from conftest import count_calls, instances, make_instance
 
 
 def config(**overrides) -> ExperimentConfig:
@@ -135,21 +134,6 @@ class TestRunExperiment:
             config(trials=4, n_min=3, n_max=3, betas=(F(1, 2), F(2)))
         )
         assert [row.beta for row in rows] == [F(1, 2), F(2), F(1, 2), F(2)]
-
-
-def count_calls(monkeypatch, function) -> list[tuple]:
-    """Record the arguments of every call to ``function``, wrapping it in
-    each package module that bound it at import."""
-    calls: list[tuple] = []
-
-    def counting(*args, **kwargs):
-        calls.append(args + tuple(kwargs.values()))
-        return function(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "detsched" and getattr(module, function.__name__, None) is function:
-            monkeypatch.setattr(module, function.__name__, counting)
-    return calls
 
 
 class TestOneRunPerTrial:

@@ -35,7 +35,6 @@ from detsched.oracle import (
     DegenerateOptimum,
     InstanceTooLarge,
     _scaled,
-    objective_value,
     optimum,
     value_ratio,
 )
@@ -552,7 +551,7 @@ class TestLbCombined:
 def _makespan_ratio(inst, sched):
     """A schedule's makespan over the brute-force optimum."""
     optimum = brute_force(inst, Objective.MAKESPAN).best_value
-    return value_ratio(objective_value(inst, sched, Objective.MAKESPAN), optimum)
+    return value_ratio(evaluate(inst, sched).makespan, optimum)
 
 
 class TestApproximationRatio:

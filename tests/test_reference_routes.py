@@ -31,7 +31,7 @@ from detsched import (
     generate,
     optimum,
     parse_schedule,
-    solve,
+    run,
 )
 from detsched.model import SchedulingError
 from detsched.serialization import (
@@ -120,7 +120,7 @@ def source_schedule(instance: Instance, source: str) -> Schedule:
         return optimum(instance, Objective.MAKESPAN).best_schedule
     if source == "opt-total-completion":
         return optimum(instance, Objective.TOTAL_COMPLETION).best_schedule
-    return solve(instance, SchedulerChoice(source))
+    return run(instance, SchedulerChoice(source))[0]
 
 
 SOURCES = [c.value for c in SchedulerChoice] + ["opt-makespan", "opt-total-completion"]
@@ -282,5 +282,5 @@ class TestTotalRoutes:
             FamilySpec(family=Family.RANDOM, n=200, beta=F(1, 1600), seed=5, r_max=800)
         )
         for choice in SchedulerChoice:
-            report = evaluate(inst, solve(inst, choice))
+            report = evaluate(inst, run(inst, choice)[0])
             assert report.total_completion == reference_total(report.completions)

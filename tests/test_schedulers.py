@@ -31,13 +31,14 @@ from detsched import (
     is_interfering,
     non_idling,
     non_interfering,
-    solve,
+    run,
     validate_instance,
 )
+from detsched import schedulers
 from detsched.model import ZERO
-from detsched.schedulers import _ectf, _greedy
+from detsched.schedulers import SCHEDULERS, _ectf, _greedy
 
-from conftest import betas, instances, make_instance, small_rationals
+from conftest import betas, count_calls, instances, make_instance, small_rationals
 
 F = Fraction
 
@@ -350,17 +351,52 @@ class TestEarliestReleaseOrder:
         assert earliest_release_order(inst).order == (2, 1, 3)
 
 
-class TestSolveDispatch:
-    def test_every_choice_dispatches(self, two_job_instance):
-        expected = {
-            SchedulerChoice.NON_IDLING: non_idling,
-            SchedulerChoice.NON_INTERFERING: non_interfering,
-            SchedulerChoice.BEST_OF_TWO: best_of_two,
-            SchedulerChoice.ECTF: ectf,
-        }
-        assert set(expected) == set(SchedulerChoice)
-        for choice, fn in expected.items():
-            assert solve(two_job_instance, choice) == fn(two_job_instance)
+# (jobs at beta 1, non-idling and non-interfering makespans, winner): on
+# the second, one release, the tie goes to non-idling.
+BEST_OF_TWO_CASES = [
+    ([(1, 8, 0), (2, 0, 1), (3, 0, 1)], (32, 16), SchedulerChoice.NON_INTERFERING),
+    ([(1, 3, 0), (2, 1, 0), (3, 2, 0)], (11, 11), SchedulerChoice.NON_IDLING),
+]
+
+
+class TestRunEntryPoint:
+    """:func:`run` is the one policy entry point: every public policy is its
+    schedule, and one dict of runs runs each loop once."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=instances())
+    def test_every_choice_maps_to_run(self, inst):
+        assert set(SCHEDULERS) == set(SchedulerChoice)
+        for choice, policy in SCHEDULERS.items():
+            assert policy(inst) == run(inst, choice)[0]
+
+    @pytest.mark.parametrize(
+        "jobs, makespans, winner", BEST_OF_TWO_CASES, ids=["interfering", "tie"]
+    )
+    @pytest.mark.parametrize("greedy_first", [False, True], ids=["alone", "after-greedy"])
+    def test_best_of_two_returns_the_winning_pair(self, jobs, makespans, winner, greedy_first):
+        inst = make_instance(1, jobs)
+        runs = {}
+        if greedy_first:
+            run(inst, SchedulerChoice.NON_IDLING, runs)
+            run(inst, SchedulerChoice.NON_INTERFERING, runs)
+        pair = run(inst, SchedulerChoice.BEST_OF_TWO, runs)
+        greedy = (SchedulerChoice.NON_IDLING, SchedulerChoice.NON_INTERFERING)
+        assert tuple(runs[choice][1] for choice in greedy) == makespans
+        assert pair is runs[winner]
+        assert runs[SchedulerChoice.BEST_OF_TWO] is pair
+
+    def test_repeated_run_runs_no_loop(self, monkeypatch):
+        greedy = count_calls(monkeypatch, schedulers._greedy)
+        estimate = count_calls(monkeypatch, schedulers._ectf)
+        inst = generate(FamilySpec(family=Family.RANDOM, n=6, beta=F(1), seed=3))
+        runs = {}
+        first = {choice: run(inst, choice, runs) for choice in SchedulerChoice}
+        assert sorted(block for _, block in greedy) == [False, True]
+        assert len(estimate) == 1
+        for choice in SchedulerChoice:
+            assert run(inst, choice, runs) is first[choice]
+        assert len(greedy) == 2 and len(estimate) == 1
 
 
 class TestSchedulerContracts:
