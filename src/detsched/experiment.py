@@ -39,6 +39,7 @@ from .model import (
 )
 from .oracle import (
     BRUTE_FORCE_MAX_N,
+    InstanceTooLarge,
     Objective,
     OptResult,
     check_optimum_cap,
@@ -156,7 +157,11 @@ def _csv_cells(row: ExperimentRow) -> list[str]:
 
 
 def _optimum(instance: Instance, objective: Objective, cap: int) -> Fraction | None:
-    if instance.n > cap:
+    """The trial's optimum, or None past the cap :func:`check_optimum_cap`
+    applies: ``cap`` or the route's own ceiling, whichever is lower."""
+    try:
+        check_optimum_cap(instance, objective, cap)
+    except InstanceTooLarge:
         return None
     if objective is Objective.MAKESPAN:
         # subset DP: same answer as brute force, exponentially cheaper

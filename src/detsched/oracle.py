@@ -1,22 +1,20 @@
 """Exact optima for small instances, plus closed-form lower bounds.
 
 :func:`optimum` is the one exact-optimum entry point.  Makespan runs on
-the subset DP (:func:`dp_min_makespan` for the value, then a backward
-table for the order), up to ``DP_MAX_N`` jobs; total completion runs on
+the subset DP up to ``DP_MAX_N`` jobs; total completion runs on
 :func:`brute_force`, up to ``BRUTE_FORCE_MAX_N`` jobs.  Both routes return
 the lexicographically smallest optimal order by job id, so either one
 certifies the same schedule.
 
-The subset DP keeps one 2^n table of completion times and two lists of
-masks, the level it expands and the level it reaches next, and visits
-only masks it reached; it never scans the table.  It closes a state once
-no remaining job is released after the state's completion time: it
-finishes the remaining jobs back to back in ascending alpha, which an
-exchange argument shows is optimal (see :func:`dp_min_makespan`), and
-does not expand the state.  In the worst case, when nothing closes
-before the full set, it visits every mask, O(n * 2^n) steps; when
-completions pass the last release after a few jobs, as on random
-instances, it visits only the masks of those prefixes.
+One forward subset DP, :func:`_finish`, gives both the makespan value
+and its order: :func:`dp_min_makespan` runs it once from the empty mask,
+and :func:`_makespan_optimum` runs it from each candidate prefix of the
+order.  It keeps one dict per level, from each mask it reached to its
+earliest completion, and closes a state once no remaining job is
+released after the state's completion time.  In the worst case, when
+nothing closes before the full set, it visits every mask, O(n * 2^n)
+steps; when completions pass the last release after a few jobs, as on
+random instances, it visits only the masks of those prefixes.
 """
 
 from __future__ import annotations
@@ -58,9 +56,9 @@ class DegenerateOptimum(SchedulingError):
 # n=9 already takes about 20 s, and each further job multiplies that by n.
 BRUTE_FORCE_MAX_N = 10
 
-# The integer table at n=20 holds 2^20 entries, about 40 MB once every
-# mask is reached; each of the DP's two level lists holds at most
-# C(20, 10) masks, about 1.5 MB.
+# At n=20 the DP holds at most two levels, each at most C(20, 10) masks
+# with their completions: with releases 3**j, where every mask is
+# reached, its peak under tracemalloc was 42.2 MiB.
 DP_MAX_N = 20
 
 
@@ -118,8 +116,8 @@ def brute_force(
 
 
 def _scaled(instance: Instance) -> tuple[int, int, int, list[tuple[int, int, int]]]:
-    """The subset DP's integer time scale, shared by its forward and
-    backward passes.
+    """The subset DP's integer time scale, shared by the value and the
+    order of the makespan optimum.
 
     Let ``d`` be the lcm of the alpha and release denominators and
     ``beta = p/q``.  Every release is a multiple of ``1/d``, and a
@@ -144,18 +142,17 @@ def _scaled(instance: Instance) -> tuple[int, int, int, list[tuple[int, int, int
     return scale, q, pq, jobs
 
 
-def dp_min_makespan(instance: Instance) -> Fraction:
-    """Optimal makespan by dynamic programming over job subsets.
+def _finish(jobs: list[tuple[int, int, int]], q: int, pq: int, mask: int, t: int) -> int:
+    """Earliest completion of the jobs outside ``mask`` when the machine
+    is free from ``t``, on the integers of :func:`_scaled`.
 
-    ``best[S]`` is the earliest time the subset S can be completed; since
-    completions are monotone in starts, finishing each prefix as early as
-    possible is optimal.  The DP runs level by level, by popcount: it
-    pushes each ``best[S] = t`` of the current level to every child ``S +
-    j`` as ``alpha_j + (1 + beta) * max(release_j, t)``, keeping the
-    minimum, and lists each child the first time it reaches it; that list
-    is the next level.  Every parent of a level-(k+1) mask sits at level k,
-    so a mask's value is final before it is expanded, and no mask is read
-    that was not reached.
+    A subset DP, level by level (by popcount) from ``{mask: t}``: each
+    level maps every mask it reached to its earliest completion, and each
+    state ``(S, t)`` is pushed to every child ``S + j`` as ``alpha_j + (1 +
+    beta) * max(release_j, t)``, keeping the minimum.  Every parent of a
+    level-(k+1) mask sits at level k, so a mask's value is final before it
+    is expanded; since completions are monotone in starts, finishing each
+    prefix as early as possible is optimal.
 
     A state is *closed* when no remaining job is released after ``t``.  It
     is not expanded: its remaining jobs run back to back in ascending
@@ -172,32 +169,17 @@ def dp_min_makespan(instance: Instance) -> Fraction:
     completions pass the last release after a few jobs it visits only the
     masks of those prefixes.
 
-    The loop runs on the exact integers of :func:`_scaled`, and the result
-    is ``Fraction(best, L)``.  :func:`brute_force` stays on Fractions: it
-    is the independent route that the tests and the certificate checks
-    compare this DP against, so it must not share the scaling argument.
-    Raises :class:`InstanceTooLarge` when ``instance.n > DP_MAX_N``, before
-    the 2^n table is allocated.
+    ``t`` must be a completion of the jobs in ``mask`` in some order (0
+    for the empty mask), so that every start is a multiple of ``q`` and
+    each step is exact (see :func:`_scaled`).
     """
-    n = instance.n
-    if n > DP_MAX_N:
-        raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
-    scale, q, pq, jobs = _scaled(instance)
     latest_first = sorted(jobs, key=lambda job: job[2], reverse=True)
     by_alpha = sorted(jobs, key=lambda job: job[1])
-    best: list[int | None] = [None] * (1 << n)
-    best[0] = 0
     result = None
-    # the masks first reached at the current popcount.  A sorted level
-    # reads the table in mask order: unsorted, a dense n=16 table took
-    # 3-8% longer than a scan of every mask.
-    level = [0]
+    level = {mask: t}
     while level:
-        level.sort()
-        reached: list[int] = []
-        reach = reached.append
-        for mask in level:
-            t = best[mask]
+        reached: dict[int, int] = {}
+        for mask, t in level.items():
             last_release = -1  # stays -1 for the full mask
             for bit, _, release in latest_first:
                 if not mask & bit:
@@ -208,12 +190,9 @@ def dp_min_makespan(instance: Instance) -> Fraction:
                     if not mask & bit:
                         child = mask | bit
                         candidate = alpha + (release if release > t else t) // q * pq
-                        known = best[child]
-                        if known is None:
-                            best[child] = candidate
-                            reach(child)
-                        elif candidate < known:
-                            best[child] = candidate
+                        known = reached.get(child)
+                        if known is None or candidate < known:
+                            reached[child] = candidate
             else:
                 for bit, alpha, _ in by_alpha:
                     if not mask & bit:
@@ -221,55 +200,58 @@ def dp_min_makespan(instance: Instance) -> Fraction:
                 if result is None or t < result:
                     result = t
         level = reached
-    return Fraction(result, scale)
+    return result
+
+
+def dp_min_makespan(instance: Instance) -> Fraction:
+    """Optimal makespan by dynamic programming over job subsets:
+    :func:`_finish` from the empty mask at time 0, as ``Fraction(best,
+    L)`` on the integers of :func:`_scaled`.
+
+    :func:`brute_force` stays on Fractions: it is the independent route
+    that the tests and the certificate checks compare this DP against, so
+    it must not share the scaling argument.  Raises
+    :class:`InstanceTooLarge` when ``instance.n > DP_MAX_N``, before any
+    state is expanded.
+    """
+    n = instance.n
+    if n > DP_MAX_N:
+        raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
+    scale, q, pq, jobs = _scaled(instance)
+    return Fraction(_finish(jobs, q, pq, 0, 0), scale)
 
 
 def _makespan_optimum(instance: Instance) -> OptResult:
     """The makespan optimum with the order :func:`brute_force` picks: the
     lexicographically smallest optimal order by job id.
 
-    The value comes from :func:`dp_min_makespan`, whose table is freed
-    before this one is built.  ``latest[R]`` is the latest free time from
-    which the remaining set R can still finish by the optimum:
-    ``latest[{}] = OPT``, and ``latest[R]`` is the max, over jobs j in R
-    with ``release_j <= s_j``, of ``s_j = (latest[R - j] - alpha_j) * q //
-    (p+q)``, or -1 when no job qualifies.  The floor is exact: a reachable
-    start is a multiple of q, so a reachable completion is an integer, and
-    an integer is at most x exactly when it is at most floor(x).  The walk
-    then takes, at each step, the smallest id whose completion still
-    leaves the rest finishable by the optimum.
+    The value comes from :func:`dp_min_makespan`.  The order is built one
+    position at a time: with the jobs in ``done`` placed and the machine
+    free from ``free``, it takes the smallest unplaced id whose
+    completion still lets :func:`_finish` complete the rest by the
+    optimum.  The optimal order's next job always qualifies, so some job
+    does.
     """
     value = dp_min_makespan(instance)
     scale, q, pq, jobs = _scaled(instance)
-    full = (1 << instance.n) - 1
-    latest = [-1] * (full + 1)
-    latest[0] = value.numerator * (scale // value.denominator)
-    for rest in range(1, full + 1):
-        best = -1
-        for bit, alpha, release in jobs:
-            if rest & bit:
-                start = (latest[rest ^ bit] - alpha) * q // pq
-                if release <= start and start > best:
-                    best = start
-        latest[rest] = best
+    bound = value.numerator * (scale // value.denominator)
     by_id = sorted(
         (job.id, bit, alpha, release)
         for job, (bit, alpha, release) in zip(instance.jobs, jobs)
     )
     order = []
-    free = 0
-    rest = full
-    while rest:
+    done = free = 0
+    for _ in by_id:
         for jid, bit, alpha, release in by_id:
-            if rest & bit:
+            if not done & bit:
                 completion = alpha + (release if release > free else free) // q * pq
-                if completion <= latest[rest ^ bit]:
+                if _finish(jobs, q, pq, done | bit, completion) <= bound:
                     break
-        else:  # latest[rest] >= free guarantees a job above
+        else:
             raise AssertionError("no job leaves the rest finishable by the optimum")
         order.append(jid)
+        done |= bit
         free = completion
-        rest ^= bit
     return OptResult(
         objective=Objective.MAKESPAN,
         best_schedule=canonical_starts(instance, tuple(order)),

@@ -7,6 +7,7 @@ handling through DETSCHED_SEED, and the JSON document shapes.
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import sys
@@ -440,23 +441,44 @@ class TestExperiment:
         assert main(["experiment", "--betas", " , ", "--seed", "0"]) == 1
         assert "--betas" in capsys.readouterr().err
 
-    def test_trial_past_dp_cap(self, capsys):
+    @staticmethod
+    def _rows(tmp_path, args) -> list[dict[str, str]]:
+        out = tmp_path / "rows.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        return list(csv.DictReader(out.read_text(encoding="utf-8").splitlines()))
+
+    def test_trial_past_dp_cap(self, tmp_path):
+        # a raised cap stops at the subset DP's ceiling: the trial still
+        # runs, and like a trial past --max-bruteforce-n it has no ratio
         n = str(DP_MAX_N + 1)
         args = [
             "experiment", "--objective", "makespan", "--max-bruteforce-n", "25",
             "--trials", "1", "--n-min", n, "--n-max", n, "--seed", "0",
         ]
-        assert main(args) == 1
-        assert "subset-DP cap" in capsys.readouterr().err
+        rows = self._rows(tmp_path, args)
+        assert rows and all(r["opt_value"] == r["ratio"] == r["ratio_decimal"] == "" for r in rows)
 
-    def test_trial_past_bruteforce_ceiling(self, capsys):
+    def test_trial_past_bruteforce_ceiling(self, tmp_path):
         # total completion has no DP: a raised cap used to start a 13! run
         args = [
             "experiment", "--objective", "total-completion", "--max-bruteforce-n", "25",
             "--trials", "1", "--n-min", "13", "--n-max", "13", "--seed", "0",
         ]
-        assert main(args) == 1
-        assert f"brute-force cap of {BRUTE_FORCE_MAX_N}" in capsys.readouterr().err
+        rows = self._rows(tmp_path, args)
+        assert rows and all(r["opt_value"] == r["ratio"] == r["ratio_decimal"] == "" for r in rows)
+
+    def test_ceiling_blanks_only_the_trials_past_it(self, tmp_path):
+        # under a cap of 25, n = DP_MAX_N gets its optimum and one job more does not
+        args = [
+            "experiment", "--objective", "makespan", "--max-bruteforce-n", "25",
+            "--trials", "2", "--n-min", str(DP_MAX_N), "--n-max", str(DP_MAX_N + 1),
+            "--seed", "0", "--algorithms", "ectf",
+        ]
+        rows = self._rows(tmp_path, args)
+        assert [(int(r["n"]), r["ratio"] == "") for r in rows] == [
+            (DP_MAX_N, False),
+            (DP_MAX_N + 1, True),
+        ]
 
 
 class TestVerifyPm:

@@ -34,6 +34,7 @@ from detsched.oracle import (
     DP_MAX_N,
     DegenerateOptimum,
     InstanceTooLarge,
+    OptResult,
     _scaled,
     optimum,
     value_ratio,
@@ -154,7 +155,7 @@ class TestDpMinMakespan:
         assert dp_min_makespan(two_job_instance) == F(11)
 
     def test_cap_enforced(self):
-        # past the cap the 2^n table would not fit; it must refuse up front
+        # past the cap the DP may reach 2^n states; it must refuse up front
         inst = make_instance(1, [(i, 1, 0) for i in range(1, DP_MAX_N + 2)])
         with pytest.raises(InstanceTooLarge):
             dp_min_makespan(inst)
@@ -229,6 +230,57 @@ def _reference_dp_min_makespan(instance: Instance) -> Fraction:
     return Fraction(best[-1], scale)
 
 
+# The backward table that the forward walk replaced as the source of the
+# makespan optimum's order, kept as the reference it must match.
+
+def _reference_makespan_optimum(instance: Instance) -> OptResult:
+    """``latest[R]`` is the latest free time from which the remaining set
+    R can still finish by the optimum: ``latest[{}] = OPT``, and
+    ``latest[R]`` is the max, over jobs j in R with ``release_j <= s_j``,
+    of ``s_j = (latest[R - j] - alpha_j) * q // (p+q)``, or -1 when no job
+    qualifies.  The floor is exact: a reachable start is a multiple of q,
+    so a reachable completion is an integer, and an integer is at most x
+    exactly when it is at most floor(x).  The walk then takes, at each
+    step, the smallest id whose completion still leaves the rest
+    finishable by the optimum."""
+    value = dp_min_makespan(instance)
+    scale, q, pq, jobs = _scaled(instance)
+    full = (1 << instance.n) - 1
+    latest = [-1] * (full + 1)
+    latest[0] = value.numerator * (scale // value.denominator)
+    for rest in range(1, full + 1):
+        best = -1
+        for bit, alpha, release in jobs:
+            if rest & bit:
+                start = (latest[rest ^ bit] - alpha) * q // pq
+                if release <= start and start > best:
+                    best = start
+        latest[rest] = best
+    by_id = sorted(
+        (job.id, bit, alpha, release)
+        for job, (bit, alpha, release) in zip(instance.jobs, jobs)
+    )
+    order = []
+    free = 0
+    rest = full
+    while rest:
+        for jid, bit, alpha, release in by_id:
+            if rest & bit:
+                completion = alpha + (release if release > free else free) // q * pq
+                if completion <= latest[rest ^ bit]:
+                    break
+        else:  # latest[rest] >= free guarantees a job above
+            raise AssertionError("no job leaves the rest finishable by the optimum")
+        order.append(jid)
+        free = completion
+        rest ^= bit
+    return OptResult(
+        objective=Objective.MAKESPAN,
+        best_schedule=canonical_starts(instance, tuple(order)),
+        best_value=value,
+    )
+
+
 DP_GRID = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
 
 
@@ -246,7 +298,7 @@ def rational_tie_heavy_instances(draw, max_n=12):
 @st.composite
 def far_release_instances(draw, max_n=12):
     """Small alphas and releases up to 10**6, so states stay open deep
-    into the table."""
+    into the subset lattice."""
     n = draw(st.integers(1, max_n))
     beta = draw(size_betas(n))
     r_max = draw(st.sampled_from([10, 10**3, 10**6]))
@@ -260,8 +312,8 @@ def far_release_instances(draw, max_n=12):
 def _dense_instance(beta, others, late_alpha, ids) -> Instance:
     """The jobs ``others`` ((alpha, release) pairs) plus one with fixed part
     ``late_alpha`` released after every completion the others can reach,
-    so no state without it closes: the DP fills about half its table and
-    closes the rest as soon as it reaches them.  ``ids`` names the jobs,
+    so no state without it closes: the DP expands about half the subsets
+    and closes the rest as soon as it reaches them.  ``ids`` names the jobs,
     the late one last."""
     # by induction a completion after k of the others is at most
     # g**k * (k * r_max + the sum of their alphas)
@@ -310,7 +362,7 @@ class TestDpMatchesFullTable:
 
     def test_closes_at_the_empty_mask(self):
         # every job is released at 0, so the ascending-alpha finish from 0
-        # is the whole answer; at n = DP_MAX_N the full table is not filled
+        # is the whole answer; at n = DP_MAX_N nothing is expanded
         inst = make_instance(F(1, 2), [(i, (5 * i) % 7, 0) for i in range(1, DP_MAX_N + 1)])
         alphas = [job.alpha for job in inst.jobs]
         assert dp_min_makespan(inst) == sorted_subset_cost(inst.beta, alphas, 0)
@@ -324,6 +376,23 @@ class TestDpMatchesFullTable:
         inst = make_instance(1, [(1, 0, 0), (2, 0, 1), (3, 0, 3), (4, 0, 7)])
         assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst) == F(14)
         assert brute_force(inst, Objective.MAKESPAN).best_schedule.order == (1, 2, 3, 4)
+
+
+class TestOrderMatchesBackwardTable:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(max_n=12),
+            tie_heavy_instances(max_n=12),
+            rational_tie_heavy_instances(),
+            far_release_instances(),
+            dense_instances(max_n=10),
+            family_instances(max_jobs=12),
+        )
+    )
+    def test_same_order(self, inst):
+        result = optimum(inst, Objective.MAKESPAN, max_n=DP_MAX_N)
+        assert result == _reference_makespan_optimum(inst)
 
 
 class TestOptimum:

@@ -67,6 +67,8 @@ INSTANCES = {
     "ectf-adv": ["--family", "ectf-adv", "--n", "3", "--beta", "1/2"],
     # past brute force, for the subset DP's makespan optimum only
     "random-14": ["--family", "random", "--n", "14", "--beta", "1/2", "--seed", "6"],
+    "random-20": ["--family", "random", "--n", "20", "--beta", "1/20", "--seed", "6"],
+    "two-release-20": ["--family", "two-release", "--n", "20", "--beta", "1/2", "--seed", "2"],
 }
 
 GEN_DIGESTS = {
@@ -136,6 +138,8 @@ OPT_DIGESTS = {
     ("nonidling-adv", "makespan"): "1afd460fff978250c9ad50fe39ffd65402c788997ece704d825907598dd86768",
     ("random-14", "makespan"): "f13bac58f11cd9507ca95e9ce841533cf745b5124a89295142a865667c71f200",
     ("ectf-adv", "makespan"): "4ecbbd826b3b5bf36ee2ab5bce92816cf6b0941870e36fdb4deec8047bcf6209",
+    ("random-20", "makespan"): "9f48cafa39fbb1697c5fbf900028f722033627a8d09a01b009b24e536b28071a",
+    ("two-release-20", "makespan"): "8806d740d3c3a2dc3b8a8494d980fe13f91637e009d7f9b2aeb91ff024bae086",
     ("noninterfering-adv", "total-completion"): "2768a4b9da48b842a255f84e90d749be41282d62cb6000ab13ed916641751e5d",
     ("nonidling-adv", "total-completion"): "2e985eeb1e966a09ad03210a7f0c36f708bd8a9898521d7c6061ca2160cb4206",
     ("ectf-adv", "total-completion"): "d2cd40e5d46fccc1d74dcb9a3943ce2c095208a23a2ec215a85a934221147bf2",
