@@ -15,8 +15,6 @@ from .model import (
     SchedulingError,
     canonical_starts,
     evaluate,
-    fixed_cost_identity,
-    makespan_closed_form,
     validate_instance,
 )
 from .schedulers import (
@@ -24,7 +22,6 @@ from .schedulers import (
     best_of_two,
     earliest_release_order,
     ectf,
-    is_interfering,
     non_idling,
     non_interfering,
     run,
@@ -34,23 +31,17 @@ from .oracle import (
     OptResult,
     brute_force,
     dp_min_makespan,
-    lb_combined,
     lb_release,
     optimum,
     sorted_subset_cost,
     value_ratio,
 )
 from .pseudomatching import (
-    BoundingSets,
     PMConstructionReport,
     Pseudomatching,
     check_two_pm,
     construct_two_pm,
     last_critical_index,
-    rho_bound_check,
-    verify_rho_pm,
-    verify_weak_pm,
-    weak_bound_check,
 )
 from .generators import Family, FamilySpec, generate, reduce_instance
 from .serialization import (

@@ -11,6 +11,7 @@ from fractions import Fraction
 from .model import (
     Instance,
     Job,
+    NotAPermutation,
     Schedule,
     SchedulingError,
     ZERO,
@@ -59,16 +60,9 @@ class FamilySpec:
             raise BadSpec(f"beta must be > 0, got {self.beta}")
 
 
-def _require(spec: FamilySpec, family: Family) -> None:
-    # n and beta are validated at construction; only the dispatch can mismatch.
-    if spec.family is not family:
-        raise BadSpec(f"spec names family {spec.family.value}, not {family.value}")
-
-
-def gen_random(spec: FamilySpec) -> Instance:
+def _gen_random(spec: FamilySpec) -> Instance:
     """n jobs with integer fixed parts in [0, alpha_max] and integer releases
     in [0, r_max], drawn from a seeded generator."""
-    _require(spec, Family.RANDOM)
     if spec.alpha_max < 0 or spec.r_max < 0:
         raise BadSpec("alpha_max and r_max must be >= 0")
     rng = random.Random(spec.seed)
@@ -79,10 +73,9 @@ def gen_random(spec: FamilySpec) -> Instance:
     return Instance(spec.beta, jobs)
 
 
-def gen_two_release(spec: FamilySpec) -> Instance:
+def _gen_two_release(spec: FamilySpec) -> Instance:
     """Random fixed parts; every release is either 0 or r_max, with at least
     one of each."""
-    _require(spec, Family.TWO_RELEASE)
     if spec.n < 2:
         raise BadSpec("two-release instances need n >= 2")
     if spec.r_max < 1:
@@ -103,12 +96,11 @@ def gen_two_release(spec: FamilySpec) -> Instance:
     return Instance(spec.beta, jobs)
 
 
-def gen_noninterfering_adv(spec: FamilySpec) -> Instance:
+def _gen_noninterfering_adv(spec: FamilySpec) -> Instance:
     """Staggered releases that bait the non-interfering policy into idling
     through every release: job j has fixed part B + n - j and release
     ``B * sum_{i=1..j} (1 + beta)**(i-1)``.  Requires B >= n; defaults to
     B = n**2 so the ratio growth experiments have headroom."""
-    _require(spec, Family.NONINTERFERING_ADV)
     n = spec.n
     b = spec.b if spec.b is not None else Fraction(n * n)
     if b < n:
@@ -124,11 +116,10 @@ def gen_noninterfering_adv(spec: FamilySpec) -> Instance:
     return Instance(spec.beta, tuple(jobs))
 
 
-def gen_nonidling_adv(spec: FamilySpec) -> Instance:
+def _gen_nonidling_adv(spec: FamilySpec) -> Instance:
     """One heavy job available immediately plus k zero-fixed-part jobs
     released at time 1.  With the default B = (1 + beta)**(k+1), the
     non-idling policy's ratio is exactly (1 + beta)**k / 2."""
-    _require(spec, Family.NONIDLING_ADV)
     k = spec.n
     g = 1 + spec.beta
     b = spec.b if spec.b is not None else g ** (k + 1)
@@ -139,12 +130,11 @@ def gen_nonidling_adv(spec: FamilySpec) -> Instance:
     return Instance(spec.beta, tuple(jobs))
 
 
-def gen_ectf_adv(spec: FamilySpec) -> Instance:
+def _gen_ectf_adv(spec: FamilySpec) -> Instance:
     """k long jobs (fixed part (1 + beta) * B, release 0) interleaved with k
     zero-fixed-part jobs at staggered releases ``B * sum (1 + beta)**(i-1)``.
     The completion-estimate policy runs all the zeros first and loses a
     factor approaching 1 + 1/(1 + beta)**k."""
-    _require(spec, Family.ECTF_ADV)
     k = spec.n
     b = spec.b if spec.b is not None else Fraction(1)
     if b <= 0:
@@ -161,11 +151,11 @@ def gen_ectf_adv(spec: FamilySpec) -> Instance:
 
 
 _GENERATORS = {
-    Family.RANDOM: gen_random,
-    Family.TWO_RELEASE: gen_two_release,
-    Family.NONINTERFERING_ADV: gen_noninterfering_adv,
-    Family.NONIDLING_ADV: gen_nonidling_adv,
-    Family.ECTF_ADV: gen_ectf_adv,
+    Family.RANDOM: _gen_random,
+    Family.TWO_RELEASE: _gen_two_release,
+    Family.NONINTERFERING_ADV: _gen_noninterfering_adv,
+    Family.NONIDLING_ADV: _gen_nonidling_adv,
+    Family.ECTF_ADV: _gen_ectf_adv,
 }
 
 
@@ -184,16 +174,20 @@ def reduce_instance(instance: Instance, ni_schedule: Schedule) -> Instance:
     too, with one tie-break caveat: jobs in a leading all-zero-fixed-part
     block finish at time 0 whatever their sequence, their clamped releases
     collapse to 0, and the deterministic policy re-emits that block in id
-    order.  Ids and fixed parts are untouched.
+    order.  Ids and fixed parts are untouched.  Raises
+    :class:`NotAPermutation` unless the order lists every job id of the
+    instance exactly once.
     """
+    jobs = instance.job_map()
+    order = ni_schedule.order
+    if len(order) != len(jobs) or set(order) != jobs.keys():
+        raise NotAPermutation("order must list every job id of the instance exactly once")
     g = instance.growth
     new_release: dict[int, Fraction] = {}
     prefix = ZERO
-    for jid in ni_schedule.order:
-        job = instance.job(jid)
+    for jid in order:
+        job = jobs[jid]
         new_release[jid] = min(job.release, prefix)
         prefix = job.alpha + g * prefix
-    if len(new_release) != instance.n:
-        raise BadSpec("schedule order does not cover the instance")
-    jobs = tuple(Job(j.id, j.alpha, new_release[j.id]) for j in instance.jobs)
-    return Instance(instance.beta, jobs)
+    reduced = tuple(Job(j.id, j.alpha, new_release[j.id]) for j in instance.jobs)
+    return Instance(instance.beta, reduced)

@@ -46,10 +46,6 @@ class InfeasibleSchedule(SchedulingError):
     """A start time violates a release time or overlaps the predecessor."""
 
 
-class UnknownJobId(SchedulingError):
-    """A job id does not occur in the instance."""
-
-
 class InvalidArgument(SchedulingError, ValueError):
     """A library call got an argument outside its domain.  Also a
     ``ValueError``, so callers that catch that keep working."""
@@ -112,12 +108,6 @@ class Instance:
     def growth(self) -> Fraction:
         """The completion multiplier ``1 + beta``."""
         return 1 + self.beta
-
-    def job(self, job_id: int) -> Job:
-        for job in self.jobs:
-            if job.id == job_id:
-                return job
-        raise UnknownJobId(f"no job with id {_show(job_id)}")
 
     def job_map(self) -> dict[int, Job]:
         return {job.id: job for job in self.jobs}
@@ -298,47 +288,3 @@ def _report(
         makespan=completions[-1] if completions else ZERO,
         total_completion=Fraction(num, den),
     )
-
-
-def makespan_closed_form(instance: Instance, schedule: Schedule) -> Fraction:
-    """Makespan as a weighted sum of gaps and fixed parts.
-
-    With ``g = 1 + beta`` and 1-based positions ``i`` of ``n``, returns
-    ``sum g**(n-i+1) * q_i  +  sum g**(n-i) * alpha_i`` where ``q_i`` is the
-    gap ahead of position ``i``, as :func:`evaluate` reports it (which also
-    checks feasibility).  The sum never uses a completion time and must
-    agree exactly with :func:`evaluate`'s makespan on every feasible
-    schedule.
-    """
-    gaps = evaluate(instance, schedule).gaps
-    jobs = instance.job_map()
-    g = instance.growth
-    n = len(schedule.order)
-    total = ZERO
-    for i, (jid, gap) in enumerate(zip(schedule.order, gaps), start=1):
-        total += g ** (n - i + 1) * gap + g ** (n - i) * jobs[jid].alpha
-    return total
-
-
-def fixed_cost_identity(instance: Instance, schedule: Schedule) -> tuple[Fraction, Fraction]:
-    """Both sides of the fixed-part cost identity for the schedule's order.
-
-    lhs: ``sum g**(n-i) * alpha_i``.
-    rhs: ``sum alpha_i`` plus, for each position ``k >= 2``,
-    ``beta * g**(n-k)`` times the fixed parts ahead of ``k``.
-
-    The two sides are equal for every order; returning both lets callers
-    check the algebra rather than trust it.
-    """
-    evaluate(instance, schedule)  # feasibility gate
-    jobs = instance.job_map()
-    g = instance.growth
-    alphas = [jobs[jid].alpha for jid in schedule.order]
-    n = len(alphas)
-    lhs = sum((g ** (n - i) * a for i, a in enumerate(alphas, start=1)), ZERO)
-    rhs = sum(alphas, ZERO)
-    prefix = ZERO
-    for k in range(2, n + 1):
-        prefix += alphas[k - 2]
-        rhs += instance.beta * g ** (n - k) * prefix
-    return lhs, rhs

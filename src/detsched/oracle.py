@@ -343,13 +343,6 @@ def sorted_subset_cost(
     return _horner(p + q, q, _scale_int(t, d), [_scale_int(a, d) for a in values], d)
 
 
-def lb_combined(instance: Instance) -> Fraction:
-    """Max of the release-time bound and the sorted fixed-part bound."""
-    fixed = sorted_subset_cost(instance.beta, [j.alpha for j in instance.jobs], 0)
-    release = lb_release(instance)
-    return fixed if fixed > release else release
-
-
 def value_ratio(value: Fraction, optimum: Fraction) -> Fraction:
     """value / optimum with the degenerate cases pinned: 0/0 is ratio 1,
     a zero optimum against a nonzero value raises

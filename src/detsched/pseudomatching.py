@@ -1,17 +1,10 @@
-"""Relaxed-matching machinery for charging one schedule's load to another's.
+"""The staged 2-pseudomatching behind ``verify-pm``.
 
-Two indexed sets of positive values span a complete bipartite "bounding
-graph": an A side (values taken from a computed schedule) and an O side
-(values taken from a reference schedule).  Relaxed matchings over that graph
-certify load inequalities:
-
-* a rho-pseudomatching (every A node matched exactly once, every O node used
-  at most floor(rho) times, values non-decreasing along every edge)
-  certifies ``sum(A) <= rho * sum(O)``;
-* a weak pseudomatching (every A node matched exactly once, every edge
-  strictly decreasing in index and non-decreasing in value) certifies the
-  weighted comparison ``sum g**(n-i) * a_i <= (1 + 1/beta) * sum g**(n-j) *
-  o_j`` with ``g = 1 + beta``.
+A pseudomatching is a set of edges between the positions of a computed
+schedule (the A side) and those of a reference schedule (the O side), with
+each edge non-decreasing in value.  Charging the A side's load to the O
+side along such edges bounds one schedule's load by the other's, which is
+how the paper compares computed and optimal schedules.
 
 :func:`construct_two_pm` builds a concrete 2-pseudomatching, position by
 position, between the tail of a non-interfering schedule (everything after
@@ -25,29 +18,20 @@ the constructor.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .model import (
     Instance,
-    InvalidArgument,
     Schedule,
     SchedulingError,
     ZERO,
     _show,
     canonical_starts,
     evaluate,
-    rational,
 )
 from .schedulers import non_interfering
 from .generators import reduce_instance
-
-
-class InvalidPseudomatching(SchedulingError):
-    """A bound check was asked to certify with an invalid matching."""
 
 
 class ConstructionFailed(SchedulingError):
@@ -58,51 +42,9 @@ class ConstructionFailed(SchedulingError):
     """
 
 
-def _as_value_map(values) -> dict[int, Fraction]:
-    if isinstance(values, Mapping):
-        items = values.items()
-    else:
-        # dense form: a sequence of values gets indices 1..k
-        items = enumerate(values, start=1)
-    out: dict[int, Fraction] = {}
-    for index, value in items:
-        out[int(index)] = rational(value)
-    return out
-
-
-@dataclass(frozen=True)
-class BoundingSets:
-    """The two indexed value sets spanning a bounding graph.
-
-    ``a_values`` and ``o_values`` map 1-based indices to positive values;
-    a plain sequence is accepted and indexed 1..k.  ``n`` is the ambient
-    exponent used by the weighted bound (indices must not exceed it).
-    """
-
-    a_values: dict[int, Fraction]
-    o_values: dict[int, Fraction]
-    n: int
-    beta: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a_values", _as_value_map(self.a_values))
-        object.__setattr__(self, "o_values", _as_value_map(self.o_values))
-        object.__setattr__(self, "beta", rational(self.beta))
-        if len(self.a_values) != len(self.o_values):
-            raise InvalidArgument("the two sides must have equal cardinality")
-        if self.beta <= 0:
-            raise InvalidArgument(f"beta must be > 0, got {self.beta}")
-        for side, values in (("a", self.a_values), ("o", self.o_values)):
-            for index, value in values.items():
-                if index < 1 or index > self.n:
-                    raise InvalidArgument(f"{side}-index {index} outside 1..{self.n}")
-                if value <= 0:
-                    raise InvalidArgument(f"{side}[{index}] must be > 0, got {value}")
-
-
 @dataclass(frozen=True)
 class Pseudomatching:
-    """Edges of a bounding graph as (a-index, o-index) pairs."""
+    """Edges as (a-index, o-index) pairs."""
 
     edges: tuple[tuple[int, int], ...]
 
@@ -119,110 +61,6 @@ class Verification:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-
-
-def _shared_violation(sets: BoundingSets, matching: Pseudomatching) -> str | None:
-    """The checks both pseudomatching kinds share, first violation first:
-    every edge joins known indices, and every a-index is matched exactly
-    once."""
-    for i, j in matching.edges:
-        if i not in sets.a_values:
-            return f"edge ({i},{j}) references unknown a-index {i}"
-        if j not in sets.o_values:
-            return f"edge ({i},{j}) references unknown o-index {j}"
-    a_counts = Counter(i for i, _ in matching.edges)
-    for i in sorted(sets.a_values):
-        if a_counts[i] != 1:
-            return f"a-index {i} matched {a_counts[i]} times (expected exactly 1)"
-    return None
-
-
-def verify_rho_pm(
-    sets: BoundingSets, matching: Pseudomatching, rho: int | Fraction
-) -> Verification:
-    """Check the three rho-pseudomatching conditions, reporting the first
-    violated one.
-
-    Conditions: every a-index matched exactly once; every o-index used at
-    most floor(rho) times (a fractional capacity cannot be partially used);
-    ``a_i <= o_j`` on every edge.
-    """
-    rho = rational(rho)
-    if rho < 1:
-        raise InvalidArgument(f"rho must be >= 1, got {rho}")
-    cap = math.floor(rho)
-    bad = _shared_violation(sets, matching)
-    if bad:
-        return Verification(False, bad)
-    o_counts = Counter(j for _, j in matching.edges)
-    for j, count in sorted(o_counts.items()):
-        if count > cap:
-            return Verification(
-                False, f"o-index {j} used {count} times (capacity {cap})"
-            )
-    for i, j in matching.edges:
-        if sets.a_values[i] > sets.o_values[j]:
-            return Verification(
-                False,
-                f"edge ({i},{j}) decreases: a={sets.a_values[i]} > o={sets.o_values[j]}",
-            )
-    return Verification(True)
-
-
-def rho_bound_check(
-    sets: BoundingSets, matching: Pseudomatching, rho: int | Fraction
-) -> BoundCheck:
-    """Certify ``sum(A) <= rho * sum(O)`` through a rho-pseudomatching."""
-    verdict = verify_rho_pm(sets, matching, rho)
-    if not verdict:
-        raise InvalidPseudomatching(verdict.violation)
-    lhs = sum(sets.a_values.values(), ZERO)
-    rhs = rational(rho) * sum(sets.o_values.values(), ZERO)
-    return BoundCheck(lhs, rhs, lhs <= rhs)
-
-
-def verify_weak_pm(sets: BoundingSets, matching: Pseudomatching) -> Verification:
-    """Check the weak-pseudomatching conditions, reporting the first violated
-    one: every a-index matched exactly once, and every edge has ``i > j``
-    with ``a_i <= o_j``.  O-side multiplicity is unrestricted."""
-    bad = _shared_violation(sets, matching)
-    if bad:
-        return Verification(False, bad)
-    for i, j in matching.edges:
-        if i <= j:
-            return Verification(False, f"edge ({i},{j}) must have i > j")
-        if sets.a_values[i] > sets.o_values[j]:
-            return Verification(
-                False,
-                f"edge ({i},{j}) decreases: a={sets.a_values[i]} > o={sets.o_values[j]}",
-            )
-    return Verification(True)
-
-
-def weak_bound_check(sets: BoundingSets, matching: Pseudomatching) -> BoundCheck:
-    """Certify the weighted comparison through a weak pseudomatching.
-
-    lhs: ``sum g**(n-i) * a_i`` over the A side.
-    rhs: ``(1 + 1/beta) * sum g**(n-j) * o_j`` over the O side.
-    Empty sides give (0, 0, True).
-    """
-    verdict = verify_weak_pm(sets, matching)
-    if not verdict:
-        raise InvalidPseudomatching(verdict.violation)
-    g = 1 + sets.beta
-    n = sets.n
-    lhs = sum((g ** (n - i) * a for i, a in sets.a_values.items()), ZERO)
-    rhs = (1 + 1 / sets.beta) * sum(
-        (g ** (n - j) * o for j, o in sets.o_values.items()), ZERO
-    )
-    return BoundCheck(lhs, rhs, lhs <= rhs)
 
 
 def last_critical_index(

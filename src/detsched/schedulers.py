@@ -138,28 +138,6 @@ def non_idling(instance: Instance) -> Schedule:
     return run(instance, SchedulerChoice.NON_IDLING)[0]
 
 
-def is_interfering(instance: Instance, candidate_id: int, t: int | Fraction) -> Fraction | None:
-    """Would starting ``candidate_id`` at time ``t`` run over a shorter job's
-    release?
-
-    Returns the smallest release ``r`` with ``t < r < (1 + beta) * t +
-    alpha_candidate`` among jobs with a strictly smaller fixed part, or
-    ``None``.  Both inequalities are strict: a release exactly at ``t`` or
-    exactly at the projected completion does not block.  An independent
-    O(n) check of :func:`non_interfering`'s choices.
-    """
-    candidate = instance.job(candidate_id)
-    horizon = instance.growth * t + candidate.alpha
-    blocking = [
-        job.release
-        for job in instance.jobs
-        if job.id != candidate_id
-        and job.alpha < candidate.alpha
-        and t < job.release < horizon
-    ]
-    return min(blocking) if blocking else None
-
-
 def non_interfering(instance: Instance) -> Schedule:
     """Like :func:`non_idling`, but refuse to start a job that would run over
     a shorter job's release; instead idle until that release and reconsider

@@ -35,7 +35,6 @@ import time
 from fractions import Fraction
 
 from detsched import (
-    BoundingSets,
     ExperimentConfig,
     Family,
     FamilySpec,
@@ -53,24 +52,28 @@ from detsched import (
     earliest_release_order,
     ectf,
     evaluate,
-    fixed_cost_identity,
     generate,
-    lb_combined,
     lb_release,
-    makespan_closed_form,
     non_idling,
     non_interfering,
     optimum,
     reduce_instance,
-    rho_bound_check,
     run_experiment,
     value_ratio,
-    verify_rho_pm,
-    verify_weak_pm,
-    weak_bound_check,
     write_csv,
 )
 from detsched.cli import main as cli_main
+
+from lemmas import (
+    BoundingSets,
+    fixed_cost_identity,
+    lb_combined,
+    makespan_closed_form,
+    rho_bound_check,
+    verify_rho_pm,
+    verify_weak_pm,
+    weak_bound_check,
+)
 
 F = Fraction
 

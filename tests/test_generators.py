@@ -29,6 +29,7 @@ from detsched import (
     validate_instance,
 )
 from detsched.generators import BadSpec
+from detsched.model import Schedule, SchedulingError
 
 from conftest import instances, make_instance
 
@@ -203,12 +204,6 @@ class TestFamilySpecValidation:
         with pytest.raises(BadSpec):
             generate(spec_for(Family.RANDOM, 0))
 
-    def test_wrong_family_dispatch_guard(self):
-        from detsched.generators import gen_random
-
-        with pytest.raises(BadSpec):
-            gen_random(spec_for(Family.ECTF_ADV, 2))
-
     def test_beta_validated(self):
         with pytest.raises(Exception):
             spec_for(Family.RANDOM, 3, beta=F(0))
@@ -279,6 +274,15 @@ class TestReduceInstance:
         assert again.order == (1, 2)
         assert evaluate(reduced, again).gaps == (F(0), F(0))
         assert evaluate(reduced, again).makespan == F(0)
+
+    @pytest.mark.parametrize(
+        "order", [(2, 1, 1), (1, 3), (1,)], ids=["duplicate", "unknown", "short"]
+    )
+    def test_order_must_be_a_permutation(self, two_job_instance, order):
+        # the typed error, checked before any position is walked
+        schedule = Schedule(order, (F(0),) * len(order))
+        with pytest.raises(SchedulingError, match="exactly once"):
+            reduce_instance(two_job_instance, schedule)
 
     @settings(max_examples=100)
     @given(inst=instances(max_n=6))

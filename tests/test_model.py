@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsched import (
-    BoundingSets,
     EvalReport,
     ExperimentConfig,
     Family,
@@ -24,21 +23,17 @@ from detsched import (
     Instance,
     InvalidArgument,
     Job,
-    Pseudomatching,
     Schedule,
     SchedulerChoice,
     SchedulingError,
     canonical_starts,
     ectf,
     evaluate,
-    fixed_cost_identity,
     generate,
-    makespan_closed_form,
     non_idling,
     non_interfering,
     sorted_subset_cost,
     validate_instance,
-    verify_rho_pm,
 )
 from detsched.model import (
     BetaNonPositive,
@@ -47,16 +42,17 @@ from detsched.model import (
     InfeasibleSchedule,
     NegativeParameter,
     NotAPermutation,
-    UnknownJobId,
     ZERO,
     rational,
 )
 
 from conftest import instances, make_instance
+from lemmas import fixed_cost_identity, makespan_closed_form
 
 F = Fraction
 
-# every entry point that takes a schedule's start times and must check them
+# every function that takes a schedule's start times and must check them:
+# evaluate, and the two lemma checks that run through it
 CHECKED_ENTRY_POINTS = (evaluate, makespan_closed_form, fixed_cost_identity)
 
 
@@ -153,10 +149,6 @@ class TestValidation:
         with pytest.raises(error) as caught:
             Instance(F(1), jobs)
         assert str(caught.value) == message
-
-    def test_unknown_id_past_the_digit_limit(self):
-        with pytest.raises(UnknownJobId, match="^no job with id a 16610-bit value$"):
-            make_instance(1, [(1, 1, 0)]).job(10**5000)
 
     def test_zero_alpha_allowed(self):
         # the estimate-first adversarial family needs alpha = 0 jobs
@@ -448,15 +440,6 @@ class TestInvalidArgumentIsTyped:
             lambda: _config(n_min=2, n_max=1),
             lambda: _config(betas=()),
             lambda: _config(algorithms=()),
-            lambda: BoundingSets([F(1)], [F(1), F(2)], n=2, beta=F(1)),
-            lambda: BoundingSets([F(1)], [F(1)], n=1, beta=F(0)),
-            lambda: BoundingSets({2: F(1)}, {1: F(1)}, n=1, beta=F(1)),
-            lambda: BoundingSets([F(0)], [F(1)], n=1, beta=F(1)),
-            lambda: verify_rho_pm(
-                BoundingSets([F(1)], [F(1)], n=1, beta=F(1)),
-                Pseudomatching(((1, 1),)),
-                F(1, 2),
-            ),
         ],
     )
     def test_is_a_scheduling_error(self, call):

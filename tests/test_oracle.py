@@ -19,7 +19,6 @@ from detsched import (
     dp_min_makespan,
     ectf,
     evaluate,
-    lb_combined,
     lb_release,
     non_idling,
     non_interfering,
@@ -41,6 +40,7 @@ from detsched.oracle import (
 )
 
 from conftest import betas, instances, make_instance, small_rationals
+from lemmas import lb_combined
 
 F = Fraction
 

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsched import (
-    BoundingSets,
     Objective,
     Pseudomatching,
     brute_force,
@@ -27,14 +26,17 @@ from detsched import (
     evaluate,
     last_critical_index,
     non_interfering,
+)
+
+from conftest import instances, make_instance
+from lemmas import (
+    BoundingSets,
+    InvalidPseudomatching,
     rho_bound_check,
     verify_rho_pm,
     verify_weak_pm,
     weak_bound_check,
 )
-from detsched.pseudomatching import InvalidPseudomatching
-
-from conftest import instances, make_instance
 
 positive_rationals = st.builds(
     F, st.integers(min_value=1, max_value=24), st.sampled_from([1, 2, 3, 4])

@@ -28,7 +28,6 @@ from detsched import (
     ectf,
     evaluate,
     generate,
-    is_interfering,
     non_idling,
     non_interfering,
     run,
@@ -39,6 +38,7 @@ from detsched.model import ZERO
 from detsched.schedulers import SCHEDULERS, _ectf, _greedy
 
 from conftest import betas, count_calls, instances, make_instance, small_rationals
+from lemmas import is_interfering
 
 F = Fraction
 
