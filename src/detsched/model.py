@@ -80,8 +80,11 @@ class Job:
     release: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", rational(self.alpha))
-        object.__setattr__(self, "release", rational(self.release))
+        # a Fraction is kept as given: coercing it would only copy it
+        if type(self.alpha) is not Fraction:
+            object.__setattr__(self, "alpha", rational(self.alpha))
+        if type(self.release) is not Fraction:
+            object.__setattr__(self, "release", rational(self.release))
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,10 @@ class Schedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "starts", tuple(rational(s) for s in self.starts))
+        starts = tuple(self.starts)
+        if not all(type(s) is Fraction for s in starts):
+            starts = tuple(map(rational, starts))
+        object.__setattr__(self, "starts", starts)
         if len(self.order) != len(self.starts):
             raise InvalidArgument("order and starts must have equal length")
 

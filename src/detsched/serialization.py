@@ -22,14 +22,26 @@ The schedule, ``eval`` and ``opt`` documents are flat: strings, and lists
 of ints or of strings that JSON never escapes.  :func:`_dumps` writes
 them byte for byte as ``json.dumps(doc, indent=2)`` would, without its
 per-character escaper and with one join over the pieces of the document.
+:func:`write_instance` does the same for the instance document, whose
+ids are ints and whose every other value is a canonical text.  Every
+writer checks each id and value it writes against the interpreter's
+limit on digits per integer string conversion before it converts any, and
+names the first one past it (``beta``, ``jobs[3].alpha``, ``order[0]``).
+
+:func:`parse_instance` reads a job document that is an object with an int
+id and an alpha and a release of ASCII digits within that limit straight
+into its :class:`Job`, one Fraction per distinct text of the document.
+Any other job document is checked field by field, so a malformed one
+gets the same message whichever way it came.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 
@@ -100,13 +112,11 @@ def format_rational(value: Fraction, context: str | None = None) -> str:
 def format_rationals(values: Sequence[Fraction], context: str) -> list[str]:
     """Render every value of a list, or none of them.
 
-    Each value is checked against the interpreter's limit on digits per
-    integer string conversion before any is converted, so a list that
-    cannot be written costs no conversion.  The check is the interpreter's
-    own rule: a nonzero int has more than ``limit`` digits exactly when its
-    absolute value is at least ``10**limit``; a limit of 0 means none.
+    Each value is checked by :func:`_check_writable` before any is
+    converted, so a list that cannot be written costs no conversion.
     Raises :class:`SchedulingError` naming ``context[i]`` for the first
-    value past the limit.
+    value past the interpreter's limit on digits per integer string
+    conversion.
     """
     return _fill_texts(values, [None] * len(values), context)
 
@@ -117,16 +127,34 @@ def _fill_texts(
     """``texts``, with each None replaced by the text of the value at its
     position: :func:`format_rationals` for the positions whose text is not
     known yet.  Texts already given are canonical, so within the limit."""
-    todo = [(i, value) for i, (value, text) in enumerate(zip(values, texts)) if text is None]
+    todo = [i for i, text in enumerate(texts) if text is None]
+    _check_writable([values[i] for i in todo], lambda k: f"{context}[{todo[k]}]")
+    for i in todo:
+        texts[i] = format_rational(values[i])
+    return texts
+
+
+def _check_writable(values: Sequence[int | Fraction], name: Callable[[int], str]) -> None:
+    """Raise :class:`SchedulingError`, naming ``name(k)``, for the first
+    ``values[k]`` past the interpreter's limit on digits per integer string
+    conversion, before any value is converted.  The check is the
+    interpreter's own rule: a nonzero int has more than ``limit`` digits
+    exactly when its absolute value is at least ``10**limit``; a limit of 0
+    means none.  Takes ints too: an int has a numerator and a denominator."""
     limit = sys.get_int_max_str_digits()
     if limit:
-        bound = 10**limit
-        for i, value in todo:
+        bound = _digit_bound(limit)
+        for k, value in enumerate(values):
             if abs(value.numerator) >= bound or value.denominator >= bound:
-                raise _unwritable(value, f"{context}[{i}]", limit)
-    for i, value in todo:
-        texts[i] = format_rational(value)
-    return texts
+                raise _unwritable(value, name(k), limit)
+
+
+@functools.lru_cache(maxsize=4)
+def _digit_bound(limit: int) -> int:
+    """``10**limit``, the least int with more than ``limit`` digits.  Made
+    once per limit: at the default limit it is a 14k-bit power that takes
+    longer to compute than a small document takes to write."""
+    return 10**limit
 
 
 def _unwritable(value: Fraction, context: str | None, limit: int) -> SchedulingError:
@@ -164,8 +192,18 @@ def _loads(text: str, what: str) -> object:
         raise ParseError(f"{what}: arrays or objects nested too deeply") from None
 
 
+_JOB_KEYS = ("id", "alpha", "release")
+
+
 def parse_instance(text: str) -> Instance:
-    """Parse an instance document; building the :class:`Instance` validates it."""
+    """Parse an instance document; building the :class:`Instance` validates it.
+
+    A job document that is an object with an int id, and an alpha and a
+    release each of ASCII digits within the digit limit, becomes its
+    :class:`Job` directly, with one Fraction per distinct text of the
+    document.  Any other job document goes through :func:`_parse_job`,
+    whose message names the field at fault.
+    """
     doc = _loads(text, "instance")
     if not isinstance(doc, dict):
         raise ParseError("instance: top level must be an object")
@@ -177,48 +215,94 @@ def parse_instance(text: str) -> Instance:
     jobs_doc = doc["jobs"]
     if not isinstance(jobs_doc, list):
         raise ParseError("jobs: expected an array")
+    values: dict[str, Fraction] = {}
     jobs = []
     for idx, job_doc in enumerate(jobs_doc):
-        if not isinstance(job_doc, dict):
-            raise ParseError(f"jobs[{idx}]: expected an object")
-        for key in ("id", "alpha", "release"):
-            if key not in job_doc:
-                raise ParseError(f"jobs[{idx}]: missing field '{key}'")
-        jid = job_doc["id"]
-        if not isinstance(jid, int) or isinstance(jid, bool):
-            raise ParseError(f"jobs[{idx}].id: expected an integer")
-        alpha = _job_value(job_doc, idx, "alpha")
-        release = _job_value(job_doc, idx, "release")
-        jobs.append(Job(jid, alpha, release))
+        if type(job_doc) is dict and type(jid := job_doc.get("id")) is int:
+            alpha = _plain_value(job_doc.get("alpha"), values)
+            release = _plain_value(job_doc.get("release"), values)
+            if alpha is not None and release is not None:
+                jobs.append(Job(jid, alpha, release))
+                continue
+        jobs.append(_parse_job(job_doc, idx))
     return Instance(beta, tuple(jobs))
 
 
-def _job_value(job_doc: dict, idx: int, key: str) -> Fraction:
-    """A job's ``alpha`` or ``release``: a text of ASCII digits only goes
-    straight to an int; any other text, or one past the digit limit, goes
-    through :func:`parse_rational`, whose message names the field."""
-    text = job_doc[key]
-    if isinstance(text, str) and _digits(text):
+def _plain_value(text: object, values: dict[str, Fraction]) -> Fraction | None:
+    """The value of a text of ASCII digits within the digit limit, made
+    once per distinct text and kept in ``values``; None for anything else."""
+    if type(text) is not str:
+        return None
+    value = values.get(text)
+    if value is None and _digits(text):
         try:
-            return Fraction(int(text))
+            value = values[text] = Fraction(int(text))
         except ValueError:  # the interpreter's limit on digits per conversion
-            pass
-    return parse_rational(text, f"jobs[{idx}].{key}")
+            return None
+    return value
+
+
+def _parse_job(job_doc: object, idx: int) -> Job:
+    """The job of ``jobs[idx]``, field by field; a :class:`ParseError`
+    names the first fault (a missing field, then the id, the alpha and
+    the release)."""
+    if not isinstance(job_doc, dict):
+        raise ParseError(f"jobs[{idx}]: expected an object")
+    for key in _JOB_KEYS:
+        if key not in job_doc:
+            raise ParseError(f"jobs[{idx}]: missing field '{key}'")
+    jid = job_doc["id"]
+    if not isinstance(jid, int) or isinstance(jid, bool):
+        raise ParseError(f"jobs[{idx}].id: expected an integer")
+    alpha = parse_rational(job_doc["alpha"], f"jobs[{idx}].alpha")
+    release = parse_rational(job_doc["release"], f"jobs[{idx}].release")
+    return Job(jid, alpha, release)
 
 
 def write_instance(instance: Instance) -> str:
-    doc = {
-        "beta": format_rational(instance.beta),
-        "jobs": [
-            {
-                "id": job.id,
-                "alpha": format_rational(job.alpha),
-                "release": format_rational(job.release),
-            }
-            for job in instance.jobs
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The instance document, byte for byte ``json.dumps(doc, indent=2) +
+    "\\n"`` of ``{"beta": ..., "jobs": [{"id": ..., "alpha": ...,
+    "release": ...}, ...]}``, made by one join over its pieces.
+
+    Raises :class:`SchedulingError` naming ``beta`` or ``jobs[i].id``,
+    ``.alpha`` or ``.release`` for the first value, in document order, past
+    the digit limit, before any value is converted.
+    """
+    beta = instance.beta
+    # beta's terms, then each job's id and the terms of its alpha and release
+    ints = [beta.numerator, beta.denominator]
+    for job in instance.jobs:
+        alpha, release = job.alpha, job.release
+        ints += (job.id, alpha.numerator, alpha.denominator, release.numerator, release.denominator)
+    limit = sys.get_int_max_str_digits()
+    # every term of a valid instance is >= 0, so one max finds any past the limit
+    if limit and max(ints) >= _digit_bound(limit):
+        values = [beta]
+        for job in instance.jobs:
+            values += (job.id, job.alpha, job.release)
+        _check_writable(values, _instance_field)
+    pieces = ['{\n  "beta": "', format_rational(beta), '",\n  "jobs": [\n    {\n      "id": ']
+    terms = iter(ints[2:])
+    for jid, ap, aq, rp, rq in zip(terms, terms, terms, terms, terms):
+        pieces += (
+            str(jid),
+            ',\n      "alpha": "',
+            str(ap) if aq == 1 else f"{ap}/{aq}",
+            '",\n      "release": "',
+            str(rp) if rq == 1 else f"{rp}/{rq}",
+            '"\n    },\n    {\n      "id": ',
+        )
+    # an instance has at least one job, so the last piece is a separator
+    pieces[-1] = '"\n    }\n  ]\n}\n'
+    return "".join(pieces)
+
+
+def _instance_field(k: int) -> str:
+    """The name of the ``k``-th value of :func:`write_instance`'s list."""
+    if not k:
+        return "beta"
+    idx, key = divmod(k - 1, 3)
+    return f"jobs[{idx}].{_JOB_KEYS[key]}"
 
 
 def parse_schedule(text: str, instance: Instance) -> Schedule:
@@ -342,6 +426,10 @@ def _eval_document(
 
 
 def write_schedule(schedule: Schedule) -> str:
+    """The schedule document.  Raises :class:`SchedulingError` naming
+    ``order[i]`` or ``starts[i]`` for the first value past the digit limit,
+    before any value is converted."""
+    _check_writable(schedule.order, lambda i: f"order[{i}]")
     doc = {
         "order": list(schedule.order),
         "starts": format_rationals(schedule.starts, "starts"),

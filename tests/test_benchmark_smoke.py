@@ -23,6 +23,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # chain writes a start past the interpreter's digit limit (ROADMAP item 3).
 EXPECTED_FAILED = {"sweep": 0, "long-horizon": 1}
 
+# The digest of every byte a pass writes, for seed 5: a change to what the
+# benchmark's commands write fails here, not only in the benchmark.
+EXPECTED_SHA256 = {
+    "sweep": "0438edc041fcf0dda8483153fbb1ba561e5d5189a33a7052ffb319332a584aa5",
+    "long-horizon": "18167601febb8f0f47a75e7176e0be4b13d9565d4e3492b7b59c75dcdf7ae1bc",
+}
+
 
 @pytest.mark.parametrize("workload", sorted(EXPECTED_FAILED))
 def test_one_pass_is_correct(tmp_path, workload):
@@ -34,6 +41,8 @@ def test_one_pass_is_correct(tmp_path, workload):
             "--seed", "5", "--seconds", "0"]
     done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
     assert result["correct"] is True
     assert result["failed"] == EXPECTED_FAILED[workload]
+    assert f"outputs_sha256 = {EXPECTED_SHA256[workload]}" in lines

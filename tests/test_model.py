@@ -168,6 +168,32 @@ class TestValidation:
         assert isinstance(caught.value, SchedulingError)
 
 
+class TestCoercion:
+    def test_fractions_are_kept(self):
+        alpha, release = F(5, 2), F(3)
+        job = Job(1, alpha, release)
+        assert job.alpha is alpha and job.release is release
+        starts = (F(0), F(7, 2))
+        assert all(kept is given for kept, given in zip(Schedule((1, 2), starts).starts, starts))
+
+    def test_ints_become_fractions(self):
+        job = Job(1, 5, 0)
+        assert (job.alpha, job.release) == (5, 0)
+        assert type(job.alpha) is Fraction and type(job.release) is Fraction
+        for starts in ((0, 3), (F(0), 3), [3, F(1, 2)]):
+            schedule = Schedule((1, 2), starts)
+            assert schedule.starts == tuple(starts)
+            assert all(type(s) is Fraction for s in schedule.starts)
+
+    def test_fraction_subclass_is_kept(self):
+        class Exact(Fraction):
+            pass
+
+        alpha, start = Exact(5, 2), Exact(7)
+        assert Job(1, alpha, 0).alpha is alpha
+        assert Schedule((1, 2), (F(0), start)).starts[1] is start
+
+
 class TestCanonicalStarts:
     def test_gap_after_first_job(self):
         # j1 runs [0,1); j2 released at 3 > 1, starts 3, completes 1+2*3=7

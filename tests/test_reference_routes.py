@@ -1,12 +1,15 @@
-"""The text-checked schedule route and the per-denominator total against
-the routes they replaced, which are kept here as references.
+"""The text-checked schedule route, the per-denominator total and the
+instance reader and writer against the routes they replaced, which are
+kept here as references.
 
 ``reference_parse_schedule`` parses every start, then checks the schedule
 with :func:`evaluate`; ``reference_eval_document`` writes every value of
 the report with :func:`format_rationals`; ``reference_total`` sums the
-completions over the common denominator of them all.  The library's route
-must give the same schedule and the same output document, or the same
-exception type and text, on every document.
+completions over the common denominator of them all.
+``reference_write_instance`` writes through ``json.dumps(indent=2)``, and
+``reference_parse_instance`` checks and parses every job document field by
+field.  The library's route must give the same schedule, instance and
+output bytes, or the same exception type and text, on every document.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from detsched import (
     Family,
     FamilySpec,
     Instance,
+    Job,
     Objective,
     Schedule,
     SchedulerChoice,
@@ -30,8 +34,10 @@ from detsched import (
     evaluate,
     generate,
     optimum,
+    parse_instance,
     parse_schedule,
     run,
+    write_instance,
 )
 from detsched.model import SchedulingError
 from detsched.serialization import (
@@ -45,6 +51,7 @@ from detsched.serialization import (
 )
 
 from conftest import delayed_starts, digit_limit, instances, make_instance, small_rationals
+from test_serialization import _instance_docs, _to_text
 
 F = Fraction
 
@@ -102,10 +109,10 @@ def eval_document(text: str, instance: Instance) -> dict:
     return _eval_document(schedule.order, report, start_texts)
 
 
-def outcome(route, text: str, instance: Instance):
+def outcome(route, *args):
     """What ``route`` gives: its result, or its exception's type and text."""
     try:
-        return route(text, instance)
+        return route(*args)
     except SchedulingError as exc:
         return type(exc), str(exc)
 
@@ -284,3 +291,153 @@ class TestTotalRoutes:
         for choice in SchedulerChoice:
             report = evaluate(inst, run(inst, choice)[0])
             assert report.total_completion == reference_total(report.completions)
+
+
+def reference_write_instance(instance: Instance) -> str:
+    doc = {
+        "beta": format_rational(instance.beta),
+        "jobs": [
+            {
+                "id": job.id,
+                "alpha": format_rational(job.alpha),
+                "release": format_rational(job.release),
+            }
+            for job in instance.jobs
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_parse_instance(text: str) -> Instance:
+    """Every job document checked, then parsed, field by field."""
+    doc = _loads(text, "instance")
+    if not isinstance(doc, dict):
+        raise ParseError("instance: top level must be an object")
+    if "beta" not in doc:
+        raise ParseError("instance: missing field 'beta'")
+    if "jobs" not in doc:
+        raise ParseError("instance: missing field 'jobs'")
+    beta = parse_rational(doc["beta"], "beta")
+    jobs_doc = doc["jobs"]
+    if not isinstance(jobs_doc, list):
+        raise ParseError("jobs: expected an array")
+    jobs = []
+    for idx, job_doc in enumerate(jobs_doc):
+        if not isinstance(job_doc, dict):
+            raise ParseError(f"jobs[{idx}]: expected an object")
+        for key in ("id", "alpha", "release"):
+            if key not in job_doc:
+                raise ParseError(f"jobs[{idx}]: missing field '{key}'")
+        jid = job_doc["id"]
+        if not isinstance(jid, int) or isinstance(jid, bool):
+            raise ParseError(f"jobs[{idx}].id: expected an integer")
+        alpha = reference_job_value(job_doc, idx, "alpha")
+        release = reference_job_value(job_doc, idx, "release")
+        jobs.append(Job(jid, alpha, release))
+    return Instance(beta, tuple(jobs))
+
+
+def reference_job_value(job_doc: dict, idx: int, key: str) -> Fraction:
+    """A text of ASCII digits only goes straight to an int; any other
+    text, or one past the digit limit, goes through parse_rational."""
+    text = job_doc[key]
+    if isinstance(text, str) and text.isascii() and text.isdigit():
+        try:
+            return Fraction(int(text))
+        except ValueError:  # the interpreter's limit on digits per conversion
+            pass
+    return parse_rational(text, f"jobs[{idx}].{key}")
+
+
+def assert_same_instance_routes(text: str) -> None:
+    assert outcome(parse_instance, text) == outcome(reference_parse_instance, text)
+
+
+# values of up to 640 digits, the limit the writer tests lower the
+# interpreter's to
+_near_limit = st.integers(10**639, 10**640 - 1)
+_written_values = small_rationals | st.builds(F, _near_limit, st.sampled_from([1, 7, 10**639 + 1]))
+
+
+@st.composite
+def written_instances(draw):
+    ids = draw(st.lists(st.integers(1, 9) | _near_limit, min_size=1, max_size=5, unique=True))
+    beta = draw(instance_betas | st.builds(F, _near_limit, st.just(3)))
+    return Instance(beta, tuple(Job(i, draw(_written_values), draw(_written_values)) for i in ids))
+
+
+# How a job document of a written instance is changed; a text mutation
+# replaces the value of the drawn key.
+_TEXTS = {"zero": "0", "leading-zero": "07", "non-ascii": "\u0663", "past-limit": "7" * 4301}
+
+
+def mutated(job: dict, how: str, key: str) -> object:
+    if how == "bool-id":
+        return {**job, "id": True}
+    if how == "float-id":
+        return {**job, "id": float(job.get("id", 1))}
+    if how == "missing":
+        return {k: v for k, v in job.items() if k != key}
+    if how == "extra":
+        return {**job, "note": key}
+    if how == "not-a-dict":
+        return list(job.values())
+    return {**job, key: _TEXTS[how]}
+
+
+class TestInstanceRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(inst=written_instances())
+    def test_written_bytes(self, inst):
+        with digit_limit(640):
+            text = write_instance(inst)
+            assert text == reference_write_instance(inst)
+            assert parse_instance(text) == inst
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=instances(max_n=1, beta_strategy=instance_betas))
+    def test_one_job(self, inst):
+        assert write_instance(inst) == reference_write_instance(inst)
+
+    def test_long_horizon_instance(self):
+        inst = generate(
+            FamilySpec(family=Family.RANDOM, n=1600, beta=F(1, 1600), seed=5, r_max=6400)
+        )
+        text = write_instance(inst)
+        assert text == reference_write_instance(inst)
+        assert parse_instance(text) == reference_parse_instance(text) == inst
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_instance_docs.map(_to_text))
+    def test_fuzzed_documents(self, text):
+        assert_same_instance_routes(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        inst=instances(max_n=5, beta_strategy=instance_betas),
+        how=st.lists(
+            st.sampled_from(["bool-id", "float-id", "missing", "extra", "not-a-dict", *_TEXTS]),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_mutated_documents(self, data, inst, how):
+        doc = json.loads(write_instance(inst))
+        for change in how:
+            k = data.draw(st.integers(0, inst.n - 1))
+            key = data.draw(st.sampled_from(["id", "alpha", "release"]))
+            if isinstance(doc["jobs"][k], dict):
+                doc["jobs"][k] = mutated(doc["jobs"][k], change, key)
+        assert_same_instance_routes(json.dumps(doc))
+
+    @pytest.mark.parametrize("digits", [639, 640, 641])
+    @pytest.mark.parametrize("key", ["alpha", "release"])
+    def test_texts_at_a_lowered_digit_limit(self, digits, key):
+        job = {"id": 2, "alpha": "1", "release": "0", key: "7" * digits}
+        text = json.dumps({"beta": "1", "jobs": [{"id": 1, "alpha": "1", "release": "0"}, job]})
+        with digit_limit(640):
+            assert_same_instance_routes(text)
+            if digits > 640:
+                with pytest.raises(ParseError, match=rf"^jobs\[1\]\.{key}: 641 digits exceed"):
+                    parse_instance(text)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from detsched import (
     Instance,
+    Job,
     ParseError,
     Schedule,
     decimal_string,
@@ -138,6 +139,63 @@ class TestFormatRationals:
                 str(10**5000),
                 "-1/" + str(10**5000),
             ]
+
+
+class TestWritersPastTheDigitLimit:
+    # each writer names the first value past the limit, in document order,
+    # with the typed error rather than the interpreter's ValueError
+    @pytest.mark.parametrize(
+        "where, make",
+        [
+            ("beta", lambda big: Instance(big, (Job(1, 1, 0), Job(2, 1, 0)))),
+            ("jobs[1].id", lambda big: Instance(1, (Job(1, 1, 0), Job(big, 1, 0)))),
+            ("jobs[1].alpha", lambda big: Instance(1, (Job(1, 1, 0), Job(2, F(1, big), big)))),
+            ("jobs[1].release", lambda big: Instance(1, (Job(1, 1, 0), Job(2, 1, big)))),
+            ("jobs[0].alpha", lambda big: Instance(1, (Job(1, big, big),))),
+        ],
+    )
+    def test_write_instance_names_the_field(self, where, make):
+        with digit_limit(640):
+            instance = make(10**640)
+            with pytest.raises(SchedulingError) as caught:
+                write_instance(instance)
+            assert type(caught.value) is SchedulingError
+            assert str(caught.value) == (
+                f"{where}: cannot write a 2127-bit value: it passes the limit of 640 digits "
+                "for integer string conversion"
+            )
+            at = make(10**640 - 1)
+            assert parse_instance(write_instance(at)) == at
+
+    def test_write_instance_id_at_the_default_limit(self):
+        with pytest.raises(SchedulingError, match=r"^jobs\[0\]\.id: cannot write a 16610-bit value: "):
+            write_instance(Instance(1, (Job(10**5000, 1, 0),)))
+
+    def test_write_instance_converts_nothing_it_refuses(self):
+        converted = []
+
+        class CountedId(int):
+            def __str__(self) -> str:
+                converted.append(int(self))
+                return super().__str__()
+
+        instance = Instance(1, (Job(CountedId(1), 1, 0), Job(CountedId(2), 1, 10**640)))
+        with digit_limit(640):
+            with pytest.raises(SchedulingError, match=r"^jobs\[1\]\.release: "):
+                write_instance(instance)
+        assert converted == []
+        write_instance(instance)
+        assert converted == [1, 2]
+
+    def test_write_schedule_names_the_order_position(self):
+        with pytest.raises(SchedulingError, match=r"^order\[0\]: cannot write a 16610-bit value: "):
+            write_schedule(Schedule((10**5000,), (0,)))
+        with digit_limit(640):
+            # the order is checked before the starts
+            with pytest.raises(SchedulingError, match=r"^order\[1\]: .* limit of 640 digits"):
+                write_schedule(Schedule((1, 10**640), (F(10**640), 0)))
+            with pytest.raises(SchedulingError, match=r"^starts\[0\]: .* limit of 640 digits"):
+                write_schedule(Schedule((1, 10**640 - 1), (F(10**640), 0)))
 
 
 class TestDecimalString:
