@@ -80,7 +80,7 @@ class Job:
     release: Fraction
 
     def __post_init__(self) -> None:
-        # a Fraction is kept as given: coercing it would only copy it
+        # skip rational() and the setattr for a value that is already a Fraction
         if type(self.alpha) is not Fraction:
             object.__setattr__(self, "alpha", rational(self.alpha))
         if type(self.release) is not Fraction:

@@ -28,11 +28,10 @@ writer checks each id and value it writes against the interpreter's
 limit on digits per integer string conversion before it converts any, and
 names the first one past it (``beta``, ``jobs[3].alpha``, ``order[0]``).
 
-:func:`parse_instance` reads a job document that is an object with an int
-id and an alpha and a release of ASCII digits within that limit straight
-into its :class:`Job`, one Fraction per distinct text of the document.
-Any other job document is checked field by field, so a malformed one
-gets the same message whichever way it came.
+:func:`parse_instance` checks every job document field by field, in one
+loop, and reads each distinct alpha or release text of a document once:
+a text of ASCII digits goes straight to an int, any other through
+:func:`parse_rational`, and the Fraction is reused for the same text.
 """
 
 from __future__ import annotations
@@ -198,11 +197,8 @@ _JOB_KEYS = ("id", "alpha", "release")
 def parse_instance(text: str) -> Instance:
     """Parse an instance document; building the :class:`Instance` validates it.
 
-    A job document that is an object with an int id, and an alpha and a
-    release each of ASCII digits within the digit limit, becomes its
-    :class:`Job` directly, with one Fraction per distinct text of the
-    document.  Any other job document goes through :func:`_parse_job`,
-    whose message names the field at fault.
+    Each distinct alpha or release text of the document is read once and
+    its Fraction reused, since alphas repeat heavily.
     """
     doc = _loads(text, "instance")
     if not isinstance(doc, dict):
@@ -218,45 +214,38 @@ def parse_instance(text: str) -> Instance:
     values: dict[str, Fraction] = {}
     jobs = []
     for idx, job_doc in enumerate(jobs_doc):
-        if type(job_doc) is dict and type(jid := job_doc.get("id")) is int:
-            alpha = _plain_value(job_doc.get("alpha"), values)
-            release = _plain_value(job_doc.get("release"), values)
-            if alpha is not None and release is not None:
-                jobs.append(Job(jid, alpha, release))
-                continue
-        jobs.append(_parse_job(job_doc, idx))
+        if not isinstance(job_doc, dict):
+            raise ParseError(f"jobs[{idx}]: expected an object")
+        for key in _JOB_KEYS:
+            if key not in job_doc:
+                raise ParseError(f"jobs[{idx}]: missing field '{key}'")
+        jid = job_doc["id"]
+        if not isinstance(jid, int) or isinstance(jid, bool):
+            raise ParseError(f"jobs[{idx}].id: expected an integer")
+        alpha = _job_value(job_doc, idx, "alpha", values)
+        release = _job_value(job_doc, idx, "release", values)
+        jobs.append(Job(jid, alpha, release))
     return Instance(beta, tuple(jobs))
 
 
-def _plain_value(text: object, values: dict[str, Fraction]) -> Fraction | None:
-    """The value of a text of ASCII digits within the digit limit, made
-    once per distinct text and kept in ``values``; None for anything else."""
-    if type(text) is not str:
-        return None
-    value = values.get(text)
-    if value is None and _digits(text):
-        try:
-            value = values[text] = Fraction(int(text))
-        except ValueError:  # the interpreter's limit on digits per conversion
-            return None
+def _job_value(job_doc: dict, idx: int, key: str, values: dict[str, Fraction]) -> Fraction:
+    """A job's ``alpha`` or ``release``, kept in ``values`` by its text.  A
+    text of ASCII digits only goes straight to an int; any other text, or
+    one past the digit limit, goes through :func:`parse_rational`, whose
+    message names the field."""
+    text = job_doc[key]
+    if isinstance(text, str):
+        value = values.get(text)
+        if value is not None:
+            return value
+        if _digits(text):
+            try:
+                value = values[text] = Fraction(int(text))
+                return value
+            except ValueError:  # the interpreter's limit on digits per conversion
+                pass
+    value = values[text] = parse_rational(text, f"jobs[{idx}].{key}")
     return value
-
-
-def _parse_job(job_doc: object, idx: int) -> Job:
-    """The job of ``jobs[idx]``, field by field; a :class:`ParseError`
-    names the first fault (a missing field, then the id, the alpha and
-    the release)."""
-    if not isinstance(job_doc, dict):
-        raise ParseError(f"jobs[{idx}]: expected an object")
-    for key in _JOB_KEYS:
-        if key not in job_doc:
-            raise ParseError(f"jobs[{idx}]: missing field '{key}'")
-    jid = job_doc["id"]
-    if not isinstance(jid, int) or isinstance(jid, bool):
-        raise ParseError(f"jobs[{idx}].id: expected an integer")
-    alpha = parse_rational(job_doc["alpha"], f"jobs[{idx}].alpha")
-    release = parse_rational(job_doc["release"], f"jobs[{idx}].release")
-    return Job(jid, alpha, release)
 
 
 def write_instance(instance: Instance) -> str:
@@ -268,28 +257,18 @@ def write_instance(instance: Instance) -> str:
     ``.alpha`` or ``.release`` for the first value, in document order, past
     the digit limit, before any value is converted.
     """
-    beta = instance.beta
-    # beta's terms, then each job's id and the terms of its alpha and release
-    ints = [beta.numerator, beta.denominator]
+    values = [instance.beta]
     for job in instance.jobs:
-        alpha, release = job.alpha, job.release
-        ints += (job.id, alpha.numerator, alpha.denominator, release.numerator, release.denominator)
-    limit = sys.get_int_max_str_digits()
-    # every term of a valid instance is >= 0, so one max finds any past the limit
-    if limit and max(ints) >= _digit_bound(limit):
-        values = [beta]
-        for job in instance.jobs:
-            values += (job.id, job.alpha, job.release)
-        _check_writable(values, _instance_field)
-    pieces = ['{\n  "beta": "', format_rational(beta), '",\n  "jobs": [\n    {\n      "id": ']
-    terms = iter(ints[2:])
-    for jid, ap, aq, rp, rq in zip(terms, terms, terms, terms, terms):
+        values += (job.id, job.alpha, job.release)
+    _check_writable(values, _instance_field)
+    pieces = ['{\n  "beta": "', format_rational(instance.beta), '",\n  "jobs": [\n    {\n      "id": ']
+    for job in instance.jobs:
         pieces += (
-            str(jid),
+            str(job.id),
             ',\n      "alpha": "',
-            str(ap) if aq == 1 else f"{ap}/{aq}",
+            format_rational(job.alpha),
             '",\n      "release": "',
-            str(rp) if rq == 1 else f"{rp}/{rq}",
+            format_rational(job.release),
             '"\n    },\n    {\n      "id": ',
         )
     # an instance has at least one job, so the last piece is a separator

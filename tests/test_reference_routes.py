@@ -50,8 +50,7 @@ from detsched.serialization import (
     parse_rational,
 )
 
-from conftest import delayed_starts, digit_limit, instances, make_instance, small_rationals
-from test_serialization import _instance_docs, _to_text
+from conftest import delayed_starts, digit_limit, doc_text, instance_docs, instances, make_instance, small_rationals
 
 F = Fraction
 
@@ -408,7 +407,7 @@ class TestInstanceRoutes:
         assert parse_instance(text) == reference_parse_instance(text) == inst
 
     @settings(max_examples=300, deadline=None)
-    @given(text=_instance_docs.map(_to_text))
+    @given(text=instance_docs.map(doc_text))
     def test_fuzzed_documents(self, text):
         assert_same_instance_routes(text)
 

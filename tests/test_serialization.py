@@ -29,7 +29,7 @@ from detsched.model import InfeasibleSchedule, NotAPermutation, SchedulingError
 from detsched.schedulers import non_idling
 from detsched.serialization import _dumps, format_rationals
 
-from conftest import LOOSE_RATIONALS, digit_limit, instances
+from conftest import LOOSE_RATIONALS, digit_limit, doc_text, instance_docs, instances, schedule_docs
 
 F = Fraction
 
@@ -471,60 +471,9 @@ class TestFlatDocuments:
 
 
 # Fuzzing the parsers: every input gives a valid object or a SchedulingError.
-
-_HUGE = "\x00huge literal"  # swapped for a 5000-digit JSON integer after dumping
-
-_rational_texts = st.one_of(
-    st.integers(-3, 10).map(str),
-    st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 10), st.integers(-2, 10)),
-    st.one_of(
-        st.sampled_from([4299, 4300, 4301, 5000]).map(lambda k: "7" * k),
-        st.text(st.characters(categories=["Nd"]), min_size=1, max_size=4),
-        st.text(max_size=6),
-    ),
-)
-_json_values = st.recursive(
-    st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(),
-        st.floats(),
-        st.just(_HUGE),
-        _rational_texts,
-    ),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-_fields = _rational_texts | _json_values
-_ids = st.integers(-1, 4) | st.booleans() | st.just(_HUGE) | _json_values
-# Each document is well formed in shape or arbitrary, so that both the
-# syntax checks and the instance and schedule checks behind them are reached.
-_jobs = st.fixed_dictionaries(
-    {"id": st.integers(1, 4), "alpha": _rational_texts, "release": _rational_texts}
-) | st.fixed_dictionaries({}, optional={"id": _ids, "alpha": _fields, "release": _fields})
-_instance_docs = st.fixed_dictionaries(
-    {"beta": _rational_texts, "jobs": st.lists(_jobs, min_size=1, max_size=4)}
-) | st.fixed_dictionaries(
-    {}, optional={"beta": _fields, "jobs": st.lists(_jobs | _json_values, max_size=4) | _json_values}
-)
-_schedule_docs = st.fixed_dictionaries(
-    {"order": st.permutations([1, 2]), "starts": st.lists(_rational_texts, min_size=2, max_size=2)}
-) | st.fixed_dictionaries(
-    {},
-    optional={
-        "order": st.lists(_ids, max_size=3) | st.permutations([1, 2]) | _json_values,
-        "starts": st.none() | st.lists(_fields, max_size=3) | _json_values,
-    },
-)
-
-
-def _to_text(doc) -> str:
-    return json.dumps(doc).replace(json.dumps(_HUGE), "9" * 5000)
-
-
 class TestParsersFuzz:
     @settings(max_examples=400)
-    @given(text=st.text() | _instance_docs.map(_to_text))
+    @given(text=st.text() | instance_docs.map(doc_text))
     def test_parse_instance(self, text):
         try:
             assert isinstance(parse_instance(text), Instance)
@@ -532,7 +481,7 @@ class TestParsersFuzz:
             pass
 
     @settings(max_examples=400)
-    @given(text=st.text() | _schedule_docs.map(_to_text))
+    @given(text=st.text() | schedule_docs.map(doc_text))
     def test_parse_schedule(self, text):
         instance = parse_instance(TWO_JOB_DOC)
         try:
