@@ -44,7 +44,7 @@ def sweep_nonidling(k_max: int, beta: Fraction, oracle_cap: int) -> list[str]:
     print("nonidling-adv: non-idling vs optimum, predicted (1+beta)^k / 2")
     for k in range(1, k_max + 1):
         inst = generate(FamilySpec(family=Family.NONIDLING_ADV, n=k, beta=beta))
-        value = run(inst, SchedulerChoice.NON_IDLING)[1]
+        value = run(inst, SchedulerChoice.NON_IDLING).makespan
         predicted = (1 + beta) ** k / 2
         if inst.n <= oracle_cap:
             opt = dp_min_makespan(inst)
@@ -65,7 +65,7 @@ def sweep_noninterfering(n_max: int, beta: Fraction) -> list[str]:
     previous = None
     for n in range(2, n_max + 1):
         inst = generate(FamilySpec(family=Family.NONINTERFERING_ADV, n=n, beta=beta))
-        value = run(inst, SchedulerChoice.NON_INTERFERING)[1]
+        value = run(inst, SchedulerChoice.NON_INTERFERING).makespan
         benchmark = evaluate(inst, earliest_release_order(inst)).makespan
         ratio = value / benchmark
         floor = (1 + beta) ** (n - 1) / 4
@@ -83,7 +83,7 @@ def sweep_ectf(k_max: int, beta: Fraction, oracle_cap: int) -> list[str]:
     print("  the true optimum interleaves, so the optimum ratio is at least that")
     for k in range(1, k_max + 1):
         inst = generate(FamilySpec(family=Family.ECTF_ADV, n=k, beta=beta))
-        value = run(inst, SchedulerChoice.ECTF)[1]
+        value = run(inst, SchedulerChoice.ECTF).makespan
         longs_first = tuple(range(1, 2 * k + 1))
         reference = evaluate(inst, canonical_starts(inst, longs_first)).makespan
         predicted = 1 + 1 / (1 + beta) ** k

@@ -96,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
                 family=family, n=n, beta=beta, seed=args.seed + trial
             )
             inst = generate(spec)
-            ratio = value_ratio(run(inst, algorithm)[1], dp_min_makespan(inst))
+            ratio = value_ratio(run(inst, algorithm).makespan, dp_min_makespan(inst))
             if ratio > worst:
                 worst, worst_seed = ratio, spec.seed
             if ratio > bound_for(n, beta):

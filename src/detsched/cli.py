@@ -217,7 +217,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    schedule, _ = run(instance, SchedulerChoice(args.algorithm))
+    schedule = run(instance, SchedulerChoice(args.algorithm)).schedule
     _emit(write_schedule(schedule), args.out)
     return 0
 

@@ -6,8 +6,9 @@ range and the β set), runs each requested algorithm, and compares
 against the exact optimum whenever the instance is within the oracle
 cap.  Within a trial each policy loop runs at most once: the non-idling,
 non-interfering and best-of-two rows share the two greedy runs.  Each
-loop returns its makespan, so a makespan sweep evaluates no schedule; a
-total-completion sweep evaluates each distinct schedule once.
+loop returns its exact makespan, so a makespan sweep builds and
+evaluates no schedule; a total-completion sweep builds and evaluates
+each distinct run's schedule once.
 Everything that feeds a comparison stays an exact rational; the CSV
 carries exact "p/q" strings next to a display-only decimal rendering.
 
@@ -32,7 +33,6 @@ from .generators import Family, FamilySpec, generate
 from .model import (
     Instance,
     InvalidArgument,
-    Schedule,
     ZERO,
     evaluate,
     rational,
@@ -49,7 +49,7 @@ from .oracle import (
     sorted_subset_cost,
     value_ratio,
 )
-from .schedulers import SchedulerChoice, ectf, run
+from .schedulers import PolicyRun, SchedulerChoice, ectf, run
 from .serialization import decimal_string, format_rational
 
 
@@ -176,10 +176,10 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     Per trial, each policy loop runs at most once: every row calls
     :func:`~detsched.schedulers.run` with the trial's one dict of runs.
     Under the makespan objective a row's value is its run's makespan, so
-    nothing is evaluated.  Under total completion each distinct schedule
-    is evaluated once: best-of-two's schedule is the winning greedy run's
-    own object, so its value is found by identity, not by comparing or
-    hashing Fractions."""
+    no schedule is built or evaluated.  Under total completion each
+    distinct run's schedule is built and evaluated once: best-of-two's run
+    is the winning greedy run's own record, so its value is found by
+    identity, not by comparing or hashing Fractions."""
     span = config.n_max - config.n_min + 1
     rows: list[ExperimentRow] = []
     for trial in range(config.trials):
@@ -199,16 +199,18 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             instance.beta, [job.alpha for job in instance.jobs], ZERO
         )
         opt = _optimum(instance, config.objective, config.max_bruteforce_n)
-        runs: dict[SchedulerChoice, tuple[Schedule, Fraction]] = {}
-        evaluated: list[tuple[Schedule, Fraction]] = []
+        runs: dict[SchedulerChoice, PolicyRun] = {}
+        evaluated: list[tuple[PolicyRun, Fraction]] = []
         for algorithm in config.algorithms:
             started = time.perf_counter() if config.timings else 0.0
-            schedule, value = run(instance, algorithm, runs)
-            if config.objective is Objective.TOTAL_COMPLETION:
-                value = next((v for s, v in evaluated if s is schedule), None)
+            record = run(instance, algorithm, runs)
+            if config.objective is Objective.MAKESPAN:
+                value = record.makespan
+            else:
+                value = next((v for r, v in evaluated if r is record), None)
                 if value is None:
-                    value = evaluate(instance, schedule).total_completion
-                    evaluated.append((schedule, value))
+                    value = evaluate(instance, record.schedule).total_completion
+                    evaluated.append((record, value))
             elapsed = (
                 f"{(time.perf_counter() - started) * 1000.0:.3f}"
                 if config.timings

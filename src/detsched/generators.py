@@ -39,7 +39,9 @@ class FamilySpec:
     non-idling and estimate-first adversarial families read it as their size
     parameter k (producing k+1 and 2k jobs).  ``b`` is the scale parameter;
     families pick documented defaults when it is None.  ``alpha_max`` and
-    ``r_max`` only apply to the random families.
+    ``r_max`` only apply to the random families.  ``n``, ``seed``,
+    ``alpha_max`` and ``r_max`` must be ints (bools are refused), so every
+    instance is reproducible from its spec.
     """
 
     family: Family
@@ -51,6 +53,10 @@ class FamilySpec:
     r_max: int = 12
 
     def __post_init__(self) -> None:
+        for name in ("n", "seed", "alpha_max", "r_max"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BadSpec(f"{name} must be an int, got {type(value).__name__}")
         object.__setattr__(self, "beta", rational(self.beta))
         if self.b is not None:
             object.__setattr__(self, "b", rational(self.b))
@@ -60,14 +66,23 @@ class FamilySpec:
             raise BadSpec(f"beta must be > 0, got {self.beta}")
 
 
+class _Fractions(dict):
+    """Each drawn int as a Fraction, made once per distinct value."""
+
+    def __missing__(self, value: int) -> Fraction:
+        fraction = self[value] = Fraction(value)
+        return fraction
+
+
 def _gen_random(spec: FamilySpec) -> Instance:
     """n jobs with integer fixed parts in [0, alpha_max] and integer releases
     in [0, r_max], drawn from a seeded generator."""
     if spec.alpha_max < 0 or spec.r_max < 0:
         raise BadSpec("alpha_max and r_max must be >= 0")
     rng = random.Random(spec.seed)
+    fractions = _Fractions()
     jobs = tuple(
-        Job(i, Fraction(rng.randint(0, spec.alpha_max)), Fraction(rng.randint(0, spec.r_max)))
+        Job(i, fractions[rng.randint(0, spec.alpha_max)], fractions[rng.randint(0, spec.r_max)])
         for i in range(1, spec.n + 1)
     )
     return Instance(spec.beta, jobs)
@@ -89,8 +104,9 @@ def _gen_two_release(spec: FamilySpec) -> Instance:
         late[rng.randrange(spec.n)] = 1
     elif all(late):
         late[rng.randrange(spec.n)] = 0
+    fractions = _Fractions()
     jobs = tuple(
-        Job(i + 1, Fraction(alphas[i]), Fraction(spec.r_max if late[i] else 0))
+        Job(i + 1, fractions[alphas[i]], fractions[spec.r_max if late[i] else 0])
         for i in range(spec.n)
     )
     return Instance(spec.beta, jobs)

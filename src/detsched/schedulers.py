@@ -7,32 +7,36 @@ prefers the smaller estimate, then the smaller fixed part, then the
 smaller id.  Ratio experiments on tie-heavy instances are sensitive to
 these choices, so they are part of the contract, not a detail.
 
-The three greedy policies are event loops.  Each sorts the jobs once by
-``(R, A, id)`` and keeps a pointer to the first job not yet released at
-the current time ``t``.  ``R = release * d`` and ``A = alpha * d`` are
-exact integers, with ``d`` the lcm of every alpha and release
-denominator, so every sort and heap comparison is an int comparison that
-orders and ties exactly as the Fractions would.  A release is compared
-with the time ``t``, or with a candidate's completion, in ints too:
-``R * den(t)`` against ``d * num(t)``.
+The three greedy policies are event loops that decide on integers.  Each
+sorts the jobs once by ``(R, A, id)`` and keeps a pointer to the first job
+not yet released.  ``R = release * d`` and ``A = alpha * d`` are exact
+integers, with ``d`` the lcm of every alpha and release denominator, so
+every sort and heap comparison orders and ties exactly as the Fractions
+would.  With ``beta = p/q``, the time is held as ``T / (d * q**k)``, where
+``k`` counts the jobs run since the loop last jumped to a release:
+
+- a jump to a release sets ``T = R`` and ``k = 0``;
+- a job started at ``T`` completes at ``T' = A * q**(k+1) + (p + q) * T``,
+  one step further, at scale ``d * q**(k+1)``;
+- a release is reached when ``R * q**k <= T``.
+
+``q**k`` is one rolling value.  No gcd runs and no Fraction is made in
+the loop, and a value carries the bits of its own block only: the scale
+restarts at every jump.
 
 - Non-idling and non-interfering push every released job onto a heap
   keyed by ``(A, R, id)`` and take its head.  Non-interfering first walks
-  the unreleased jobs from the pointer while their release is below the
-  candidate's completion ``(1 + beta) * t + alpha``; the first with a
-  smaller ``A`` blocks the candidate, and ``t`` moves to its release.
+  the unreleased jobs from the pointer while ``R_m * q**(k+1) < T'``, that
+  is, while their release falls before the candidate's completion; the
+  first with a smaller ``A`` blocks the candidate, and the loop jumps to
+  its release.
 - ECTF keeps two heaps: released jobs keyed by ``(A, id)``, whose
-  estimate is ``(1 + beta) * t + alpha``, and unreleased jobs keyed by
-  ``((p + q) * R + q * A, A, id)`` with ``beta = p/q``, which is ``q * d``
-  times the estimate ``(1 + beta) * release + alpha``.  The smaller of
-  the two heads, compared as ``(estimate, A, id)``, starts next; the
-  unreleased head's estimate becomes a Fraction only for that comparison.
-
-The time ``t`` stays a Fraction.  A completion after k jobs has a
-denominator dividing ``d * q**k``, so one integer scale for all of ``t``
-would be ``d * q**n``: every step, the first included, would carry the
-bits that only the last one needs, where a Fraction carries only the
-bits its value has.
+  estimate is the completion ``T'``, and unreleased jobs keyed by
+  ``((p + q) * R + q * A, A, id)``, which is ``d * q`` times the estimate
+  ``(1 + beta) * release + alpha``.  The smaller of the two heads starts
+  next, compared as ``(estimate, A, id)`` with the unreleased head's key
+  brought to ``T'``'s scale as ``key * q**k``.  Starting an unreleased
+  head is a jump: its completion is its key, at ``k = 1``.
 
 Every job is pushed and popped at most twice, so the loops take
 O(n log n) heap steps.  Non-interfering's blocking walk adds O(n) per
@@ -40,25 +44,27 @@ decision in the worst case, when many unreleased jobs with larger fixed
 parts fall inside the candidate's window.
 
 Both loops, the greedy one (:func:`_greedy`) and ECTF's (:func:`_ectf`),
-end with ``t`` at the last completion, so each returns the makespan with
-the schedule.  :func:`run` is the one entry point to them: it maps a
-:class:`SchedulerChoice` to its loop and returns the schedule with that
-makespan.  Best-of-two picks on the two greedy makespans there, so
-neither schedule is evaluated.  A caller that runs several policies on
-one instance, as the experiment harness does per trial, passes a dict of
-runs and each loop runs once.  The four public functions return
-``run``'s schedule alone.
+return a :class:`PolicyRun`: the order, the exact makespan (one gcd per
+run) and, per position, whether the loop jumped to that job's release
+before starting it.  The starts are built from those flags only when
+:attr:`PolicyRun.schedule` is first read.  :func:`run` is the one entry
+point to the loops: it maps a :class:`SchedulerChoice` to its loop.
+Best-of-two picks on the two greedy makespans there, so the pick builds
+no schedule.  A caller that runs several policies on one instance, as the
+experiment harness does per trial, passes a dict of runs and each loop
+runs once.  The four public functions return the run's schedule.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .model import (
     Instance,
-    Job,
     Schedule,
     ZERO,
     _scale_int,
@@ -74,165 +80,195 @@ class SchedulerChoice(Enum):
     ECTF = "ectf"
 
 
-def _by_release(instance: Instance, d: int) -> tuple[list[tuple[int, int, int]], list[Job]]:
+@dataclass(frozen=True)
+class PolicyRun:
+    """One policy loop's result: the order it chose, its exact makespan,
+    and per position whether the loop jumped to that job's release before
+    starting it."""
+
+    instance: Instance = field(repr=False)
+    order: tuple[int, ...]
+    makespan: Fraction
+    jumps: tuple[bool, ...]
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The run's schedule, built on first access and then kept.  Each
+        start is the job's own release where the loop jumped to it, and the
+        previous completion otherwise; every policy schedule is the
+        canonical schedule of its order, so no comparison is needed."""
+        jobs = self.instance.job_map()
+        g = self.instance.growth
+        completion = ZERO
+        starts = []
+        for jid, jumped in zip(self.order, self.jumps):
+            job = jobs[jid]
+            start = job.release if jumped else completion
+            starts.append(start)
+            completion = job.alpha + g * start
+        return Schedule(self.order, tuple(starts))
+
+
+def _by_release(instance: Instance, d: int) -> list[tuple[int, int, int]]:
     """The keys ``(R, A, id)``, with ``R = release * d`` and ``A = alpha * d``
-    exact integers, sorted, and the jobs in the same order."""
-    keyed = sorted(
-        (_scale_int(j.release, d), _scale_int(j.alpha, d), j.id, j) for j in instance.jobs
+    exact integers, sorted."""
+    return sorted(
+        (_scale_int(j.release, d), _scale_int(j.alpha, d), j.id) for j in instance.jobs
     )
-    return [entry[:3] for entry in keyed], [entry[3] for entry in keyed]
 
 
-def _greedy(instance: Instance, block: bool) -> tuple[Schedule, Fraction]:
+def _greedy(instance: Instance, block: bool) -> PolicyRun:
     """Shortest pending job first; with ``block``, never start a job whose
     window ``(t, (1 + beta) * t + alpha)`` holds the release of a job with a
-    strictly smaller fixed part, and jump to that release instead.  Returns
-    the schedule and its makespan, the time ``t`` the loop ends at."""
-    g = instance.growth
+    strictly smaller fixed part, and jump to that release instead."""
+    p, q = instance.beta.numerator, instance.beta.denominator
+    pq = p + q
     d = _time_scale(instance)
-    keys, jobs = _by_release(instance, d)
-    n = len(jobs)
+    keys = _by_release(instance, d)
+    n = len(keys)
     i = 0
-    # (A, R, id, position in release order)
-    pending: list[tuple[int, int, int, int]] = []
-    t = ZERO
+    # (A, R, id)
+    pending: list[tuple[int, int, int]] = []
+    # the time is T / (d * Q), with Q = q**k
+    T, Q = 0, 1
+    jumped = False
     order: list[int] = []
-    starts: list[Fraction] = []
+    jumps: list[bool] = []
     while len(order) < n:
-        # release <= t, as R * den(t) <= d * num(t)
-        t_den, t_num = t.denominator, d * t.numerator
-        while i < n and keys[i][0] * t_den <= t_num:
+        while i < n and keys[i][0] * Q <= T:
             r, a, jid = keys[i]
-            heapq.heappush(pending, (a, r, jid, i))
+            heapq.heappush(pending, (a, r, jid))
             i += 1
         if not pending:
-            t = jobs[i].release
+            T, Q, jumped = keys[i][0], 1, True
             continue
-        a, _, jid, k = pending[0]
-        completion = jobs[k].alpha + g * t
+        a, _, jid = pending[0]
+        Qq = Q * q
+        completion = a * Qq + pq * T
         if block:
-            # Releases from the pointer on are > t; the first smaller fixed
-            # part in release order is the smallest blocking release.
+            # Releases from the pointer on are past T; the first smaller
+            # fixed part in release order is the smallest blocking release.
             blocking = None
-            c_den, c_num = completion.denominator, d * completion.numerator
             for m in range(i, n):
-                if not keys[m][0] * c_den < c_num:
+                r, a_m, _ = keys[m]
+                if not r * Qq < completion:
                     break
-                if keys[m][1] < a:
-                    blocking = jobs[m].release
+                if a_m < a:
+                    blocking = r
                     break
             if blocking is not None:
-                t = blocking
+                T, Q, jumped = blocking, 1, True
                 continue
         heapq.heappop(pending)
         order.append(jid)
-        starts.append(t)
-        t = completion
-    return Schedule(tuple(order), tuple(starts)), t
+        jumps.append(jumped)
+        T, Q, jumped = completion, Qq, False
+    return PolicyRun(instance, tuple(order), Fraction(T, d * Q), tuple(jumps))
 
 
 def non_idling(instance: Instance) -> Schedule:
     """Whenever the machine frees up, start the shortest pending job; never
     idle while something is pending.  If nothing is pending, advance to the
     next release."""
-    return run(instance, SchedulerChoice.NON_IDLING)[0]
+    return run(instance, SchedulerChoice.NON_IDLING).schedule
 
 
 def non_interfering(instance: Instance) -> Schedule:
     """Like :func:`non_idling`, but refuse to start a job that would run over
     a shorter job's release; instead idle until that release and reconsider
     from scratch."""
-    return run(instance, SchedulerChoice.NON_INTERFERING)[0]
+    return run(instance, SchedulerChoice.NON_INTERFERING).schedule
 
 
 def ectf(instance: Instance) -> Schedule:
     """Estimated-completion-time-first: repeatedly start the uncompleted job
     whose completion estimate ``(1 + beta) * max(t, release) + alpha`` is
     smallest, idling up to its release if needed."""
-    return run(instance, SchedulerChoice.ECTF)[0]
+    return run(instance, SchedulerChoice.ECTF).schedule
 
 
-def _ectf(instance: Instance) -> tuple[Schedule, Fraction]:
-    """:func:`ectf`'s loop.  Returns the schedule and its makespan: a
-    chosen job's estimate is its completion, so ``t`` ends at the last."""
-    g = instance.growth
+def _ectf(instance: Instance) -> PolicyRun:
+    """:func:`ectf`'s loop.  A chosen job's estimate is its completion, so
+    the time ends at the makespan."""
     p, q = instance.beta.numerator, instance.beta.denominator
+    pq = p + q
     d = _time_scale(instance)
-    scale = q * d
-    keys, jobs = _by_release(instance, d)
-    n = len(jobs)
+    keys = _by_release(instance, d)
+    n = len(keys)
     i = 0
-    # (A, id, position in release order)
-    released: list[tuple[int, int, int]] = []
-    # ((p+q) * R + q * A, A, id, position): the first entry is q * d times
-    # the estimate (1 + beta) * release + alpha.  The position rides along
-    # for the job's Fractions; ids are unique, so it is never compared.
-    unreleased = [
-        ((p + q) * r + q * a, a, jid, k) for k, (r, a, jid) in enumerate(keys)
-    ]
+    # (A, id)
+    released: list[tuple[int, int]] = []
+    # ((p+q) * R + q * A, A, id, R): the first entry is d * q times the
+    # estimate (1 + beta) * release + alpha.  R rides along for the release
+    # test; ids are unique, so it is never compared.
+    unreleased = [(pq * r + q * a, a, jid, r) for r, a, jid in keys]
     heapq.heapify(unreleased)
     started: set[int] = set()
-    t = ZERO
+    # the time is T / (d * Q), with Q = q**k
+    T, Q = 0, 1
     order: list[int] = []
-    starts: list[Fraction] = []
+    jumps: list[bool] = []
     while len(order) < n:
-        # release <= t, as R * den(t) <= d * num(t)
-        t_den, t_num = t.denominator, d * t.numerator
-        while i < n and keys[i][0] * t_den <= t_num:
+        while i < n and keys[i][0] * Q <= T:
             _, a, jid = keys[i]
             if jid not in started:
-                heapq.heappush(released, (a, jid, i))
+                heapq.heappush(released, (a, jid))
             i += 1
-        while unreleased and keys[unreleased[0][3]][0] * t_den <= t_num:
+        while unreleased and unreleased[0][3] * Q <= T:
             heapq.heappop(unreleased)
+        Qq = Q * q
         best = None
         if released:
-            a, jid, k = released[0]
-            best, s, heap = (jobs[k].alpha + g * t, a, jid), t, released
+            a, jid = released[0]
+            best, heap = (a * Qq + pq * T, a, jid), released
+        jumped = False
         if unreleased:
-            key, a, jid, k = unreleased[0]
-            estimate = (Fraction(key, scale), a, jid)
-            if best is None or estimate < best:
-                best, s, heap = estimate, jobs[k].release, unreleased
+            key, a, jid, _ = unreleased[0]
+            # the key at the scale d * Q * q of the released head's estimate
+            if best is None or (key * Q, a, jid) < best:
+                best, heap, jumped = (key, a, jid), unreleased, True
         heapq.heappop(heap)
-        t, _, jid = best
+        T, _, jid = best
+        Q = q if jumped else Qq
         started.add(jid)
         order.append(jid)
-        starts.append(s)
-    return Schedule(tuple(order), tuple(starts)), t
+        jumps.append(jumped)
+    return PolicyRun(instance, tuple(order), Fraction(T, d * Q), tuple(jumps))
 
 
 def run(
     instance: Instance,
     choice: SchedulerChoice,
-    runs: dict[SchedulerChoice, tuple[Schedule, Fraction]] | None = None,
-) -> tuple[Schedule, Fraction]:
-    """``choice``'s schedule on ``instance`` and the makespan its loop ends
-    at.  ``runs`` holds earlier runs on this same instance: one already
-    there is returned as it is, and a new one is recorded there.  Best-of-two takes both greedy runs through ``runs``
-    and returns the pair with the smaller makespan, non-idling on a tie:
-    one of the two pairs itself, not a copy."""
+    runs: dict[SchedulerChoice, PolicyRun] | None = None,
+) -> PolicyRun:
+    """``choice``'s run on ``instance``.  ``runs`` holds earlier runs on this
+    same instance: one already there is returned as it is, and a new one is
+    recorded there.
+
+    Best-of-two takes both greedy runs through ``runs`` and returns the one
+    with the smaller makespan, non-idling on a tie: that record itself, not
+    a copy."""
     if runs is None:
         runs = {}
-    pair = runs.get(choice)
-    if pair is None:
+    record = runs.get(choice)
+    if record is None:
         if choice is SchedulerChoice.ECTF:
-            pair = _ectf(instance)
+            record = _ectf(instance)
         elif choice is SchedulerChoice.BEST_OF_TWO:
             idling = run(instance, SchedulerChoice.NON_IDLING, runs)
             interfering = run(instance, SchedulerChoice.NON_INTERFERING, runs)
-            pair = idling if idling[1] <= interfering[1] else interfering
+            record = idling if idling.makespan <= interfering.makespan else interfering
         else:
-            pair = _greedy(instance, block=choice is SchedulerChoice.NON_INTERFERING)
-        runs[choice] = pair
-    return pair
+            record = _greedy(instance, block=choice is SchedulerChoice.NON_INTERFERING)
+        runs[choice] = record
+    return record
 
 
 def best_of_two(instance: Instance) -> Schedule:
     """Run the non-idling and the non-interfering loops once each; keep the
     schedule with the smaller makespan (the non-idling one on a tie).  The
-    loops return their makespans, so neither schedule is evaluated."""
-    return run(instance, SchedulerChoice.BEST_OF_TWO)[0]
+    loops return their makespans, so only the winner's schedule is built."""
+    return run(instance, SchedulerChoice.BEST_OF_TWO).schedule
 
 
 def earliest_release_order(instance: Instance) -> Schedule:

@@ -24,6 +24,7 @@ from detsched import (
 )
 from detsched import model, schedulers
 from detsched.experiment import CSV_HEADER
+from detsched.schedulers import PolicyRun
 from detsched.serialization import parse_rational
 
 from conftest import count_calls, instances, make_instance
@@ -136,11 +137,25 @@ class TestRunExperiment:
         assert [row.beta for row in rows] == [F(1, 2), F(2), F(1, 2), F(2)]
 
 
+def count_schedule_builds(monkeypatch) -> list:
+    """Record every run whose schedule is built, by replacing
+    :attr:`PolicyRun.schedule` with a counting property."""
+    built = []
+    build = PolicyRun.schedule.func
+
+    def counting(record):
+        built.append(record)
+        return build(record)
+
+    monkeypatch.setattr(PolicyRun, "schedule", property(counting))
+    return built
+
+
 class TestOneRunPerTrial:
     """Within a trial, each policy loop runs at most once: best-of-two
     reuses the two greedy runs.  Under makespan the loops' own makespans
-    are the values, so nothing is evaluated; under total completion each
-    distinct schedule is evaluated once."""
+    are the values, so no schedule is built or evaluated; under total
+    completion each distinct run's schedule is built and evaluated once."""
 
     @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
     @pytest.mark.parametrize(
@@ -152,6 +167,7 @@ class TestOneRunPerTrial:
         greedy = count_calls(monkeypatch, schedulers._greedy)
         ectf = count_calls(monkeypatch, schedulers._ectf)
         evaluate = count_calls(monkeypatch, model.evaluate)
+        built = count_schedule_builds(monkeypatch)
         rows = run_experiment(
             config(trials=1, n_min=5, n_max=5, algorithms=algorithms, objective=objective)
         )
@@ -159,14 +175,25 @@ class TestOneRunPerTrial:
         assert sorted(block for _, block in greedy) == [False, True]
         assert len(ectf) == 1
         assert len(evaluate) == (0 if objective is Objective.MAKESPAN else 3)
+        assert len(built) == (0 if objective is Objective.MAKESPAN else 3)
+
+    def test_makespan_sweep_builds_no_schedule(self, monkeypatch):
+        built = count_schedule_builds(monkeypatch)
+        rows = run_experiment(
+            config(trials=12, n_min=2, n_max=8, algorithms=tuple(SchedulerChoice))
+        )
+        assert len(rows) == 48
+        assert built == []
 
     def test_best_of_two_evaluates_nothing(self, monkeypatch):
         greedy = count_calls(monkeypatch, schedulers._greedy)
         evaluate = count_calls(monkeypatch, model.evaluate)
+        built = count_schedule_builds(monkeypatch)
         inst = generate(FamilySpec(family=Family.RANDOM, n=6, beta=F(1), seed=3))
         best_of_two(inst)
         assert len(greedy) == 2
         assert evaluate == []
+        assert len(built) == 1
 
 
 class TestCsvContract:

@@ -210,6 +210,29 @@ class TestFamilySpecValidation:
         with pytest.raises(TypeError):
             FamilySpec(family=Family.RANDOM, n=3, beta=0.5)
 
+    # Each of these leaked a bare ValueError or TypeError from the
+    # generator, or (seed=None) seeded it from OS entropy.
+    def test_float_alpha_max(self):
+        with pytest.raises(BadSpec, match="alpha_max must be an int, got float"):
+            spec_for(Family.RANDOM, 3, alpha_max=2.5)
+
+    def test_none_r_max(self):
+        with pytest.raises(BadSpec, match="r_max must be an int, got NoneType"):
+            spec_for(Family.TWO_RELEASE, 3, r_max=None)
+
+    def test_float_n(self):
+        with pytest.raises(BadSpec, match="n must be an int, got float"):
+            spec_for(Family.RANDOM, 2.0)
+
+    def test_none_seed(self):
+        with pytest.raises(BadSpec, match="seed must be an int, got NoneType"):
+            spec_for(Family.RANDOM, 3, seed=None)
+
+    @pytest.mark.parametrize("name", ["n", "seed", "alpha_max", "r_max"])
+    def test_bool_refused(self, name):
+        with pytest.raises(BadSpec, match=f"{name} must be an int, got bool"):
+            spec_for(Family.RANDOM, **{"n": 3, name: True})
+
 
 class TestReduceInstance:
     def test_two_job_example(self, two_job_instance):

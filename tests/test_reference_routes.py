@@ -126,7 +126,7 @@ def source_schedule(instance: Instance, source: str) -> Schedule:
         return optimum(instance, Objective.MAKESPAN).best_schedule
     if source == "opt-total-completion":
         return optimum(instance, Objective.TOTAL_COMPLETION).best_schedule
-    return run(instance, SchedulerChoice(source))[0]
+    return run(instance, SchedulerChoice(source)).schedule
 
 
 SOURCES = [c.value for c in SchedulerChoice] + ["opt-makespan", "opt-total-completion"]
@@ -288,7 +288,7 @@ class TestTotalRoutes:
             FamilySpec(family=Family.RANDOM, n=200, beta=F(1, 1600), seed=5, r_max=800)
         )
         for choice in SchedulerChoice:
-            report = evaluate(inst, run(inst, choice)[0])
+            report = evaluate(inst, run(inst, choice).schedule)
             assert report.total_completion == reference_total(report.completions)
 
 

@@ -368,7 +368,7 @@ class TestRunEntryPoint:
     def test_every_choice_maps_to_run(self, inst):
         assert set(SCHEDULERS) == set(SchedulerChoice)
         for choice, policy in SCHEDULERS.items():
-            assert policy(inst) == run(inst, choice)[0]
+            assert policy(inst) == run(inst, choice).schedule
 
     @pytest.mark.parametrize(
         "jobs, makespans, winner", BEST_OF_TWO_CASES, ids=["interfering", "tie"]
@@ -380,11 +380,20 @@ class TestRunEntryPoint:
         if greedy_first:
             run(inst, SchedulerChoice.NON_IDLING, runs)
             run(inst, SchedulerChoice.NON_INTERFERING, runs)
-        pair = run(inst, SchedulerChoice.BEST_OF_TWO, runs)
+        record = run(inst, SchedulerChoice.BEST_OF_TWO, runs)
         greedy = (SchedulerChoice.NON_IDLING, SchedulerChoice.NON_INTERFERING)
-        assert tuple(runs[choice][1] for choice in greedy) == makespans
-        assert pair is runs[winner]
-        assert runs[SchedulerChoice.BEST_OF_TWO] is pair
+        assert tuple(runs[choice].makespan for choice in greedy) == makespans
+        assert record is runs[winner]
+        assert runs[SchedulerChoice.BEST_OF_TWO] is record
+
+    def test_schedule_built_on_first_access_and_kept(self):
+        inst = make_instance(1, [(1, 8, 0), (2, 0, 1), (3, 0, 1)])
+        record = run(inst, SchedulerChoice.NON_INTERFERING)
+        assert "schedule" not in vars(record)
+        schedule = record.schedule
+        assert schedule == Schedule((2, 3, 1), (F(1), F(2), F(4)))
+        assert record.jumps == (True, False, False)
+        assert record.schedule is schedule
 
     def test_repeated_run_runs_no_loop(self, monkeypatch):
         greedy = count_calls(monkeypatch, schedulers._greedy)
@@ -400,8 +409,18 @@ class TestRunEntryPoint:
 
 
 class TestSchedulerContracts:
-    @settings(max_examples=150)
-    @given(inst=instances())
+    # PolicyRun.schedule builds each start from a jump flag, with no
+    # comparison, which is exact only because every policy schedule is the
+    # canonical schedule of its order.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(),
+            tie_heavy_instances(),
+            rational_tie_heavy_instances(),
+            family_instances(),
+        )
+    )
     def test_all_feasible_and_canonical(self, inst):
         for scheduler in ALL:
             sched = scheduler(inst)
@@ -467,7 +486,7 @@ class TestMatchesReferenceLoops:
 
 class TestLoopMakespans:
     """The loops' own makespans, which a makespan sweep reports without
-    evaluating any schedule, against :func:`evaluate` on their schedules."""
+    building any schedule, against :func:`evaluate` on their schedules."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -479,9 +498,7 @@ class TestLoopMakespans:
         )
     )
     def test_equal_evaluate(self, inst):
-        for schedule, makespan in (
-            _greedy(inst, block=False),
-            _greedy(inst, block=True),
-            _ectf(inst),
-        ):
-            assert makespan == evaluate(inst, schedule).makespan
+        for record in (_greedy(inst, block=False), _greedy(inst, block=True), _ectf(inst)):
+            assert "schedule" not in vars(record)
+            makespan = record.makespan
+            assert makespan == evaluate(inst, record.schedule).makespan
