@@ -33,7 +33,6 @@ from .generators import Family, FamilySpec, generate
 from .model import (
     Instance,
     InvalidArgument,
-    ZERO,
     evaluate,
     rational,
 )
@@ -42,11 +41,11 @@ from .oracle import (
     InstanceTooLarge,
     Objective,
     OptResult,
+    _lb_fixed,
     check_optimum_cap,
     dp_min_makespan,
     lb_release,
     optimum,
-    sorted_subset_cost,
     value_ratio,
 )
 from .schedulers import PolicyRun, SchedulerChoice, ectf, run
@@ -195,9 +194,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         instance = generate(spec)
         instance_id = f"{config.family.value}-t{trial:05d}"
         lbr = lb_release(instance)
-        lbf = sorted_subset_cost(
-            instance.beta, [job.alpha for job in instance.jobs], ZERO
-        )
+        lbf = _lb_fixed(instance)
         opt = _optimum(instance, config.objective, config.max_bruteforce_n)
         runs: dict[SchedulerChoice, PolicyRun] = {}
         evaluated: list[tuple[PolicyRun, Fraction]] = []

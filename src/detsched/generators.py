@@ -15,6 +15,7 @@ from .model import (
     Schedule,
     SchedulingError,
     ZERO,
+    _show,
     rational,
 )
 
@@ -61,9 +62,9 @@ class FamilySpec:
         if self.b is not None:
             object.__setattr__(self, "b", rational(self.b))
         if self.n < 1:
-            raise BadSpec(f"n must be >= 1, got {self.n}")
+            raise BadSpec(f"n must be >= 1, got {_show(self.n)}")
         if self.beta <= 0:
-            raise BadSpec(f"beta must be > 0, got {self.beta}")
+            raise BadSpec(f"beta must be > 0, got {_show(self.beta)}")
 
 
 class _Fractions(dict):
@@ -120,7 +121,7 @@ def _gen_noninterfering_adv(spec: FamilySpec) -> Instance:
     n = spec.n
     b = spec.b if spec.b is not None else Fraction(n * n)
     if b < n:
-        raise BadSpec(f"B must be >= n ({n}), got {b}")
+        raise BadSpec(f"B must be >= n ({_show(n)}), got {_show(b)}")
     g = 1 + spec.beta
     jobs = []
     release = ZERO
@@ -140,7 +141,7 @@ def _gen_nonidling_adv(spec: FamilySpec) -> Instance:
     g = 1 + spec.beta
     b = spec.b if spec.b is not None else g ** (k + 1)
     if b <= 0:
-        raise BadSpec(f"B must be > 0, got {b}")
+        raise BadSpec(f"B must be > 0, got {_show(b)}")
     jobs = [Job(1, b, ZERO)]
     jobs.extend(Job(i, ZERO, Fraction(1)) for i in range(2, k + 2))
     return Instance(spec.beta, tuple(jobs))
@@ -154,7 +155,7 @@ def _gen_ectf_adv(spec: FamilySpec) -> Instance:
     k = spec.n
     b = spec.b if spec.b is not None else Fraction(1)
     if b <= 0:
-        raise BadSpec(f"B must be > 0, got {b}")
+        raise BadSpec(f"B must be > 0, got {_show(b)}")
     g = 1 + spec.beta
     jobs = [Job(i, g * b, ZERO) for i in range(1, k + 1)]
     release = ZERO

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 
 class SchedulingError(Exception):
@@ -115,6 +116,46 @@ class Instance:
     def job_map(self) -> dict[int, Job]:
         return {job.id: job for job in self.jobs}
 
+    @cached_property
+    def _prepared(self) -> _Prepared:
+        """The instance's times on integers (see :class:`_Prepared`),
+        built on first use and then kept."""
+        return _prepare(self)
+
+
+class _Prepared(NamedTuple):
+    """An instance's integer set-up, shared by everything that decides on
+    integers: the policy loops, the subset DP and both lower bounds.
+
+    ``beta = p/q`` in lowest terms and ``d`` is the lcm of every alpha and
+    release denominator, so ``R = release * d`` and ``A = alpha * d`` are
+    exact integers.  ``keys`` holds one ``(R, A, id)`` per job in instance
+    order; ``by_release`` holds the same keys sorted, by ``(R, A, id)``.
+    Integer keys order and tie exactly as the Fractions would.
+    """
+
+    p: int
+    q: int
+    d: int
+    keys: tuple[tuple[int, int, int], ...]
+    by_release: tuple[tuple[int, int, int], ...]
+
+
+def _prepare(instance: Instance) -> _Prepared:
+    """:attr:`Instance._prepared`'s body: one lcm, 2n scalings, one sort."""
+    jobs = instance.jobs
+    d = math.lcm(*(v.denominator for j in jobs for v in (j.alpha, j.release)))
+    keys = tuple(
+        (
+            j.release.numerator * (d // j.release.denominator),
+            j.alpha.numerator * (d // j.alpha.denominator),
+            j.id,
+        )
+        for j in jobs
+    )
+    beta = instance.beta
+    return _Prepared(beta.numerator, beta.denominator, d, keys, tuple(sorted(keys)))
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -179,17 +220,6 @@ def validate_instance(instance: Instance) -> Instance:
             raise DuplicateId(f"job id {_show(job.id)} occurs more than once")
         seen.add(job.id)
     return instance
-
-
-def _time_scale(instance: Instance) -> int:
-    """``d``, the lcm of every alpha and release denominator, so that
-    ``alpha * d`` and ``release * d`` are integers for every job."""
-    return math.lcm(*(v.denominator for j in instance.jobs for v in (j.alpha, j.release)))
-
-
-def _scale_int(value: Fraction, d: int) -> int:
-    """``value * d`` as an int, for a ``d`` that ``value``'s denominator divides."""
-    return value.numerator * (d // value.denominator)
 
 
 def _timeline(

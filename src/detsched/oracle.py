@@ -32,8 +32,7 @@ from .model import (
     Schedule,
     SchedulingError,
     ZERO,
-    _scale_int,
-    _time_scale,
+    _show,
     canonical_starts,
     rational,
 )
@@ -120,26 +119,25 @@ def _scaled(instance: Instance) -> tuple[int, int, int, list[tuple[int, int, int
     order of the makespan optimum.
 
     Let ``d`` be the lcm of the alpha and release denominators and
-    ``beta = p/q``.  Every release is a multiple of ``1/d``, and a
-    completion after k steps is ``alpha + (p+q)/q * start``, so by
-    induction its denominator divides ``d * q**k``.  Scaling time by
-    ``L = d * q**n`` therefore makes every release, start and completion of
-    an n-job subset an integer, and every start of a job placed k <= n deep
-    is a multiple of ``q**(n-k+1)``, hence of ``q``.  The step
-    ``alpha + S // q * (p+q)``, which is ``alpha + (p+q) * S / q``, is then
-    exact.
+    ``beta = p/q``, both read from the instance's prepared record
+    (:class:`~detsched.model._Prepared`).  Every release is a multiple of
+    ``1/d``, and a completion after k steps is ``alpha + (p+q)/q *
+    start``, so by induction its denominator divides ``d * q**k``.
+    Scaling time by ``L = d * q**n`` therefore makes every release, start
+    and completion of an n-job subset an integer, and every start of a job
+    placed k <= n deep is a multiple of ``q**(n-k+1)``, hence of ``q``.
+    The step ``alpha + S // q * (p+q)``, which is ``alpha + (p+q) * S /
+    q``, is then exact.
 
     Returns ``(L, q, p+q, jobs)`` with one ``(bit, alpha, release)`` per
-    job, in instance order, alpha and release scaled by ``L``.
+    job, in instance order, alpha and release scaled by ``L``: the
+    record's ``A`` and ``R`` times ``q**n``, with no Fraction touched.
     """
-    q = instance.beta.denominator
-    pq = instance.beta.numerator + q
-    scale = _time_scale(instance) * q**instance.n
-    jobs = [
-        (1 << i, _scale_int(j.alpha, scale), _scale_int(j.release, scale))
-        for i, j in enumerate(instance.jobs)
-    ]
-    return scale, q, pq, jobs
+    prepared = instance._prepared
+    q = prepared.q
+    weight = q**instance.n
+    jobs = [(1 << i, a * weight, r * weight) for i, (r, a, _) in enumerate(prepared.keys)]
+    return prepared.d * weight, q, prepared.p + q, jobs
 
 
 def _finish(jobs: list[tuple[int, int, int]], q: int, pq: int, mask: int, t: int) -> int:
@@ -310,12 +308,21 @@ def lb_release(instance: Instance) -> Fraction:
     at least ``sum beta**(n-i) * r_(i)``: every job started at or after its
     release inflates everything scheduled behind it.  The sum runs by
     Horner's rule over the ascending releases, one multiply per job, on the
-    integers of :func:`_horner`.
+    integers of :func:`_horner`: the prepared record's ``R`` in its
+    release order, over its ``d``.
     """
-    d = math.lcm(*(j.release.denominator for j in instance.jobs))
-    releases = sorted(_scale_int(j.release, d) for j in instance.jobs)
-    beta = instance.beta
-    return _horner(beta.numerator, beta.denominator, 0, releases, d)
+    prepared = instance._prepared
+    releases = [r for r, _, _ in prepared.by_release]
+    return _horner(prepared.p, prepared.q, 0, releases, prepared.d)
+
+
+def _lb_fixed(instance: Instance) -> Fraction:
+    """``sorted_subset_cost(beta, alphas, 0)`` for the instance's alphas,
+    on the prepared record's ``A`` over its ``d``: the fixed-part lower
+    bound on the optimal makespan."""
+    prepared = instance._prepared
+    alphas = sorted(a for _, a, _ in prepared.keys)
+    return _horner(prepared.p + prepared.q, prepared.q, 0, alphas, prepared.d)
 
 
 def sorted_subset_cost(
@@ -331,16 +338,17 @@ def sorted_subset_cost(
     """
     beta = rational(beta)
     if beta <= 0:
-        raise InvalidArgument(f"beta must be > 0, got {beta}")
+        raise InvalidArgument(f"beta must be > 0, got {_show(beta)}")
     t = rational(t)
     if t < 0:
-        raise InvalidArgument(f"t must be >= 0, got {t}")
+        raise InvalidArgument(f"t must be >= 0, got {_show(t)}")
     values = sorted(rational(a) for a in alphas)
     if values and values[0] < 0:
-        raise InvalidArgument(f"alpha must be >= 0, got {values[0]}")
+        raise InvalidArgument(f"alpha must be >= 0, got {_show(values[0])}")
     d = math.lcm(t.denominator, *(a.denominator for a in values))
     p, q = beta.numerator, beta.denominator
-    return _horner(p + q, q, _scale_int(t, d), [_scale_int(a, d) for a in values], d)
+    terms = [a.numerator * (d // a.denominator) for a in values]
+    return _horner(p + q, q, t.numerator * (d // t.denominator), terms, d)
 
 
 def value_ratio(value: Fraction, optimum: Fraction) -> Fraction:
@@ -350,5 +358,5 @@ def value_ratio(value: Fraction, optimum: Fraction) -> Fraction:
     if optimum == 0:
         if value == 0:
             return Fraction(1)
-        raise DegenerateOptimum(f"optimum is 0 but the value is {value}")
+        raise DegenerateOptimum(f"optimum is 0 but the value is {_show(value)}")
     return value / optimum

@@ -8,12 +8,14 @@ smaller id.  Ratio experiments on tie-heavy instances are sensitive to
 these choices, so they are part of the contract, not a detail.
 
 The three greedy policies are event loops that decide on integers.  Each
-sorts the jobs once by ``(R, A, id)`` and keeps a pointer to the first job
-not yet released.  ``R = release * d`` and ``A = alpha * d`` are exact
-integers, with ``d`` the lcm of every alpha and release denominator, so
-every sort and heap comparison orders and ties exactly as the Fractions
-would.  With ``beta = p/q``, the time is held as ``T / (d * q**k)``, where
-``k`` counts the jobs run since the loop last jumped to a release:
+walks the instance's prepared keys (:class:`~detsched.model._Prepared`,
+built once per instance and shared with the oracle), sorted by
+``(R, A, id)``, and keeps a pointer to the first job not yet released.
+``R = release * d`` and ``A = alpha * d`` are exact integers, with ``d``
+the lcm of every alpha and release denominator, so every sort and heap
+comparison orders and ties exactly as the Fractions would.  With
+``beta = p/q``, the time is held as ``T / (d * q**k)``, where ``k``
+counts the jobs run since the loop last jumped to a release:
 
 - a jump to a release sets ``T = R`` and ``k = 0``;
 - a job started at ``T`` completes at ``T' = A * q**(k+1) + (p + q) * T``,
@@ -63,14 +65,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .model import (
-    Instance,
-    Schedule,
-    ZERO,
-    _scale_int,
-    _time_scale,
-    canonical_starts,
-)
+from .model import Instance, Schedule, ZERO, canonical_starts
 
 
 class SchedulerChoice(Enum):
@@ -109,22 +104,13 @@ class PolicyRun:
         return Schedule(self.order, tuple(starts))
 
 
-def _by_release(instance: Instance, d: int) -> list[tuple[int, int, int]]:
-    """The keys ``(R, A, id)``, with ``R = release * d`` and ``A = alpha * d``
-    exact integers, sorted."""
-    return sorted(
-        (_scale_int(j.release, d), _scale_int(j.alpha, d), j.id) for j in instance.jobs
-    )
-
-
 def _greedy(instance: Instance, block: bool) -> PolicyRun:
     """Shortest pending job first; with ``block``, never start a job whose
     window ``(t, (1 + beta) * t + alpha)`` holds the release of a job with a
     strictly smaller fixed part, and jump to that release instead."""
-    p, q = instance.beta.numerator, instance.beta.denominator
+    prepared = instance._prepared
+    p, q, d, keys = prepared.p, prepared.q, prepared.d, prepared.by_release
     pq = p + q
-    d = _time_scale(instance)
-    keys = _by_release(instance, d)
     n = len(keys)
     i = 0
     # (A, R, id)
@@ -190,10 +176,9 @@ def ectf(instance: Instance) -> Schedule:
 def _ectf(instance: Instance) -> PolicyRun:
     """:func:`ectf`'s loop.  A chosen job's estimate is its completion, so
     the time ends at the makespan."""
-    p, q = instance.beta.numerator, instance.beta.denominator
+    prepared = instance._prepared
+    p, q, d, keys = prepared.p, prepared.q, prepared.d, prepared.by_release
     pq = p + q
-    d = _time_scale(instance)
-    keys = _by_release(instance, d)
     n = len(keys)
     i = 0
     # (A, id)
@@ -275,8 +260,7 @@ def earliest_release_order(instance: Instance) -> Schedule:
     """Reference heuristic: canonical schedule of the order sorted by
     (release, id).  Used as a feasible benchmark on instances too big or too
     contrived for the exact oracle."""
-    d = _time_scale(instance)
-    order = [j.id for j in sorted(instance.jobs, key=lambda j: (_scale_int(j.release, d), j.id))]
+    order = [jid for _, jid in sorted((r, jid) for r, _, jid in instance._prepared.keys)]
     return canonical_starts(instance, order)
 
 

@@ -23,9 +23,10 @@ from detsched import (
     write_csv,
 )
 from detsched import model, schedulers
+from detsched.cli import main
 from detsched.experiment import CSV_HEADER
 from detsched.schedulers import PolicyRun
-from detsched.serialization import parse_rational
+from detsched.serialization import parse_rational, write_instance
 
 from conftest import count_calls, instances, make_instance
 
@@ -155,7 +156,9 @@ class TestOneRunPerTrial:
     """Within a trial, each policy loop runs at most once: best-of-two
     reuses the two greedy runs.  Under makespan the loops' own makespans
     are the values, so no schedule is built or evaluated; under total
-    completion each distinct run's schedule is built and evaluated once."""
+    completion each distinct run's schedule is built and evaluated once.
+    The instance's integer record is built once per trial and per
+    ``solve``, and never by ``eval``."""
 
     @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
     @pytest.mark.parametrize(
@@ -168,6 +171,7 @@ class TestOneRunPerTrial:
         ectf = count_calls(monkeypatch, schedulers._ectf)
         evaluate = count_calls(monkeypatch, model.evaluate)
         built = count_schedule_builds(monkeypatch)
+        prepared = count_calls(monkeypatch, model._prepare)
         rows = run_experiment(
             config(trials=1, n_min=5, n_max=5, algorithms=algorithms, objective=objective)
         )
@@ -176,6 +180,28 @@ class TestOneRunPerTrial:
         assert len(ectf) == 1
         assert len(evaluate) == (0 if objective is Objective.MAKESPAN else 3)
         assert len(built) == (0 if objective is Objective.MAKESPAN else 3)
+        assert len(prepared) == 1
+
+    def test_one_record_per_trial(self, monkeypatch):
+        prepared = count_calls(monkeypatch, model._prepare)
+        rows = run_experiment(
+            config(trials=12, n_min=2, n_max=8, algorithms=tuple(SchedulerChoice))
+        )
+        assert len(rows) == 48
+        assert len(prepared) == 12
+
+    @pytest.mark.parametrize("algorithm", [c.value for c in SchedulerChoice])
+    def test_solve_prepares_once_and_eval_never(self, monkeypatch, tmp_path, capsys, algorithm):
+        inst = generate(FamilySpec(family=Family.RANDOM, n=9, beta=F(1, 3), seed=4))
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(write_instance(inst), encoding="utf-8")
+        sched_path = tmp_path / "sched.json"
+        prepared = count_calls(monkeypatch, model._prepare)
+        argv = ["solve", "--instance", str(inst_path), "--algorithm", algorithm]
+        assert main(argv + ["--out", str(sched_path)]) == 0
+        assert len(prepared) == 1
+        assert main(["eval", "--instance", str(inst_path), "--schedule", str(sched_path)]) == 0
+        assert len(prepared) == 1
 
     def test_makespan_sweep_builds_no_schedule(self, monkeypatch):
         built = count_schedule_builds(monkeypatch)

@@ -31,7 +31,7 @@ from detsched import (
 from detsched.generators import BadSpec
 from detsched.model import Schedule, SchedulingError
 
-from conftest import instances, make_instance
+from conftest import digit_limit, instances, make_instance
 
 F = Fraction
 
@@ -232,6 +232,24 @@ class TestFamilySpecValidation:
     def test_bool_refused(self, name):
         with pytest.raises(BadSpec, match=f"{name} must be an int, got bool"):
             spec_for(Family.RANDOM, **{"n": 3, name: True})
+
+    # One digit past the limit, each value leaked a bare ValueError from
+    # the message that names it.
+    @pytest.mark.parametrize(
+        "family, n, beta, b, message",
+        [
+            (Family.RANDOM, -(10**4300), F(1), None, "n must be >= 1, got"),
+            (Family.RANDOM, 3, F(-(10**4300)), None, "beta must be > 0, got"),
+            (Family.NONINTERFERING_ADV, 3, F(1), F(-(10**4300)), "B must be >= n (3), got"),
+            (Family.NONIDLING_ADV, 3, F(1), F(-(10**4300)), "B must be > 0, got"),
+            (Family.ECTF_ADV, 3, F(1), F(-(10**4300)), "B must be > 0, got"),
+        ],
+        ids=["n", "beta", "noninterfering-b", "nonidling-b", "ectf-b"],
+    )
+    def test_values_past_the_digit_limit(self, family, n, beta, b, message):
+        with digit_limit(4300), pytest.raises(BadSpec) as raised:
+            generate(FamilySpec(family=family, n=n, beta=beta, b=b))
+        assert str(raised.value) == f"{message} a 14285-bit value"
 
 
 class TestReduceInstance:

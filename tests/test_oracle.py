@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -34,12 +35,13 @@ from detsched.oracle import (
     DegenerateOptimum,
     InstanceTooLarge,
     OptResult,
+    _lb_fixed,
     _scaled,
     optimum,
     value_ratio,
 )
 
-from conftest import betas, instances, make_instance, small_rationals
+from conftest import betas, digit_limit, instances, make_instance, small_rationals
 from lemmas import lb_combined
 
 F = Fraction
@@ -208,6 +210,37 @@ def family_instances(draw, max_jobs=7):
     return generate(FamilySpec(family=family, n=k, beta=beta, seed=seed))
 
 
+# The per-call integer set-up that the prepared record replaced: each
+# policy loop took ``_by_release(instance, _time_scale(instance))`` and the
+# subset DP took ``_scaled``, all straight from the Fractions.  Kept as the
+# references the record and the new ``_scaled`` must match exactly.
+
+def _reference_time_scale(instance: Instance) -> int:
+    return math.lcm(*(v.denominator for j in instance.jobs for v in (j.alpha, j.release)))
+
+
+def _reference_scale_int(value: Fraction, d: int) -> int:
+    return value.numerator * (d // value.denominator)
+
+
+def _reference_by_release(instance: Instance, d: int) -> list[tuple[int, int, int]]:
+    return sorted(
+        (_reference_scale_int(j.release, d), _reference_scale_int(j.alpha, d), j.id)
+        for j in instance.jobs
+    )
+
+
+def _reference_scaled(instance: Instance) -> tuple[int, int, int, list[tuple[int, int, int]]]:
+    q = instance.beta.denominator
+    pq = instance.beta.numerator + q
+    scale = _reference_time_scale(instance) * q**instance.n
+    jobs = [
+        (1 << i, _reference_scale_int(j.alpha, scale), _reference_scale_int(j.release, scale))
+        for i, j in enumerate(instance.jobs)
+    ]
+    return scale, q, pq, jobs
+
+
 # The full-table DP that the closing push DP replaced, kept as the
 # reference it must match on every instance.
 
@@ -216,7 +249,7 @@ def _reference_dp_min_makespan(instance: Instance) -> Fraction:
     n = instance.n
     if n > DP_MAX_N:
         raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
-    scale, q, pq, jobs = _scaled(instance)
+    scale, q, pq, jobs = _reference_scaled(instance)
     best = [0] * (1 << n)
     for mask in range(1, 1 << n):
         value = None
@@ -244,7 +277,7 @@ def _reference_makespan_optimum(instance: Instance) -> OptResult:
     step, the smallest id whose completion still leaves the rest
     finishable by the optimum."""
     value = dp_min_makespan(instance)
-    scale, q, pq, jobs = _scaled(instance)
+    scale, q, pq, jobs = _reference_scaled(instance)
     full = (1 << instance.n) - 1
     latest = [-1] * (full + 1)
     latest[0] = value.numerator * (scale // value.denominator)
@@ -535,6 +568,51 @@ class TestBoundsMatchReference:
             sorted_subset_cost(beta, alphas, t)
 
 
+RECORD_INSTANCES = st.one_of(
+    instances(max_n=10),
+    tie_heavy_instances(max_n=12),
+    rational_tie_heavy_instances(),
+    coprime_instances(),
+    family_instances(max_jobs=12),
+)
+
+
+class TestPreparedRecord:
+    """The one integer record per instance against the per-call set-up it
+    replaced, and every reader of it against its reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=RECORD_INSTANCES)
+    def test_keys(self, inst):
+        prepared = inst._prepared
+        d = _reference_time_scale(inst)
+        assert (prepared.p, prepared.q, prepared.d) == (
+            inst.beta.numerator,
+            inst.beta.denominator,
+            d,
+        )
+        assert list(prepared.by_release) == _reference_by_release(inst, d)
+        assert sorted(prepared.keys) == list(prepared.by_release)
+        assert [jid for _, _, jid in prepared.keys] == [job.id for job in inst.jobs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=RECORD_INSTANCES)
+    def test_scaled(self, inst):
+        assert _scaled(inst) == _reference_scaled(inst)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=RECORD_INSTANCES)
+    def test_bounds(self, inst):
+        assert lb_release(inst) == _reference_lb_release(inst)
+        alphas = [job.alpha for job in inst.jobs]
+        assert _lb_fixed(inst) == _reference_sorted_subset_cost(inst.beta, alphas, 0)
+
+    def test_built_once_and_kept(self):
+        inst = make_instance(F(1, 2), [(3, F(1, 3), 2), (1, 2, F(1, 2))])
+        assert inst._prepared is inst._prepared
+        assert inst._prepared == (1, 2, 6, ((12, 2, 3), (3, 12, 1)), ((3, 12, 1), (12, 2, 3)))
+
+
 class TestLbRelease:
     def test_two_releases(self):
         inst = make_instance(1, [(1, 11, 10), (2, 10, 30)])
@@ -596,6 +674,22 @@ class TestSortedSubsetCost:
         with pytest.raises(ValueError):
             sorted_subset_cost(F(1), [F(-1)], F(0))
 
+    # One digit past the limit, each value leaked a bare ValueError from
+    # the message that names it.
+    @pytest.mark.parametrize(
+        "beta, alphas, t, message",
+        [
+            (-(10**4300), [1], 0, "beta must be > 0, got"),
+            (1, [1], -(10**4300), "t must be >= 0, got"),
+            (1, [1, -(10**4300)], 0, "alpha must be >= 0, got"),
+        ],
+        ids=["beta", "t", "alpha"],
+    )
+    def test_values_past_the_digit_limit(self, beta, alphas, t, message):
+        with digit_limit(4300), pytest.raises(InvalidArgument) as raised:
+            sorted_subset_cost(beta, alphas, t)
+        assert str(raised.value) == f"{message} a 14285-bit value"
+
 
 class TestLbCombined:
     def test_two_job_example(self, two_job_instance):
@@ -644,3 +738,9 @@ class TestApproximationRatio:
         assert value_ratio(F(0), F(0)) == 1
         with pytest.raises(DegenerateOptimum):
             value_ratio(F(1), F(0))
+
+    def test_degenerate_optimum_past_the_digit_limit(self):
+        # the message's value leaked a bare ValueError
+        with digit_limit(4300), pytest.raises(DegenerateOptimum) as raised:
+            value_ratio(F(10**4300), F(0))
+        assert str(raised.value) == "optimum is 0 but the value is a 14285-bit value"
