@@ -31,15 +31,14 @@ from .pseudomatching import ConstructionFailed, construct_two_pm
 from .schedulers import SchedulerChoice, non_interfering, run
 from .serialization import (
     _dumps,
-    _eval_document,
-    _schedule_from_text,
+    _eval_report,
+    _write_run,
     decimal_string,
     format_rational,
     format_rationals,
     parse_instance,
     parse_rational,
     write_instance,
-    write_schedule,
 )
 
 FOUND_VIOLATION = 2
@@ -217,8 +216,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    schedule = run(instance, SchedulerChoice(args.algorithm)).schedule
-    _emit(write_schedule(schedule), args.out)
+    _emit(_write_run(run(instance, SchedulerChoice(args.algorithm))), args.out)
     return 0
 
 
@@ -237,9 +235,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    # the walk that checks the schedule also gives its report
-    schedule, report, start_texts = _schedule_from_text(_read(args.schedule), instance)
-    _emit(_dumps(_eval_document(schedule.order, report, start_texts)), args.out)
+    _emit(_dumps(_eval_report(_read(args.schedule), instance)), args.out)
     return 0
 
 

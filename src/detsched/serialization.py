@@ -7,16 +7,33 @@ comparison downstream, so the parser refuses to guess.
 
 Every rational has exactly one canonical text, the one
 :func:`format_rational` writes: lowest terms, a positive denominator
-written only when it is not 1, no sign on zero and no leading zeros.  A
-schedule document's starts are checked against the earliest starts of its
-order position by position.  A start whose text has the canonical
-spelling (ASCII digits, no sign, no leading zero, a ``/q`` part exactly
-when the earliest start's denominator is not 1) and whose numerator and
-denominator read as that start's, compared as ints, is that start: it is
-neither reduced by a gcd nor written again.  This is what every schedule
-that detsched writes looks like.  From the first start that does not
-match (a delayed start, or a spelling such as ``"6/4"`` or ``"07"``) on,
-the starts are parsed, then checked.
+written only when it is not 1, no sign on zero and no leading zeros.
+
+``solve`` and ``eval`` spell the starts, completions and gaps of a policy
+or canonical schedule without converting a binary int to decimal text,
+which the interpreter does in time quadratic in the digits.
+:func:`_walk` computes each value in exact decimal integers, in a context
+of its own that traps every rounding, reduces it to lowest terms by gcds
+of small residues, and spells it in linear time.  ``solve``
+(:func:`_write_run`) first makes an integer pass over the policy loop's
+time, and refuses the first start past the interpreter's limit on digits
+per integer string conversion, with :func:`write_schedule`'s message,
+before it makes any text.  ``eval`` (:func:`_eval_report`) writes the
+walk's texts when each start of the document is, string for string, the
+walk's text for that position of the order's canonical schedule, and no
+value passes the digit limit.  Every other document (a delayed or
+respelled start, an order that is not a permutation, a missing field, a
+value past the limit) falls back to the route that parses, which gives
+the same report and every refusal.
+
+On that route a schedule document's starts are checked against the
+earliest starts of its order position by position.  A start whose text
+has the canonical spelling (ASCII digits, no sign, no leading zero, a
+``/q`` part exactly when the earliest start's denominator is not 1) and
+whose numerator and denominator read as that start's, compared as ints,
+is that start: it is neither reduced by a gcd nor written again.  From the
+first start that does not match (a delayed start, or a spelling such as
+``"6/4"`` or ``"07"``) on, the starts are parsed, then checked.
 
 The schedule, ``eval`` and ``opt`` documents are flat: strings, and lists
 of ints or of strings that JSON never escapes.  :func:`_dumps` writes
@@ -38,11 +55,26 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import sys
-from collections.abc import Callable, Sequence
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
+from collections.abc import Callable, Iterator, Sequence
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    FloatOperation,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+)
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .model import (
     EvalReport,
@@ -51,9 +83,13 @@ from .model import (
     NotAPermutation,
     Schedule,
     SchedulingError,
+    _Prepared,
     _report,
     _timeline,
 )
+
+if TYPE_CHECKING:
+    from .schedulers import PolicyRun
 
 
 class ParseError(SchedulingError):
@@ -167,12 +203,31 @@ def _unwritable(value: Fraction, context: str | None, limit: int) -> SchedulingE
 
 def decimal_string(value: Fraction, digits: int = 10) -> str:
     """Human-readable decimal rendering: ``digits`` significant digits,
-    ties to even.  Display only; never parsed back."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = ROUND_HALF_EVEN
-        result = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(result)
+    ties to even.  Display only; never parsed back.
+
+    It renders in a context of its own, never the thread's, so no trap,
+    exponent range or exponent spelling set there changes the text.
+    """
+    display = _display_context(digits)
+    exact = _EXACT.create_decimal
+    return display.to_sci_string(display.divide(exact(value.numerator), exact(value.denominator)))
+
+
+@functools.lru_cache(maxsize=4)
+def _display_context(digits: int) -> Context:
+    """:func:`decimal_string`'s context for ``digits``, made once: making
+    one costs about as much as the division.  Its flags record what each
+    division rounded, and nothing reads them."""
+    return Context(
+        prec=digits,
+        rounding=ROUND_HALF_EVEN,
+        Emax=MAX_EMAX,
+        Emin=MIN_EMIN,
+        capitals=1,
+        clamp=0,
+        flags=[],
+        traps=[InvalidOperation, DivisionByZero, Overflow],
+    )
 
 
 def _loads(text: str, what: str) -> object:
@@ -303,6 +358,14 @@ def _schedule_from_text(
     """A schedule document's schedule, checked against ``instance``; the
     report of its timeline; and the text of each start where the document
     gave its canonical text (None where a start's text is still to be made).
+    See :func:`_schedule_from_doc`."""
+    return _schedule_from_doc(_loads(text, "schedule"), instance)
+
+
+def _schedule_from_doc(
+    doc: object, instance: Instance
+) -> tuple[Schedule, EvalReport, list[str | None]]:
+    """:func:`_schedule_from_text` on the document ``json.loads`` gave.
 
     The earliest starts of the order come from one derived walk.  The
     document's starts keep them for as long as their texts spell them;
@@ -311,7 +374,6 @@ def _schedule_from_text(
     its starts given.  An order that is not a permutation has no earliest
     starts, so all its starts are parsed before that walk refuses it.
     """
-    doc = _loads(text, "schedule")
     if not isinstance(doc, dict):
         raise ParseError("schedule: top level must be an object")
     if "order" not in doc:
@@ -378,6 +440,93 @@ def _spells(text: object, value: Fraction) -> bool:
         return False
 
 
+def _eval_report(text: str, instance: Instance) -> dict:
+    """``eval``'s output document for a schedule document.
+
+    A document that gives every start of its order's canonical schedule in
+    its canonical text, with every value within the digit limit, is
+    reported by :func:`_canonical_eval`.  Any other goes through
+    :func:`_schedule_from_doc` and :func:`_eval_document`, which give the
+    same document for the former, and every refusal.
+    """
+    doc = _loads(text, "schedule")
+    report = _canonical_eval(doc, instance)
+    if report is None:
+        schedule, timeline, start_texts = _schedule_from_doc(doc, instance)
+        report = _eval_document(schedule.order, timeline, start_texts)
+    return report
+
+
+def _canonical_eval(doc: object, instance: Instance) -> dict | None:
+    """``eval``'s output document for ``doc`` when its order is a
+    permutation of the instance's ids and each of its starts is the text
+    :func:`_walk` makes for that position of the order's canonical
+    schedule; None otherwise, or when a start, completion or gap passes the
+    digit limit, or when ``d * q`` reaches ``_WALK_SCALE``.
+
+    One pass of :func:`_scaled_timeline` decides on integers where the
+    canonical schedule waits for a release, and sums the completions: each
+    is added at its own power of ``q`` and the sums folded, once, to the
+    largest.  :func:`_walk` then gives the texts.  A completion followed by
+    no idle gap is the next start, so it takes that start's text.
+    """
+    if not isinstance(doc, dict):
+        return None
+    order, given = doc.get("order"), doc.get("starts")
+    if not (isinstance(order, list) and isinstance(given, list) and len(given) == len(order)):
+        return None
+    if not all(type(jid) is int for jid in order):
+        return None
+    if sorted(order) != sorted(job.id for job in instance.jobs):
+        return None
+    prepared = instance._prepared
+    q = prepared.q
+    if prepared.d * q >= _WALK_SCALE:
+        return None
+    jumps: list[bool] = []
+    parts: dict[int, int] = {}  # the completions at scale d * q**k, by k
+    for jumped, _, _, k, completion in _scaled_timeline(prepared, order, None):
+        jumps.append(jumped)
+        parts[k + 1] = parts.get(k + 1, 0) + completion
+    limit = sys.get_int_max_str_digits()
+
+    def within(value: _Value) -> bool:
+        # a nonzero int of exactly limit + 1 digits has adjusted() == limit
+        return not limit or (value[0].adjusted() < limit and value[1].adjusted() < limit)
+
+    n = len(order)
+    gaps, completions = [], []
+    for k, (start, gap, completion) in enumerate(_walk(prepared, order, jumps)):
+        if not within(start) or given[k] != _text(start):
+            return None
+        if gap is None:
+            gaps.append("0")
+        elif within(gap):
+            gaps.append(_text(gap))
+        else:
+            return None
+        if k + 1 < n and not jumps[k + 1]:
+            completions.append(given[k + 1])
+        elif within(completion):
+            completions.append(_text(completion))
+        else:
+            return None
+    top = max(parts)
+    total = 0
+    for k in range(top + 1):
+        total = total * q + parts.get(k, 0)
+    return {
+        "order": order,
+        "starts": given,
+        "completions": completions,
+        "gaps": gaps,
+        "makespan": completions[-1],
+        "total_completion": format_rational(
+            Fraction(total, prepared.d * q**top), "total_completion"
+        ),
+    }
+
+
 def _eval_document(
     order: Sequence[int], report: EvalReport, start_texts: list[str | None]
 ) -> dict:
@@ -402,6 +551,173 @@ def _eval_document(
         "makespan": completions[-1],
         "total_completion": format_rational(report.total_completion, "total_completion"),
     }
+
+
+# Exact decimal integers, for the texts of policy schedules.  Every
+# operation on them is exact: the precision holds any integer, and an
+# inexact or failed operation raises (an inexact quotient as MemoryError,
+# since libmpdec cannot hold it to this precision) instead of rounding.
+# The context is used only through its methods, so the thread's decimal
+# context is never read or set.
+_EXACT = Context(
+    prec=MAX_PREC,
+    rounding=ROUND_HALF_EVEN,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    capitals=1,
+    clamp=0,
+    flags=[],
+    traps=[Inexact, Rounded, InvalidOperation, DivisionByZero, Overflow, FloatOperation],
+)
+_ZERO = _EXACT.create_decimal(0)
+_ONE = _EXACT.create_decimal(1)
+
+# :func:`_walk` reads each residue mod ``d * q`` from its text and takes
+# gcds of them.  Below this bound a residue has at most 20 digits, far
+# inside any digit limit the interpreter allows (640 at least), and the
+# gcds are of machine-word ints.  Past it, the Fraction routes run.
+_WALK_SCALE = 2**64
+
+_Value = tuple[Decimal, Decimal]
+
+
+def _scaled_timeline(
+    prepared: _Prepared, order: Sequence[int], jumps: Sequence[bool] | None
+) -> Iterator[tuple[bool, int, int, int, int]]:
+    """The policy loops' integer time along ``order``: per position,
+    whether the job starts at its release, its start ``T`` at the scale
+    ``d * Q`` with ``Q = q**k``, ``Q``, ``k``, and its completion at the
+    scale ``d * Q * q`` (see :mod:`detsched.schedulers`).
+
+    ``jumps[i]`` says whether position ``i`` starts at its job's release,
+    as :attr:`PolicyRun.jumps <detsched.schedulers.PolicyRun>` does.  With
+    ``jumps`` None, a job starts at its release exactly when that is later
+    than the previous completion, ``R * Q > T``: the canonical schedule.
+    ``order`` must be a permutation of the instance's ids.
+    """
+    keys = {jid: (r, a) for r, a, jid in prepared.keys}
+    q, pq = prepared.q, prepared.p + prepared.q
+    T, Q, k = 0, 1, 0
+    for i, jid in enumerate(order):
+        r, a = keys[jid]
+        jumped = r * Q > T if jumps is None else jumps[i]
+        if jumped:
+            T, Q, k = r, 1, 0
+        Qq = Q * q
+        completion = a * Qq + pq * T
+        yield jumped, T, Q, k, completion
+        T, Q, k = completion, Qq, k + 1
+
+
+def _walk(
+    prepared: _Prepared, order: Sequence[int], jumps: Sequence[bool]
+) -> Iterator[tuple[_Value, _Value | None, _Value]]:
+    """Per position of ``order``: its start, the idle gap before it (None
+    when the job starts at the previous completion) and its completion,
+    each as a numerator and a denominator in lowest terms, exact decimal
+    integers that :func:`_text` spells.
+
+    A position starts at its job's release where ``jumps`` says so and at
+    the previous completion otherwise (see :func:`_scaled_timeline`).
+    With ``beta = p/q``, a start ``N/D`` in lowest terms completes at
+    ``x / y = (A*q*D + d*(p+q)*N) / (d*q*D)``.  Every denominator has only
+    the primes of ``m = d*q``, so ``g = gcd(x, y, m)``, read from residues
+    mod ``m``, is a small int, and dividing ``x`` and ``y`` by it until it
+    is 1 leaves them in lowest terms; no gcd of big ints runs.  With
+    ``d == 1``, ``g = gcd(x mod q, q)`` is already ``gcd(x, y)``: a prime
+    of ``D`` divides ``q``, so it divides neither ``N`` nor ``p + q``, and
+    so not ``x``.  ``d * q`` must be below ``_WALK_SCALE``.
+    """
+    ctx = _EXACT
+    mul, add, sub, dec = ctx.multiply, ctx.add, ctx.subtract, ctx.create_decimal
+    # every g below divides what it divides, so the quotient that truncates
+    # is exact, and faster than ctx.divide
+    div = ctx.divide_int
+    p, q, d = prepared.p, prepared.q, prepared.d
+    m = d * q
+    modulus = dec(m)
+
+    def residue(x: Decimal) -> int:
+        return int(ctx.to_sci_string(ctx.remainder(x, modulus)))
+
+    def lowest(x: Decimal, y: Decimal) -> _Value:
+        while (g := math.gcd(residue(x), residue(y), m)) > 1:
+            x, y = div(x, dec(g)), div(y, dec(g))
+        return x, y
+
+    # per job: its release in lowest terms, and A * q
+    jobs = {}
+    for r, a, jid in prepared.keys:
+        g = math.gcd(r, d)
+        jobs[jid] = (dec(r // g), dec(d // g), dec(a * q))
+    growth = dec(d * (p + q))
+    # per divisor g of m met so far: g and m // g as decimals
+    divisors: dict[int, _Value] = {}
+    num, den = _ZERO, _ONE  # the previous completion
+    for jid, jumped in zip(order, jumps):
+        r_num, r_den, aq = jobs[jid]
+        gap = None
+        if jumped:
+            if d == 1:  # release - num/den, and den is prime to num
+                gap = sub(mul(r_num, den), num), den
+            else:
+                gap = lowest(sub(mul(r_num, den), mul(num, r_den)), mul(r_den, den))
+            num, den = r_num, r_den
+        start = num, den
+        x = add(mul(aq, den), mul(growth, num))
+        g = math.gcd(residue(x), m)
+        if g not in divisors:
+            divisors[g] = dec(g), dec(m // g)
+        g_dec, cofactor = divisors[g]
+        if g > 1:
+            x = div(x, g_dec)
+        num, den = x, mul(den, cofactor)
+        if d > 1 and g > 1:
+            num, den = lowest(num, den)
+        yield start, gap, (num, den)
+
+
+def _text(value: _Value) -> str:
+    """The canonical text of a :func:`_walk` value."""
+    num, den = value
+    text = _EXACT.to_sci_string(num)
+    if _EXACT.compare(den, _ONE).is_zero():
+        return text
+    return f"{text}/{_EXACT.to_sci_string(den)}"
+
+
+def _check_starts(prepared: _Prepared, order: Sequence[int], jumps: Sequence[bool]) -> None:
+    """Raise :class:`SchedulingError` naming ``starts[k]`` for the first
+    start of the run past the interpreter's limit on digits per integer
+    string conversion, as :func:`write_schedule` would, before any text is
+    made.  A start ``T / (d * Q)`` of :func:`_scaled_timeline` is reduced
+    only when ``T`` or ``d * Q`` passes the limit: its lowest terms are no
+    larger."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    bound = _digit_bound(limit)
+    d = prepared.d
+    for k, (_, T, Q, _, _) in enumerate(_scaled_timeline(prepared, order, jumps)):
+        if T >= bound or d * Q >= bound:
+            start = Fraction(T, d * Q)
+            if start.numerator >= bound or start.denominator >= bound:
+                raise _unwritable(start, f"starts[{k}]", limit)
+
+
+def _write_run(record: PolicyRun) -> str:
+    """The schedule document of a policy run, byte for byte
+    :func:`write_schedule` of ``record.schedule`` and with the same
+    refusals, raised before any text is made.  The starts come from
+    :func:`_walk` on the run's order and jump flags; the Fraction schedule
+    is built only when ``d * q`` reaches ``_WALK_SCALE``."""
+    prepared, order, jumps = record.instance._prepared, record.order, record.jumps
+    if prepared.d * prepared.q >= _WALK_SCALE:
+        return write_schedule(record.schedule)
+    _check_writable(order, lambda i: f"order[{i}]")
+    _check_starts(prepared, order, jumps)
+    starts = [_text(start) for start, _, _ in _walk(prepared, order, jumps)]
+    return _dumps({"order": list(order), "starts": starts})
 
 
 def write_schedule(schedule: Schedule) -> str:

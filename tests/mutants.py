@@ -109,6 +109,53 @@ CATALOGUE = (
         "return text.isdigit()",
         ("tests/test_serialization.py::TestInstanceDocuments::test_job_errors_and_their_precedence",),
     ),
+    Mutant(
+        "optimum-walk-probes-from-done",
+        "src/detsched/oracle.py",
+        "if _finish(jobs, q, pq, done | bit, completion) <= bound:",
+        "if _finish(jobs, q, pq, done, completion) <= bound:",
+        (
+            "tests/test_oracle.py::TestOptimum::test_makespan_matches_brute_force",
+            "tests/test_oracle.py::TestOrderMatchesBackwardTable::test_same_order",
+        ),
+    ),
+    Mutant(
+        "rho-pm-capacity-plus-one",
+        "tests/lemmas.py",
+        "if count > cap:",
+        "if count > cap + 1:",
+        (
+            "tests/test_pseudomatching.py::TestVerifyRhoPm::test_capacity_violation_at_rho_one",
+            "tests/test_pseudomatching.py::TestVerifyRhoPm::test_fractional_rho_floors_capacity",
+        ),
+    ),
+    Mutant(
+        "run-ectf-branch-raises",
+        "src/detsched/schedulers.py",
+        "record = _ectf(instance)",
+        'raise AssertionError("ectf")',
+        (
+            "tests/test_schedulers.py::TestEctf::test_two_job_example",
+            "tests/test_schedulers.py::TestRunEntryPoint::test_every_choice_maps_to_run",
+        ),
+    ),
+    Mutant(
+        "walk-step-unreduced",
+        "src/detsched/serialization.py",
+        "g = math.gcd(residue(x), m)",
+        "g = 1",
+        (
+            "tests/test_reference_routes.py::TestWalkRoutes::test_fixed_walks",
+            "tests/test_reference_routes.py::TestWalkRoutes::test_solve_document",
+        ),
+    ),
+    Mutant(
+        "solve-precheck-strict-bound",
+        "src/detsched/serialization.py",
+        "if start.numerator >= bound or start.denominator >= bound:",
+        "if start.numerator > bound or start.denominator > bound:",
+        ("tests/test_reference_routes.py::TestWalkRoutes::test_start_at_the_digit_bound",),
+    ),
 )
 
 

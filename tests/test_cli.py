@@ -23,7 +23,7 @@ from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
 from detsched.schedulers import SchedulerChoice
 from detsched.serialization import parse_instance, parse_rational, write_instance
 
-from conftest import LOOSE_RATIONALS, make_instance
+from conftest import LOOSE_RATIONALS, digit_limit, make_instance
 
 
 @pytest.fixture()
@@ -285,15 +285,17 @@ class TestPipeline:
 
     def test_eval_of_a_solve_output_parses_no_start(self, monkeypatch, tmp_path):
         # every start that solve writes is its earliest start's canonical
-        # text, so eval neither parses nor formats any of them; it writes a
-        # completion only where an idle gap follows it or no position does
+        # text, so eval parses none of them: it spells each start once, from
+        # the decimal walk, and compares the texts; it spells a completion
+        # only where an idle gap follows it or no position does, and formats
+        # only the total from a Fraction
         inst, sched, out = (str(tmp_path / name) for name in ("i.json", "s.json", "r.json"))
         gen = ["gen", "--family", "two-release", "--n", "8", "--beta", "1/2", "--seed", "2"]
         assert main(gen + ["--out", inst]) == 0
         solve = ["solve", "--instance", inst, "--algorithm", "non-interfering"]
         assert main(solve + ["--out", sched]) == 0
-        parsed, formatted = [], []
-        parse, convert = serialization.parse_rational, serialization.format_rational
+        parsed, formatted, spelled = [], [], []
+        parse, convert, spell = serialization.parse_rational, serialization.format_rational, serialization._text
 
         def counting_parse(text, context="value"):
             parsed.append(context)
@@ -303,18 +305,25 @@ class TestPipeline:
             formatted.append(value)
             return convert(value, context)
 
+        def counting_spell(value):
+            text = spell(value)
+            spelled.append(F(text))
+            return text
+
         monkeypatch.setattr(serialization, "parse_rational", counting_parse)
         monkeypatch.setattr(serialization, "format_rational", counting_format)
+        monkeypatch.setattr(serialization, "_text", counting_spell)
         monkeypatch.setattr(cli, "format_rational", counting_format)
         assert main(["eval", "--instance", inst, "--schedule", sched, "--out", out]) == 0
         assert not [context for context in parsed if context.startswith("starts")]
         report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
-        completions, gaps = ([F(text) for text in report[key]] for key in ("completions", "gaps"))
+        starts, completions, gaps = ([F(text) for text in report[key]] for key in ("starts", "completions", "gaps"))
         gapped = [k for k in range(1, len(gaps)) if gaps[k]]
         assert 0 < len(gapped) < len(gaps) - 1
-        written = [completions[k - 1] for k in gapped] + completions[-1:]
-        written += [gap for gap in gaps if gap] + [F(report["total_completion"])]
-        assert Counter(formatted) == Counter(written)
+        written = starts + [completions[k - 1] for k in gapped] + completions[-1:]
+        written += [gap for gap in gaps if gap]
+        assert Counter(spelled) == Counter(written)
+        assert formatted == [F(report["total_completion"])]
 
     def test_long_horizon_round_trip(self, tmp_path):
         # the long-horizon regime: starts of about 1700 digits, written as
@@ -354,6 +363,30 @@ class TestPipeline:
             assert report["gaps"] == [canonical(g) for g in gaps]
             assert report["makespan"] == canonical(completion)
             assert report["total_completion"] == canonical(sum(completions))
+
+    def test_long_horizon_non_idling_refused_before_any_text(self, monkeypatch, tmp_path, capsys):
+        # non-idling's start at position 1390 has 14294 bits, past the
+        # default limit; solve names it before it spells any start
+        inst = generate(FamilySpec(family=Family.RANDOM, n=1600, beta=F(1, 1600), seed=5, r_max=6400))
+        path, out = tmp_path / "i.json", tmp_path / "s.json"
+        path.write_text(write_instance(inst), encoding="utf-8")
+        spelled = []
+        spell = serialization._text
+
+        def counting_spell(value):
+            spelled.append(value)
+            return spell(value)
+
+        monkeypatch.setattr(serialization, "_text", counting_spell)
+        argv = ["solve", "--instance", str(path), "--algorithm", "non-idling", "--out", str(out)]
+        with digit_limit(4300):
+            assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: starts[1390]: cannot write a 14294-bit value: it passes the limit "
+            "of 4300 digits for integer string conversion\n"
+        )
+        assert spelled == []
+        assert not out.exists()
 
     def test_eval_names_the_unwritable_completion(self, tmp_path, capsys):
         # six jobs: the last start has about 4000 digits, its completion 5000

@@ -157,8 +157,8 @@ class TestOneRunPerTrial:
     reuses the two greedy runs.  Under makespan the loops' own makespans
     are the values, so no schedule is built or evaluated; under total
     completion each distinct run's schedule is built and evaluated once.
-    The instance's integer record is built once per trial and per
-    ``solve``, and never by ``eval``."""
+    The instance's integer record is built once per trial, once per
+    ``solve`` and once per ``eval``."""
 
     @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
     @pytest.mark.parametrize(
@@ -191,7 +191,7 @@ class TestOneRunPerTrial:
         assert len(prepared) == 12
 
     @pytest.mark.parametrize("algorithm", [c.value for c in SchedulerChoice])
-    def test_solve_prepares_once_and_eval_never(self, monkeypatch, tmp_path, capsys, algorithm):
+    def test_solve_and_eval_prepare_once_each(self, monkeypatch, tmp_path, capsys, algorithm):
         inst = generate(FamilySpec(family=Family.RANDOM, n=9, beta=F(1, 3), seed=4))
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(write_instance(inst), encoding="utf-8")
@@ -201,7 +201,7 @@ class TestOneRunPerTrial:
         assert main(argv + ["--out", str(sched_path)]) == 0
         assert len(prepared) == 1
         assert main(["eval", "--instance", str(inst_path), "--schedule", str(sched_path)]) == 0
-        assert len(prepared) == 1
+        assert len(prepared) == 2
 
     def test_makespan_sweep_builds_no_schedule(self, monkeypatch):
         built = count_schedule_builds(monkeypatch)

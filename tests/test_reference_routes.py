@@ -1,19 +1,22 @@
-"""The text-checked schedule route, the per-denominator total and the
-instance reader and writer against the routes they replaced, which are
-kept here as references.
+"""The text-checked schedule route, the decimal walk behind ``solve`` and
+``eval``, the per-denominator total and the instance reader and writer
+against the routes they replaced, which are kept here as references.
 
 ``reference_parse_schedule`` parses every start, then checks the schedule
 with :func:`evaluate`; ``reference_eval_document`` writes every value of
-the report with :func:`format_rationals`; ``reference_total`` sums the
-completions over the common denominator of them all.
-``reference_write_instance`` writes through ``json.dumps(indent=2)``, and
-``reference_parse_instance`` checks and parses every job document field by
-field.  The library's route must give the same schedule, instance and
-output bytes, or the same exception type and text, on every document.
+the report with :func:`format_rationals`; ``reference_solve_document``
+writes a policy run's Fraction schedule with :func:`write_schedule`;
+``reference_total`` sums the completions over the common denominator of
+them all.  ``reference_write_instance`` writes through
+``json.dumps(indent=2)``, and ``reference_parse_instance`` checks and
+parses every job document field by field.  The library's route must give
+the same schedule, instance and output bytes, or the same exception type
+and text, on every document.
 """
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from fractions import Fraction
@@ -38,13 +41,17 @@ from detsched import (
     parse_schedule,
     run,
     write_instance,
+    write_schedule,
 )
 from detsched.model import SchedulingError
 from detsched.serialization import (
+    _WALK_SCALE,
     ParseError,
-    _eval_document,
+    _canonical_eval,
+    _dumps,
+    _eval_report,
     _loads,
-    _schedule_from_text,
+    _write_run,
     format_rational,
     format_rationals,
     parse_rational,
@@ -104,8 +111,11 @@ def reference_eval_document(text: str, instance: Instance) -> dict:
 
 
 def eval_document(text: str, instance: Instance) -> dict:
-    schedule, report, start_texts = _schedule_from_text(text, instance)
-    return _eval_document(schedule.order, report, start_texts)
+    return _eval_report(text, instance)
+
+
+def reference_solve_document(record) -> str:
+    return write_schedule(record.schedule)
 
 
 def outcome(route, *args):
@@ -263,6 +273,97 @@ class TestScheduleRoutes:
         with digit_limit(640):
             assert_same_routes(document(range(1, n + 1), texts), inst)
             assert_same_routes(json.dumps({"order": list(range(1, n + 1))}), inst)
+
+
+# Betas with q of 1, 2, 3, 7 and 1600, and one whose q is near _WALK_SCALE.
+walk_betas = st.sampled_from([F(3, 2), F(2, 7), F(1, 1600), F(1), F(5, 3), F(7, 10**19)])
+
+
+@st.composite
+def walk_instances(draw):
+    """Alphas and releases with denominators 1..4, so d > 1 on most; on a
+    third of them the releases are scaled by 10**636, so that some starts
+    pass a digit limit of 640 and some do not."""
+    n = draw(st.integers(1, 7))
+    beta = draw(walk_betas)
+    scale = draw(st.sampled_from([1, 1, 10**636]))
+    return Instance(
+        beta, tuple(Job(i, draw(small_rationals), draw(small_rationals) * scale) for i in range(1, n + 1))
+    )
+
+
+class TestWalkRoutes:
+    """``solve`` and ``eval`` write policy schedules from the decimal walk;
+    the Fraction routes are the references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=walk_instances(), choice=st.sampled_from(list(SchedulerChoice)), limit=st.sampled_from([640, 0]))
+    def test_solve_document(self, inst, choice, limit):
+        record = run(inst, choice)
+        with digit_limit(limit):
+            assert outcome(_write_run, record) == outcome(reference_solve_document, record)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=walk_instances(), choice=st.sampled_from(list(SchedulerChoice)), limit=st.sampled_from([640, 0]))
+    def test_eval_document(self, inst, choice, limit):
+        with digit_limit(0):
+            text = write_schedule(run(inst, choice).schedule)
+        prepared = inst._prepared
+        with digit_limit(limit):
+            report = outcome(lambda: _dumps(_eval_report(text, inst)))
+            assert report == outcome(lambda: _dumps(reference_eval_document(text, inst)))
+            fast = outcome(_canonical_eval, json.loads(text), inst)
+        if prepared.d * prepared.q >= _WALK_SCALE:
+            assert fast is None
+        elif not limit:
+            # the canonical texts of a canonical schedule take the fast route
+            assert _dumps(fast) == report
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            # beta 1/2: the first completion, 2/2 before reduction, is 1
+            make_instance(F(1, 2), [(1, 1, 0), (2, 1, 0), (3, 3, 20)]),
+            # d = 12 and q = 7: reductions by primes of d and of q
+            make_instance(F(2, 7), [(1, F(1, 2), F(1, 3)), (2, F(3, 4), 0), (3, 2, F(49, 6)), (4, F(1, 4), 12)]),
+        ],
+        ids=["q-2", "d-12-q-7"],
+    )
+    def test_fixed_walks(self, inst):
+        for choice in SchedulerChoice:
+            record = run(inst, choice)
+            text = _write_run(record)
+            assert text == reference_solve_document(record)
+            report = _dumps(_eval_report(text, inst))
+            assert report == _dumps(reference_eval_document(text, inst))
+            assert _canonical_eval(json.loads(text), inst) is not None
+            # the walk never uses the thread's decimal context
+            with decimal.localcontext() as hostile:
+                hostile.prec = 1
+                hostile.Emax = 1
+                hostile.traps[decimal.Inexact] = True
+                hostile.traps[decimal.Rounded] = True
+                assert _write_run(record) == text
+                assert _dumps(_canonical_eval(json.loads(text), inst)) == report
+
+    @pytest.mark.parametrize("release", [10**640 - 1, 10**640])
+    def test_start_at_the_digit_bound(self, release):
+        # a start of 640 digits is written, and one of 641 refused
+        inst = make_instance(1, [(1, 1, release), (2, 1, 0)])
+        record = run(inst, SchedulerChoice.NON_IDLING)
+        with digit_limit(640):
+            assert outcome(_write_run, record) == outcome(reference_solve_document, record)
+            assert isinstance(outcome(_write_run, record), str) == (release < 10**640)
+
+    def test_scale_past_the_walk(self):
+        # d * q at _WALK_SCALE: solve writes the Fraction schedule, and eval
+        # takes the route that parses
+        inst = make_instance(F(1, _WALK_SCALE), [(1, 1, 0), (2, 1, 1)])
+        record = run(inst, SchedulerChoice.ECTF)
+        text = _write_run(record)
+        assert text == reference_solve_document(record)
+        assert _canonical_eval(json.loads(text), inst) is None
+        assert _dumps(_eval_report(text, inst)) == _dumps(reference_eval_document(text, inst))
 
 
 class TestTotalRoutes:

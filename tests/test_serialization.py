@@ -3,6 +3,7 @@ decimal rendering."""
 
 from __future__ import annotations
 
+import decimal
 import json
 import sys
 from fractions import Fraction
@@ -214,6 +215,19 @@ class TestDecimalString:
 
     def test_integer(self):
         assert decimal_string(F(4)) == "4"
+
+    def test_ignores_the_thread_context(self):
+        values = [F(1, 3), F(10**9, 3), F(15, 11), F(10**20), F(10_000_000_005, 10**10), F(0)]
+        expected = [decimal_string(v) for v in values] + [decimal_string(F(2, 3), 6)]
+        assert expected[3] == "1.000000000E+20"
+        with decimal.localcontext() as hostile:
+            hostile.traps[decimal.Inexact] = True
+            hostile.traps[decimal.Rounded] = True
+            hostile.Emax = 5
+            hostile.prec = 3
+            hostile.rounding = decimal.ROUND_DOWN
+            hostile.capitals = 0
+            assert [decimal_string(v) for v in values] + [decimal_string(F(2, 3), 6)] == expected
 
 
 class TestInstanceDocuments:
