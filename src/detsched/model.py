@@ -225,7 +225,9 @@ def validate_instance(instance: Instance) -> Instance:
 def _timeline(
     instance: Instance, order: Sequence[int], starts: Sequence[Fraction] | None
 ) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """The one forward pass of ``s = max(release, C); C = alpha + (1+beta)*s``.
+    """The model's forward pass of ``s = max(release, C); C = alpha +
+    (1+beta)*s`` in Fractions, shared by :func:`canonical_starts` and
+    :func:`evaluate`.
 
     With ``starts`` None each job starts as early as it can; otherwise the
     given starts are checked against releases and predecessor completions.

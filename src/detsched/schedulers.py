@@ -46,15 +46,15 @@ decision in the worst case, when many unreleased jobs with larger fixed
 parts fall inside the candidate's window.
 
 Both loops, the greedy one (:func:`_greedy`) and ECTF's (:func:`_ectf`),
-return a :class:`PolicyRun`: the order, the exact makespan (one gcd per
-run) and, per position, whether the loop jumped to that job's release
-before starting it.  The starts are built from those flags only when
-:attr:`PolicyRun.schedule` is first read.  :func:`run` is the one entry
-point to the loops: it maps a :class:`SchedulerChoice` to its loop.
-Best-of-two picks on the two greedy makespans there, so the pick builds
-no schedule.  A caller that runs several policies on one instance, as the
-experiment harness does per trial, passes a dict of runs and each loop
-runs once.  The four public functions return the run's schedule.
+return a :class:`PolicyRun`: the order and the exact makespan (one gcd per
+run).  Every policy schedule is the canonical schedule of its order, so
+the starts are built from the order, only when :attr:`PolicyRun.schedule`
+is first read.  :func:`run` is the one entry point to the loops: it maps
+a :class:`SchedulerChoice` to its loop.  Best-of-two picks on the two
+greedy makespans there, so the pick builds no schedule.  A caller that
+runs several policies on one instance, as the experiment harness does
+per trial, passes a dict of runs and each loop runs once.  The four
+public functions return the run's schedule.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .model import Instance, Schedule, ZERO, canonical_starts
+from .model import Instance, Schedule, canonical_starts
 
 
 class SchedulerChoice(Enum):
@@ -77,31 +77,18 @@ class SchedulerChoice(Enum):
 
 @dataclass(frozen=True)
 class PolicyRun:
-    """One policy loop's result: the order it chose, its exact makespan,
-    and per position whether the loop jumped to that job's release before
-    starting it."""
+    """One policy loop's result: the order it chose and its exact
+    makespan."""
 
     instance: Instance = field(repr=False)
     order: tuple[int, ...]
     makespan: Fraction
-    jumps: tuple[bool, ...]
 
     @cached_property
     def schedule(self) -> Schedule:
-        """The run's schedule, built on first access and then kept.  Each
-        start is the job's own release where the loop jumped to it, and the
-        previous completion otherwise; every policy schedule is the
-        canonical schedule of its order, so no comparison is needed."""
-        jobs = self.instance.job_map()
-        g = self.instance.growth
-        completion = ZERO
-        starts = []
-        for jid, jumped in zip(self.order, self.jumps):
-            job = jobs[jid]
-            start = job.release if jumped else completion
-            starts.append(start)
-            completion = job.alpha + g * start
-        return Schedule(self.order, tuple(starts))
+        """The run's schedule, built on first access and then kept: the
+        canonical schedule of its order, as every policy schedule is."""
+        return canonical_starts(self.instance, self.order)
 
 
 def _greedy(instance: Instance, block: bool) -> PolicyRun:
@@ -117,16 +104,14 @@ def _greedy(instance: Instance, block: bool) -> PolicyRun:
     pending: list[tuple[int, int, int]] = []
     # the time is T / (d * Q), with Q = q**k
     T, Q = 0, 1
-    jumped = False
     order: list[int] = []
-    jumps: list[bool] = []
     while len(order) < n:
         while i < n and keys[i][0] * Q <= T:
             r, a, jid = keys[i]
             heapq.heappush(pending, (a, r, jid))
             i += 1
         if not pending:
-            T, Q, jumped = keys[i][0], 1, True
+            T, Q = keys[i][0], 1
             continue
         a, _, jid = pending[0]
         Qq = Q * q
@@ -143,13 +128,12 @@ def _greedy(instance: Instance, block: bool) -> PolicyRun:
                     blocking = r
                     break
             if blocking is not None:
-                T, Q, jumped = blocking, 1, True
+                T, Q = blocking, 1
                 continue
         heapq.heappop(pending)
         order.append(jid)
-        jumps.append(jumped)
-        T, Q, jumped = completion, Qq, False
-    return PolicyRun(instance, tuple(order), Fraction(T, d * Q), tuple(jumps))
+        T, Q = completion, Qq
+    return PolicyRun(instance, tuple(order), Fraction(T, d * Q))
 
 
 def non_idling(instance: Instance) -> Schedule:
@@ -192,7 +176,6 @@ def _ectf(instance: Instance) -> PolicyRun:
     # the time is T / (d * Q), with Q = q**k
     T, Q = 0, 1
     order: list[int] = []
-    jumps: list[bool] = []
     while len(order) < n:
         while i < n and keys[i][0] * Q <= T:
             _, a, jid = keys[i]
@@ -217,8 +200,7 @@ def _ectf(instance: Instance) -> PolicyRun:
         Q = q if jumped else Qq
         started.add(jid)
         order.append(jid)
-        jumps.append(jumped)
-    return PolicyRun(instance, tuple(order), Fraction(T, d * Q), tuple(jumps))
+    return PolicyRun(instance, tuple(order), Fraction(T, d * Q))
 
 
 def run(

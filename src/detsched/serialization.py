@@ -23,17 +23,9 @@ walk's texts when each start of the document is, string for string, the
 walk's text for that position of the order's canonical schedule, and no
 value passes the digit limit.  Every other document (a delayed or
 respelled start, an order that is not a permutation, a missing field, a
-value past the limit) falls back to the route that parses, which gives
-the same report and every refusal.
-
-On that route a schedule document's starts are checked against the
-earliest starts of its order position by position.  A start whose text
-has the canonical spelling (ASCII digits, no sign, no leading zero, a
-``/q`` part exactly when the earliest start's denominator is not 1) and
-whose numerator and denominator read as that start's, compared as ints,
-is that start: it is neither reduced by a gcd nor written again.  From the
-first start that does not match (a delayed start, or a spelling such as
-``"6/4"`` or ``"07"``) on, the starts are parsed, then checked.
+value past the limit) goes through the route that parses every start
+and walks the schedule once in Fractions, which gives the same report and
+every refusal.
 
 The schedule, ``eval`` and ``opt`` documents are flat: strings, and lists
 of ints or of strings that JSON never escapes.  :func:`_dumps` writes
@@ -80,7 +72,6 @@ from .model import (
     EvalReport,
     Instance,
     Job,
-    NotAPermutation,
     Schedule,
     SchedulingError,
     _Prepared,
@@ -153,20 +144,8 @@ def format_rationals(values: Sequence[Fraction], context: str) -> list[str]:
     value past the interpreter's limit on digits per integer string
     conversion.
     """
-    return _fill_texts(values, [None] * len(values), context)
-
-
-def _fill_texts(
-    values: Sequence[Fraction], texts: list[str | None], context: str
-) -> list[str]:
-    """``texts``, with each None replaced by the text of the value at its
-    position: :func:`format_rationals` for the positions whose text is not
-    known yet.  Texts already given are canonical, so within the limit."""
-    todo = [i for i, text in enumerate(texts) if text is None]
-    _check_writable([values[i] for i in todo], lambda k: f"{context}[{todo[k]}]")
-    for i in todo:
-        texts[i] = format_rational(values[i])
-    return texts
+    _check_writable(values, lambda i: f"{context}[{i}]")
+    return [format_rational(value) for value in values]
 
 
 def _check_writable(values: Sequence[int | Fraction], name: Callable[[int], str]) -> None:
@@ -343,36 +322,18 @@ def parse_schedule(text: str, instance: Instance) -> Schedule:
     """Parse a schedule document against ``instance``.
 
     A document without ``starts`` yields the canonical schedule of its
-    order; explicit starts are checked for feasibility.  A start whose text
-    is the canonical text of its position's earliest start (see
-    :func:`_spells`) needs no check and is not parsed into a Fraction: the
-    canonical text is unique, so the two values are equal.  Raises :class:`ParseError` for a malformed document or start,
-    before :class:`NotAPermutation` or :class:`InfeasibleSchedule`.
+    order; explicit starts are checked for feasibility.  Raises
+    :class:`ParseError` for a malformed document or start, before
+    :class:`NotAPermutation` or :class:`InfeasibleSchedule`.
     """
-    return _schedule_from_text(text, instance)[0]
+    return _schedule_from_doc(_loads(text, "schedule"), instance)[0]
 
 
-def _schedule_from_text(
-    text: str, instance: Instance
-) -> tuple[Schedule, EvalReport, list[str | None]]:
-    """A schedule document's schedule, checked against ``instance``; the
-    report of its timeline; and the text of each start where the document
-    gave its canonical text (None where a start's text is still to be made).
-    See :func:`_schedule_from_doc`."""
-    return _schedule_from_doc(_loads(text, "schedule"), instance)
-
-
-def _schedule_from_doc(
-    doc: object, instance: Instance
-) -> tuple[Schedule, EvalReport, list[str | None]]:
-    """:func:`_schedule_from_text` on the document ``json.loads`` gave.
-
-    The earliest starts of the order come from one derived walk.  The
-    document's starts keep them for as long as their texts spell them;
-    from the first mismatch on, the remaining starts are parsed, every one
-    before any is checked, and the whole schedule is walked once more with
-    its starts given.  An order that is not a permutation has no earliest
-    starts, so all its starts are parsed before that walk refuses it.
+def _schedule_from_doc(doc: object, instance: Instance) -> tuple[Schedule, EvalReport]:
+    """:func:`parse_schedule` on the document ``json.loads`` gave, and the
+    report of its timeline.  Every start is parsed before the one walk of
+    :func:`_timeline` checks the schedule, so a malformed start is named
+    even next to an order that is not a permutation.
     """
     if not isinstance(doc, dict):
         raise ParseError("schedule: top level must be an object")
@@ -386,58 +347,17 @@ def _schedule_from_doc(
     order = tuple(order_doc)
     if "starts" not in doc or doc["starts"] is None:
         starts, completions, gaps = _timeline(instance, order, None)
-        return Schedule(order, starts), _report(starts, completions, gaps), [None] * len(order)
-    starts_doc = doc["starts"]
-    if not isinstance(starts_doc, list):
-        raise ParseError("starts: expected an array")
-    if len(starts_doc) != len(order):
-        raise ParseError(
-            f"starts: {len(starts_doc)} entries for {len(order)} order positions"
-        )
-    try:
-        starts, completions, gaps = _timeline(instance, order, None)
-    except NotAPermutation:
-        starts = []  # so every start is parsed before the walk below refuses the order
-    texts: list[str | None] = []
-    for start, given in zip(starts, starts_doc):
-        if not _spells(given, start):
-            break
-        texts.append(given)
-    matched = len(texts)
-    if matched < len(order) or not starts:
-        starts = starts[:matched] + [
-            parse_rational(s, f"starts[{i}]")
-            for i, s in enumerate(starts_doc[matched:], start=matched)
-        ]
+    else:
+        starts_doc = doc["starts"]
+        if not isinstance(starts_doc, list):
+            raise ParseError("starts: expected an array")
+        if len(starts_doc) != len(order):
+            raise ParseError(
+                f"starts: {len(starts_doc)} entries for {len(order)} order positions"
+            )
+        starts = [parse_rational(s, f"starts[{i}]") for i, s in enumerate(starts_doc)]
         _, completions, gaps = _timeline(instance, order, starts)
-        texts += [None] * (len(order) - matched)
-    return Schedule(order, starts), _report(starts, completions, gaps), texts
-
-
-def _spells(text: object, value: Fraction) -> bool:
-    """Whether ``text`` is the canonical text of ``value``, a value >= 0.
-
-    The spelling is checked first: ASCII digits, no sign, no leading zero,
-    and a ``/q`` part exactly when ``value``'s denominator is not 1.  Then
-    each part, read as an int, must equal ``value``'s numerator or
-    denominator; both are in lowest terms, so no gcd is needed.  A part
-    past the digit limit spells nothing here; :func:`parse_rational`
-    names it.
-    """
-    if not isinstance(text, str):
-        return False
-    num, slash, den = text.partition("/")
-    if not _digits(num) or (num[0] == "0" and len(num) > 1):
-        return False
-    try:
-        if value.denominator == 1:
-            if slash:
-                return False
-        elif not _digits(den) or den[0] == "0" or int(den) != value.denominator:
-            return False
-        return int(num) == value.numerator
-    except ValueError:  # the interpreter's limit on digits per conversion
-        return False
+    return Schedule(order, tuple(starts)), _report(starts, completions, gaps)
 
 
 def _eval_report(text: str, instance: Instance) -> dict:
@@ -452,8 +372,8 @@ def _eval_report(text: str, instance: Instance) -> dict:
     doc = _loads(text, "schedule")
     report = _canonical_eval(doc, instance)
     if report is None:
-        schedule, timeline, start_texts = _schedule_from_doc(doc, instance)
-        report = _eval_document(schedule.order, timeline, start_texts)
+        schedule, timeline = _schedule_from_doc(doc, instance)
+        report = _eval_document(schedule.order, timeline)
     return report
 
 
@@ -462,7 +382,7 @@ def _canonical_eval(doc: object, instance: Instance) -> dict | None:
     permutation of the instance's ids and each of its starts is the text
     :func:`_walk` makes for that position of the order's canonical
     schedule; None otherwise, or when a start, completion or gap passes the
-    digit limit, or when ``d * q`` reaches ``_WALK_SCALE``.
+    digit limit.
 
     One pass of :func:`_scaled_timeline` decides on integers where the
     canonical schedule waits for a release, and sums the completions: each
@@ -481,11 +401,9 @@ def _canonical_eval(doc: object, instance: Instance) -> dict | None:
         return None
     prepared = instance._prepared
     q = prepared.q
-    if prepared.d * q >= _WALK_SCALE:
-        return None
     jumps: list[bool] = []
     parts: dict[int, int] = {}  # the completions at scale d * q**k, by k
-    for jumped, _, _, k, completion in _scaled_timeline(prepared, order, None):
+    for jumped, _, _, k, completion in _scaled_timeline(prepared, order):
         jumps.append(jumped)
         parts[k + 1] = parts.get(k + 1, 0) + completion
     limit = sys.get_int_max_str_digits()
@@ -527,22 +445,15 @@ def _canonical_eval(doc: object, instance: Instance) -> dict | None:
     }
 
 
-def _eval_document(
-    order: Sequence[int], report: EvalReport, start_texts: list[str | None]
-) -> dict:
-    """``eval``'s output document for ``report``, writing each text once.
-
-    A start keeps the text it came with (see :func:`_schedule_from_text`).
-    A completion followed by a zero gap is the next start, so it takes that
-    start's text; a zero gap is ``"0"``; the makespan is the last
-    completion's text.  The rest is written as :func:`format_rationals`
-    would, list by list in the output's order, so a list past the digit
-    limit is refused before any of it is converted.
+def _eval_document(order: Sequence[int], report: EvalReport) -> dict:
+    """``eval``'s output document for ``report``.  Each list is written by
+    :func:`format_rationals` in the output's order, so the first list past
+    the digit limit is refused before any of it is converted; the makespan
+    is the last completion's text.
     """
-    starts = _fill_texts(report.starts, start_texts, "starts")
-    nexts = [starts[k] if not report.gaps[k] else None for k in range(1, len(starts))]
-    completions = _fill_texts(report.completions, nexts + [None], "completions")
-    gaps = _fill_texts(report.gaps, ["0" if not gap else None for gap in report.gaps], "gaps")
+    starts = format_rationals(report.starts, "starts")
+    completions = format_rationals(report.completions, "completions")
+    gaps = format_rationals(report.gaps, "gaps")
     return {
         "order": list(order),
         "starts": starts,
@@ -572,35 +483,26 @@ _EXACT = Context(
 _ZERO = _EXACT.create_decimal(0)
 _ONE = _EXACT.create_decimal(1)
 
-# :func:`_walk` reads each residue mod ``d * q`` from its text and takes
-# gcds of them.  Below this bound a residue has at most 20 digits, far
-# inside any digit limit the interpreter allows (640 at least), and the
-# gcds are of machine-word ints.  Past it, the Fraction routes run.
-_WALK_SCALE = 2**64
-
 _Value = tuple[Decimal, Decimal]
 
 
 def _scaled_timeline(
-    prepared: _Prepared, order: Sequence[int], jumps: Sequence[bool] | None
+    prepared: _Prepared, order: Sequence[int]
 ) -> Iterator[tuple[bool, int, int, int, int]]:
-    """The policy loops' integer time along ``order``: per position,
-    whether the job starts at its release, its start ``T`` at the scale
-    ``d * Q`` with ``Q = q**k``, ``Q``, ``k``, and its completion at the
-    scale ``d * Q * q`` (see :mod:`detsched.schedulers`).
-
-    ``jumps[i]`` says whether position ``i`` starts at its job's release,
-    as :attr:`PolicyRun.jumps <detsched.schedulers.PolicyRun>` does.  With
-    ``jumps`` None, a job starts at its release exactly when that is later
-    than the previous completion, ``R * Q > T``: the canonical schedule.
-    ``order`` must be a permutation of the instance's ids.
+    """The policy loops' integer time along the canonical schedule of
+    ``order``: per position, whether the job starts at its release, its
+    start ``T`` at the scale ``d * Q`` with ``Q = q**k``, ``Q``, ``k``, and
+    its completion at the scale ``d * Q * q`` (see
+    :mod:`detsched.schedulers`).  A job starts at its release exactly when
+    that is later than the previous completion, ``R * Q > T``.  ``order``
+    must be a permutation of the instance's ids.
     """
     keys = {jid: (r, a) for r, a, jid in prepared.keys}
     q, pq = prepared.q, prepared.p + prepared.q
     T, Q, k = 0, 1, 0
-    for i, jid in enumerate(order):
+    for jid in order:
         r, a = keys[jid]
-        jumped = r * Q > T if jumps is None else jumps[i]
+        jumped = r * Q > T
         if jumped:
             T, Q, k = r, 1, 0
         Qq = Q * q
@@ -622,11 +524,12 @@ def _walk(
     With ``beta = p/q``, a start ``N/D`` in lowest terms completes at
     ``x / y = (A*q*D + d*(p+q)*N) / (d*q*D)``.  Every denominator has only
     the primes of ``m = d*q``, so ``g = gcd(x, y, m)``, read from residues
-    mod ``m``, is a small int, and dividing ``x`` and ``y`` by it until it
-    is 1 leaves them in lowest terms; no gcd of big ints runs.  With
-    ``d == 1``, ``g = gcd(x mod q, q)`` is already ``gcd(x, y)``: a prime
-    of ``D`` divides ``q``, so it divides neither ``N`` nor ``p + q``, and
-    so not ``x``.  ``d * q`` must be below ``_WALK_SCALE``.
+    mod ``m``, divides ``m``, and dividing ``x`` and ``y`` by it until it
+    is 1 leaves them in lowest terms; no gcd of ints larger than ``m``
+    runs.  With ``d == 1``, ``g = gcd(x mod q, q)`` is already
+    ``gcd(x, y)``: a prime of ``D`` divides ``q``, so it divides neither
+    ``N`` nor ``p + q``, and so not ``x``.  A residue goes to an int
+    without text, so no digit limit applies to it.
     """
     ctx = _EXACT
     mul, add, sub, dec = ctx.multiply, ctx.add, ctx.subtract, ctx.create_decimal
@@ -638,7 +541,7 @@ def _walk(
     modulus = dec(m)
 
     def residue(x: Decimal) -> int:
-        return int(ctx.to_sci_string(ctx.remainder(x, modulus)))
+        return int(ctx.remainder(x, modulus))
 
     def lowest(x: Decimal, y: Decimal) -> _Value:
         while (g := math.gcd(residue(x), residue(y), m)) > 1:
@@ -686,36 +589,37 @@ def _text(value: _Value) -> str:
     return f"{text}/{_EXACT.to_sci_string(den)}"
 
 
-def _check_starts(prepared: _Prepared, order: Sequence[int], jumps: Sequence[bool]) -> None:
-    """Raise :class:`SchedulingError` naming ``starts[k]`` for the first
-    start of the run past the interpreter's limit on digits per integer
-    string conversion, as :func:`write_schedule` would, before any text is
-    made.  A start ``T / (d * Q)`` of :func:`_scaled_timeline` is reduced
-    only when ``T`` or ``d * Q`` passes the limit: its lowest terms are no
-    larger."""
+def _check_starts(prepared: _Prepared, order: Sequence[int]) -> list[bool]:
+    """Per position of the canonical schedule of ``order``, whether the job
+    starts at its release, from one pass of :func:`_scaled_timeline`.
+
+    Raises :class:`SchedulingError` naming ``starts[k]`` for the first
+    start past the interpreter's limit on digits per integer string
+    conversion, as :func:`write_schedule` would, before any text is made.
+    A start ``T / (d * Q)`` is reduced only when ``T`` or ``d * Q`` passes
+    the limit: its lowest terms are no larger."""
     limit = sys.get_int_max_str_digits()
-    if not limit:
-        return
-    bound = _digit_bound(limit)
+    bound = _digit_bound(limit) if limit else None
     d = prepared.d
-    for k, (_, T, Q, _, _) in enumerate(_scaled_timeline(prepared, order, jumps)):
-        if T >= bound or d * Q >= bound:
+    jumps = []
+    for k, (jumped, T, Q, _, _) in enumerate(_scaled_timeline(prepared, order)):
+        jumps.append(jumped)
+        if bound is not None and (T >= bound or d * Q >= bound):
             start = Fraction(T, d * Q)
             if start.numerator >= bound or start.denominator >= bound:
                 raise _unwritable(start, f"starts[{k}]", limit)
+    return jumps
 
 
 def _write_run(record: PolicyRun) -> str:
     """The schedule document of a policy run, byte for byte
     :func:`write_schedule` of ``record.schedule`` and with the same
-    refusals, raised before any text is made.  The starts come from
-    :func:`_walk` on the run's order and jump flags; the Fraction schedule
-    is built only when ``d * q`` reaches ``_WALK_SCALE``."""
-    prepared, order, jumps = record.instance._prepared, record.order, record.jumps
-    if prepared.d * prepared.q >= _WALK_SCALE:
-        return write_schedule(record.schedule)
+    refusals, raised before any text is made.  A policy schedule is the
+    canonical schedule of its order, so the starts come from :func:`_walk`
+    on the order and the jump flags :func:`_check_starts` finds."""
+    prepared, order = record.instance._prepared, record.order
     _check_writable(order, lambda i: f"order[{i}]")
-    _check_starts(prepared, order, jumps)
+    jumps = _check_starts(prepared, order)
     starts = [_text(start) for start, _, _ in _walk(prepared, order, jumps)]
     return _dumps({"order": list(order), "starts": starts})
 

@@ -156,6 +156,16 @@ CATALOGUE = (
         "if start.numerator > bound or start.denominator > bound:",
         ("tests/test_reference_routes.py::TestWalkRoutes::test_start_at_the_digit_bound",),
     ),
+    Mutant(
+        "derived-jump-unscaled",
+        "src/detsched/serialization.py",
+        "jumped = r * Q > T",
+        "jumped = r > T",
+        (
+            "tests/test_reference_routes.py::TestWalkRoutes::test_solve_document",
+            "tests/test_reference_routes.py::TestWalkRoutes::test_fixed_walks",
+        ),
+    ),
 )
 
 

@@ -327,7 +327,8 @@ class TestPipeline:
 
     def test_long_horizon_round_trip(self, tmp_path):
         # the long-horizon regime: starts of about 1700 digits, written as
-        # their canonical texts and read back by eval's integer compare
+        # their canonical texts, which eval compares with its own walk's
+        # texts string for string
         inst = generate(FamilySpec(family=Family.RANDOM, n=1600, beta=F(1, 1600), seed=5, r_max=6400))
         path = tmp_path / "i.json"
         path.write_text(write_instance(inst), encoding="utf-8")

@@ -1,4 +1,4 @@
-"""The text-checked schedule route, the decimal walk behind ``solve`` and
+"""The schedule parse route, the decimal walk behind ``solve`` and
 ``eval``, the per-denominator total and the instance reader and writer
 against the routes they replaced, which are kept here as references.
 
@@ -45,7 +45,6 @@ from detsched import (
 )
 from detsched.model import SchedulingError
 from detsched.serialization import (
-    _WALK_SCALE,
     ParseError,
     _canonical_eval,
     _dumps,
@@ -275,8 +274,9 @@ class TestScheduleRoutes:
             assert_same_routes(json.dumps({"order": list(range(1, n + 1))}), inst)
 
 
-# Betas with q of 1, 2, 3, 7 and 1600, and one whose q is near _WALK_SCALE.
-walk_betas = st.sampled_from([F(3, 2), F(2, 7), F(1, 1600), F(1), F(5, 3), F(7, 10**19)])
+# Betas with q of 1, 2, 3, 7 and 1600, one whose q is near 2**64 and one
+# whose q is past it.
+walk_betas = st.sampled_from([F(3, 2), F(2, 7), F(1, 1600), F(1), F(5, 3), F(7, 10**19), F(3, 10**25)])
 
 
 @st.composite
@@ -308,14 +308,11 @@ class TestWalkRoutes:
     def test_eval_document(self, inst, choice, limit):
         with digit_limit(0):
             text = write_schedule(run(inst, choice).schedule)
-        prepared = inst._prepared
         with digit_limit(limit):
             report = outcome(lambda: _dumps(_eval_report(text, inst)))
             assert report == outcome(lambda: _dumps(reference_eval_document(text, inst)))
             fast = outcome(_canonical_eval, json.loads(text), inst)
-        if prepared.d * prepared.q >= _WALK_SCALE:
-            assert fast is None
-        elif not limit:
+        if not limit:
             # the canonical texts of a canonical schedule take the fast route
             assert _dumps(fast) == report
 
@@ -355,15 +352,22 @@ class TestWalkRoutes:
             assert outcome(_write_run, record) == outcome(reference_solve_document, record)
             assert isinstance(outcome(_write_run, record), str) == (release < 10**640)
 
-    def test_scale_past_the_walk(self):
-        # d * q at _WALK_SCALE: solve writes the Fraction schedule, and eval
-        # takes the route that parses
-        inst = make_instance(F(1, _WALK_SCALE), [(1, 1, 0), (2, 1, 1)])
-        record = run(inst, SchedulerChoice.ECTF)
-        text = _write_run(record)
-        assert text == reference_solve_document(record)
-        assert _canonical_eval(json.loads(text), inst) is None
-        assert _dumps(_eval_report(text, inst)) == _dumps(reference_eval_document(text, inst))
+    @pytest.mark.parametrize("q, limit", [(2**64, 640), (10**700, 0)], ids=["2**64", "10**700"])
+    def test_walk_at_any_scale(self, q, limit):
+        # d = 6 and q past a machine word, or with more digits than the
+        # lowest limit the interpreter allows: the walk still writes and
+        # checks every policy schedule
+        inst = make_instance(
+            F(1, q), [(1, 1, 0), (2, F(1, 2), 1), (3, F(1, 3), F(5, 2)), (4, 2, 0)]
+        )
+        with digit_limit(limit):
+            for choice in SchedulerChoice:
+                record = run(inst, choice)
+                text = _write_run(record)
+                assert text == reference_solve_document(record)
+                fast = _canonical_eval(json.loads(text), inst)
+                assert fast is not None
+                assert _dumps(fast) == _dumps(reference_eval_document(text, inst))
 
 
 class TestTotalRoutes:

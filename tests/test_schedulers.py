@@ -392,7 +392,6 @@ class TestRunEntryPoint:
         assert "schedule" not in vars(record)
         schedule = record.schedule
         assert schedule == Schedule((2, 3, 1), (F(1), F(2), F(4)))
-        assert record.jumps == (True, False, False)
         assert record.schedule is schedule
 
     def test_repeated_run_runs_no_loop(self, monkeypatch):
@@ -409,9 +408,9 @@ class TestRunEntryPoint:
 
 
 class TestSchedulerContracts:
-    # PolicyRun.schedule builds each start from a jump flag, with no
-    # comparison, which is exact only because every policy schedule is the
-    # canonical schedule of its order.
+    # PolicyRun.schedule, solve and eval build a policy's schedule as the
+    # canonical schedule of its order, which is exact only because every
+    # policy schedule is one.
     @settings(max_examples=300, deadline=None)
     @given(
         inst=st.one_of(
