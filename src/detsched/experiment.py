@@ -18,7 +18,9 @@ breaks that contract for the one column that cannot be deterministic.
 A row's time covers only the work it did first in its trial, so a row
 whose loops an earlier row already ran (best-of-two after non-idling and
 non-interfering, say) times the pick and nothing else.  Under the
-makespan objective no row's time includes an evaluation.
+makespan objective no row's time includes an evaluation, and the trial's
+optimum, when the instance is within the cap, runs ECTF's loop for its
+bound before any row: ECTF's row then times only the lookup of that run.
 """
 
 from __future__ import annotations
@@ -136,35 +138,54 @@ assert CSV_HEADER[:10] + CSV_HEADER[11:] == tuple(
 )
 
 
-def _csv_cells(row: ExperimentRow) -> list[str]:
+def _shared_cells(row: ExperimentRow) -> tuple[str, str, str, str]:
+    """The cells every row of a trial shares: beta, the optimum and the
+    two lower bounds."""
+    return (
+        decimal_string(row.beta),
+        "" if row.opt_value is None else format_rational(row.opt_value),
+        format_rational(row.lb_release),
+        format_rational(row.lb_fixed),
+    )
+
+
+def _csv_cells(row: ExperimentRow, shared: tuple[str, str, str, str]) -> list[str]:
+    beta, opt_value, lb_release, lb_fixed = shared
     return [
         row.instance_id,
         str(row.n),
-        decimal_string(row.beta),
+        beta,
         row.family,
         str(row.seed),
         row.algorithm,
         row.objective,
         format_rational(row.value),
-        "" if row.opt_value is None else format_rational(row.opt_value),
+        opt_value,
         "" if row.ratio is None else format_rational(row.ratio),
         "" if row.ratio is None else decimal_string(row.ratio),
-        format_rational(row.lb_release),
-        format_rational(row.lb_fixed),
+        lb_release,
+        lb_fixed,
         row.wall_time_ms,
     ]
 
 
-def _optimum(instance: Instance, objective: Objective, cap: int) -> Fraction | None:
+def _optimum(
+    instance: Instance,
+    objective: Objective,
+    cap: int,
+    runs: dict[SchedulerChoice, PolicyRun],
+) -> Fraction | None:
     """The trial's optimum, or None past the cap :func:`check_optimum_cap`
-    applies: ``cap`` or the route's own ceiling, whichever is lower."""
+    applies: ``cap`` or the route's own ceiling, whichever is lower.  The
+    makespan DP takes its bound from ECTF's run in ``runs``, the trial's
+    one dict of runs."""
     try:
         check_optimum_cap(instance, objective, cap)
     except InstanceTooLarge:
         return None
     if objective is Objective.MAKESPAN:
         # subset DP: same answer as brute force, exponentially cheaper
-        return dp_min_makespan(instance)
+        return dp_min_makespan(instance, runs)
     return optimum(instance, objective, max_n=cap).best_value
 
 
@@ -173,7 +194,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     (instance_id, algorithm) regardless of execution order.
 
     Per trial, each policy loop runs at most once: every row calls
-    :func:`~detsched.schedulers.run` with the trial's one dict of runs.
+    :func:`~detsched.schedulers.run` with the trial's one dict of runs, and
+    so does the makespan DP, which takes its bound from ECTF's run.
     Under the makespan objective a row's value is its run's makespan, so
     no schedule is built or evaluated.  Under total completion each
     distinct run's schedule is built and evaluated once: best-of-two's run
@@ -195,8 +217,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         instance_id = f"{config.family.value}-t{trial:05d}"
         lbr = lb_release(instance)
         lbf = _lb_fixed(instance)
-        opt = _optimum(instance, config.objective, config.max_bruteforce_n)
         runs: dict[SchedulerChoice, PolicyRun] = {}
+        opt = _optimum(instance, config.objective, config.max_bruteforce_n, runs)
         evaluated: list[tuple[PolicyRun, Fraction]] = []
         for algorithm in config.algorithms:
             started = time.perf_counter() if config.timings else 0.0
@@ -236,12 +258,20 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
 
 
 def write_csv(rows: list[ExperimentRow]) -> str:
-    """CSV text: fixed header, LF line endings, deterministic."""
+    """CSV text: fixed header, LF line endings, deterministic.
+
+    The rows of one trial share their beta, optimum and bound objects
+    (see :func:`run_experiment`), so those cells are formatted once per
+    run of rows that hold the very same objects."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
+    last = shared = None
     for row in rows:
-        writer.writerow(_csv_cells(row))
+        key = (id(row.beta), id(row.opt_value), id(row.lb_release), id(row.lb_fixed))
+        if key != last:
+            last, shared = key, _shared_cells(row)
+        writer.writerow(_csv_cells(row, shared))
     return buffer.getvalue()
 
 

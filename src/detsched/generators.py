@@ -32,6 +32,12 @@ class BadSpec(SchedulingError):
     """A family spec's parameters are inconsistent with its family."""
 
 
+# The most jobs the random and two-release families draw: 62 times the
+# largest size any benchmark or pinned output uses (n=1600).  It is
+# checked before any draw, so a mistyped n fails at once.
+RANDOM_MAX_N = 100_000
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """Parameters for one generated instance.
@@ -40,7 +46,8 @@ class FamilySpec:
     non-idling and estimate-first adversarial families read it as their size
     parameter k (producing k+1 and 2k jobs).  ``b`` is the scale parameter;
     families pick documented defaults when it is None.  ``alpha_max`` and
-    ``r_max`` only apply to the random families.  ``n``, ``seed``,
+    ``r_max`` only apply to the random families, which draw at most
+    ``RANDOM_MAX_N`` jobs.  ``n``, ``seed``,
     ``alpha_max`` and ``r_max`` must be ints (bools are refused), so every
     instance is reproducible from its spec.
     """
@@ -63,6 +70,11 @@ class FamilySpec:
             object.__setattr__(self, "b", rational(self.b))
         if self.n < 1:
             raise BadSpec(f"n must be >= 1, got {_show(self.n)}")
+        if self.family in (Family.RANDOM, Family.TWO_RELEASE) and self.n > RANDOM_MAX_N:
+            raise BadSpec(
+                f"n must be <= {RANDOM_MAX_N} for the {self.family.value} family, "
+                f"got {_show(self.n)}"
+            )
         if self.beta <= 0:
             raise BadSpec(f"beta must be > 0, got {_show(self.beta)}")
 

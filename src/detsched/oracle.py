@@ -11,10 +11,13 @@ and its order: :func:`dp_min_makespan` runs it once from the empty mask,
 and :func:`_makespan_optimum` runs it from each candidate prefix of the
 order.  It keeps one dict per level, from each mask it reached to its
 earliest completion, and closes a state once no remaining job is
-released after the state's completion time.  In the worst case, when
-nothing closes before the full set, it visits every mask, O(n * 2^n)
-steps; when completions pass the last release after a few jobs, as on
-random instances, it visits only the masks of those prefixes.
+released after the state's completion time.  It is bounded by an
+incumbent, ECTF's makespan for the value and one past the optimum for
+each probe of the order, and drops every state whose earliest possible
+finish reaches it.  In the worst case, when nothing closes or is dropped
+before the full set, it visits every mask, O(n * 2^n) steps; when
+completions pass the last release after a few jobs, or the incumbent is
+tight, as on random instances, it visits only a few masks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     Instance,
@@ -36,6 +39,7 @@ from .model import (
     canonical_starts,
     rational,
 )
+from .schedulers import PolicyRun, SchedulerChoice, run
 
 
 class Objective(Enum):
@@ -140,9 +144,43 @@ def _scaled(instance: Instance) -> tuple[int, int, int, list[tuple[int, int, int
     return prepared.d * weight, q, prepared.p + q, jobs
 
 
-def _finish(jobs: list[tuple[int, int, int]], q: int, pq: int, mask: int, t: int) -> int:
+class _Lattice(NamedTuple):
+    """The subset DP's per-instance tables, built once by
+    :func:`_lattice` and shared by every :func:`_finish` call on the
+    instance.
+
+    ``scale``, ``q``, ``pq`` and ``jobs`` are :func:`_scaled`'s.
+    ``latest_first`` and ``by_alpha`` are ``jobs`` sorted by release,
+    latest first, and by alpha, smallest first.  ``floors[r]`` is
+    ``(F_r, q**r, pq**r)``, where ``F_r`` is the completion of the r
+    smallest alphas of the whole instance run back to back from 0.
+    """
+
+    scale: int
+    q: int
+    pq: int
+    jobs: list[tuple[int, int, int]]
+    latest_first: list[tuple[int, int, int]]
+    by_alpha: list[tuple[int, int, int]]
+    floors: list[tuple[int, int, int]]
+
+
+def _lattice(instance: Instance) -> _Lattice:
+    scale, q, pq, jobs = _scaled(instance)
+    by_alpha = sorted(jobs, key=lambda job: job[1])
+    floors = [(0, 1, 1)]
+    for _, alpha, _ in by_alpha:
+        floor, qr, pqr = floors[-1]
+        # F_r is a completion of r jobs, so a multiple of q (see _scaled)
+        floors.append((alpha + floor // q * pq, qr * q, pqr * pq))
+    latest_first = sorted(jobs, key=lambda job: job[2], reverse=True)
+    return _Lattice(scale, q, pq, jobs, latest_first, by_alpha, floors)
+
+
+def _finish(lattice: _Lattice, mask: int, t: int, bound: int) -> int:
     """Earliest completion of the jobs outside ``mask`` when the machine
-    is free from ``t``, on the integers of :func:`_scaled`.
+    is free from ``t``, on the integers of :func:`_scaled`, if it is below
+    ``bound``; ``bound`` itself otherwise.
 
     A subset DP, level by level (by popcount) from ``{mask: t}``: each
     level maps every mask it reached to its earliest completion, and each
@@ -162,20 +200,34 @@ def _finish(jobs: list[tuple[int, int, int]], q: int, pq: int, mask: int, t: int
     Every value computed is the makespan of a real order, and along an
     optimal order's prefixes the DP is at most that order up to its first
     closed prefix, whose finish is at most the rest of that order; so the
-    minimum is the optimum.  The full mask is closed, so with no closure
-    earlier this is the plain O(n * 2^n) DP; on instances whose
-    completions pass the last release after a few jobs it visits only the
-    masks of those prefixes.
+    minimum is the optimum.
+
+    A child is *pruned*, never stored, when no finish from it can beat the
+    incumbent: ``bound`` at first, then the smallest closed finish found.
+    With r jobs left after a child of completion ``c``, every finish is at
+    least ``g**r * c + F_r`` (see :class:`_Lattice`), because the i-th
+    smallest alpha of any r jobs is at least the i-th smallest of the
+    instance.  In integers that bound reaches the incumbent ``U`` exactly when
+    ``c * pq**r >= (U - F_r) * q**r``, that is when ``c`` reaches the
+    ceiling of ``(U - F_r) * q**r / pq**r``: one cutoff per level and
+    incumbent, then one comparison per child.  The optimal order's
+    prefixes stay below every incumbent that the optimum does not reach,
+    so the result is exact.  The full mask is closed, so with no closure
+    or pruning earlier this is the plain O(n * 2^n) DP; on instances whose
+    completions pass the last release after a few jobs, or where the
+    incumbent is tight, it visits far fewer masks.
 
     ``t`` must be a completion of the jobs in ``mask`` in some order (0
     for the empty mask), so that every start is a multiple of ``q`` and
     each step is exact (see :func:`_scaled`).
     """
-    latest_first = sorted(jobs, key=lambda job: job[2], reverse=True)
-    by_alpha = sorted(jobs, key=lambda job: job[1])
-    result = None
+    _, q, pq, jobs, latest_first, by_alpha, floors = lattice
+    result = bound
+    left = len(jobs) - mask.bit_count()
     level = {mask: t}
     while level:
+        left -= 1  # jobs left after a child of this level
+        cutoff = None  # computed when first needed, again after each closure
         reached: dict[int, int] = {}
         for mask, t in level.items():
             last_release = -1  # stays -1 for the full mask
@@ -184,10 +236,15 @@ def _finish(jobs: list[tuple[int, int, int]], q: int, pq: int, mask: int, t: int
                     last_release = release
                     break
             if last_release > t:
+                if cutoff is None:
+                    floor, qr, pqr = floors[left]
+                    cutoff = -((floor - result) * qr // pqr)
                 for bit, alpha, release in jobs:
                     if not mask & bit:
-                        child = mask | bit
                         candidate = alpha + (release if release > t else t) // q * pq
+                        if candidate >= cutoff:
+                            continue
+                        child = mask | bit
                         known = reached.get(child)
                         if known is None or candidate < known:
                             reached[child] = candidate
@@ -195,16 +252,33 @@ def _finish(jobs: list[tuple[int, int, int]], q: int, pq: int, mask: int, t: int
                 for bit, alpha, _ in by_alpha:
                     if not mask & bit:
                         t = alpha + t // q * pq
-                if result is None or t < result:
-                    result = t
+                if t < result:
+                    result, cutoff = t, None
         level = reached
     return result
 
 
-def dp_min_makespan(instance: Instance) -> Fraction:
+def _incumbent(
+    instance: Instance, lattice: _Lattice, runs: dict[SchedulerChoice, PolicyRun] | None
+) -> int:
+    """ECTF's makespan at the lattice's scale, from ``runs`` when ECTF
+    already ran there (see :func:`~detsched.schedulers.run`).  It is the
+    makespan of an order, so an integer there (see :func:`_scaled`)."""
+    makespan = run(instance, SchedulerChoice.ECTF, runs).makespan
+    return makespan.numerator * (lattice.scale // makespan.denominator)
+
+
+def dp_min_makespan(
+    instance: Instance, runs: dict[SchedulerChoice, PolicyRun] | None = None
+) -> Fraction:
     """Optimal makespan by dynamic programming over job subsets:
-    :func:`_finish` from the empty mask at time 0, as ``Fraction(best,
-    L)`` on the integers of :func:`_scaled`.
+    :func:`_finish` from the empty mask at time 0, bounded by ECTF's
+    makespan, as ``Fraction(best, L)`` on the integers of :func:`_scaled`.
+    When no finish beats ECTF's makespan, that makespan is the optimum
+    and is the value returned.  ``runs`` is passed to
+    :func:`~detsched.schedulers.run`, so a caller that keeps one dict of
+    runs per instance, as the experiment harness does per trial, runs
+    ECTF's loop once.
 
     :func:`brute_force` stays on Fractions: it is the independent route
     that the tests and the certificate checks compare this DP against, so
@@ -215,27 +289,30 @@ def dp_min_makespan(instance: Instance) -> Fraction:
     n = instance.n
     if n > DP_MAX_N:
         raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
-    scale, q, pq, jobs = _scaled(instance)
-    return Fraction(_finish(jobs, q, pq, 0, 0), scale)
+    lattice = _lattice(instance)
+    best = _finish(lattice, 0, 0, _incumbent(instance, lattice, runs))
+    return Fraction(best, lattice.scale)
 
 
 def _makespan_optimum(instance: Instance) -> OptResult:
     """The makespan optimum with the order :func:`brute_force` picks: the
     lexicographically smallest optimal order by job id.
 
-    The value comes from :func:`dp_min_makespan`.  The order is built one
-    position at a time: with the jobs in ``done`` placed and the machine
-    free from ``free``, it takes the smallest unplaced id whose
-    completion still lets :func:`_finish` complete the rest by the
-    optimum.  The optimal order's next job always qualifies, so some job
-    does.
+    The value is :func:`dp_min_makespan`'s, on the same tables.  The order
+    is built one position at a time: with the jobs in ``done`` placed and
+    the machine free from ``free``, it takes the smallest unplaced id
+    whose completion still lets :func:`_finish` complete the rest by the
+    optimum.  Each probe passes one past the optimum as its bound, so it
+    prunes every state that cannot finish by the optimum and fails exactly
+    when nothing does.  The optimal order's next job always qualifies, so
+    some job does.
     """
-    value = dp_min_makespan(instance)
-    scale, q, pq, jobs = _scaled(instance)
-    bound = value.numerator * (scale // value.denominator)
+    lattice = _lattice(instance)
+    q, pq = lattice.q, lattice.pq
+    best = _finish(lattice, 0, 0, _incumbent(instance, lattice, None))
     by_id = sorted(
         (job.id, bit, alpha, release)
-        for job, (bit, alpha, release) in zip(instance.jobs, jobs)
+        for job, (bit, alpha, release) in zip(instance.jobs, lattice.jobs)
     )
     order = []
     done = free = 0
@@ -243,7 +320,7 @@ def _makespan_optimum(instance: Instance) -> OptResult:
         for jid, bit, alpha, release in by_id:
             if not done & bit:
                 completion = alpha + (release if release > free else free) // q * pq
-                if _finish(jobs, q, pq, done | bit, completion) <= bound:
+                if _finish(lattice, done | bit, completion, best + 1) <= best:
                     break
         else:
             raise AssertionError("no job leaves the rest finishable by the optimum")
@@ -253,7 +330,7 @@ def _makespan_optimum(instance: Instance) -> OptResult:
     return OptResult(
         objective=Objective.MAKESPAN,
         best_schedule=canonical_starts(instance, tuple(order)),
-        best_value=value,
+        best_value=Fraction(best, lattice.scale),
     )
 
 

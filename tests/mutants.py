@@ -85,8 +85,8 @@ CATALOGUE = (
     Mutant(
         "optimum-walk-strict-bound",
         "src/detsched/oracle.py",
-        "if _finish(jobs, q, pq, done | bit, completion) <= bound:",
-        "if _finish(jobs, q, pq, done | bit, completion) < bound:",
+        "if _finish(lattice, done | bit, completion, best + 1) <= best:",
+        "if _finish(lattice, done | bit, completion, best + 1) < best:",
         (
             "tests/test_oracle.py::TestOptimum::test_makespan_matches_brute_force",
             "tests/test_oracle.py::TestOrderMatchesBackwardTable::test_same_order",
@@ -112,12 +112,56 @@ CATALOGUE = (
     Mutant(
         "optimum-walk-probes-from-done",
         "src/detsched/oracle.py",
-        "if _finish(jobs, q, pq, done | bit, completion) <= bound:",
-        "if _finish(jobs, q, pq, done, completion) <= bound:",
+        "if _finish(lattice, done | bit, completion, best + 1) <= best:",
+        "if _finish(lattice, done, completion, best + 1) <= best:",
         (
             "tests/test_oracle.py::TestOptimum::test_makespan_matches_brute_force",
             "tests/test_oracle.py::TestOrderMatchesBackwardTable::test_same_order",
         ),
+    ),
+    Mutant(
+        "optimum-walk-probe-bound-tight",
+        "src/detsched/oracle.py",
+        "if _finish(lattice, done | bit, completion, best + 1) <= best:",
+        "if _finish(lattice, done | bit, completion, best) <= best:",
+        (
+            "tests/test_oracle.py::TestPrunedDp::test_ectf_not_optimal",
+            "tests/test_oracle.py::TestOrderMatchesBackwardTable::test_same_order",
+        ),
+    ),
+    Mutant(
+        "dp-floors-from-descending-alphas",
+        "src/detsched/oracle.py",
+        "for _, alpha, _ in by_alpha:",
+        "for _, alpha, _ in reversed(by_alpha):",
+        (
+            "tests/test_oracle.py::TestPrunedDp::test_matches_reference_and_brute_force",
+            "tests/test_oracle.py::TestPrunedDp::test_any_bound_is_an_incumbent",
+        ),
+    ),
+    Mutant(
+        "dp-floors-one-job-more",
+        "src/detsched/oracle.py",
+        "floor, qr, pqr = floors[left]",
+        "floor, qr, pqr = floors[left + 1]",
+        (
+            "tests/test_oracle.py::TestPrunedDp::test_matches_reference_and_brute_force",
+            "tests/test_oracle.py::TestPrunedDp::test_any_bound_is_an_incumbent",
+        ),
+    ),
+    Mutant(
+        "dp-floors-one-job-less",
+        "src/detsched/oracle.py",
+        "floor, qr, pqr = floors[left]",
+        "floor, qr, pqr = floors[left - 1]",
+        ("tests/test_oracle.py::TestPrunedDp::test_ectf_optimal_prunes_every_child",),
+    ),
+    Mutant(
+        "dp-child-never-pruned",
+        "src/detsched/oracle.py",
+        "if candidate >= cutoff:",
+        "if False:",
+        ("tests/test_oracle.py::TestPrunedDp::test_ectf_optimal_prunes_every_child",),
     ),
     Mutant(
         "rho-pm-capacity-plus-one",

@@ -18,7 +18,7 @@ import pytest
 
 from detsched import cli, model, serialization
 from detsched.cli import main
-from detsched.generators import Family, FamilySpec, generate
+from detsched.generators import RANDOM_MAX_N, Family, FamilySpec, generate
 from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
 from detsched.schedulers import SchedulerChoice
 from detsched.serialization import parse_instance, parse_rational, write_instance
@@ -150,6 +150,12 @@ class TestGen:
         assert main(["gen", "--family", "ectf-adv", "--k", "2", "--b", "1"]) == 0
         inst = parse_instance(capsys.readouterr().out)
         assert inst.n == 4  # k longs + k shorts
+
+    @pytest.mark.parametrize("family", ["random", "two-release"])
+    def test_n_past_the_cap_rejected(self, capsys, no_env_seed, family):
+        argv = ["gen", "--family", family, "--n", str(RANDOM_MAX_N + 1), "--seed", "1"]
+        assert main(argv) == 1
+        assert f"n must be <= {RANDOM_MAX_N}" in capsys.readouterr().err
 
     def test_decimal_beta_rejected(self, capsys, no_env_seed):
         assert main(["gen", "--n", "3", "--beta", "0.5"]) == 1

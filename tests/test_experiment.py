@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 from fractions import Fraction as F
 
@@ -26,7 +27,7 @@ from detsched import model, schedulers
 from detsched.cli import main
 from detsched.experiment import CSV_HEADER
 from detsched.schedulers import PolicyRun
-from detsched.serialization import parse_rational, write_instance
+from detsched.serialization import format_rational, parse_rational, write_instance
 
 from conftest import count_calls, instances, make_instance
 
@@ -182,6 +183,15 @@ class TestOneRunPerTrial:
         assert len(built) == (0 if objective is Objective.MAKESPAN else 3)
         assert len(prepared) == 1
 
+    def test_makespan_bound_shares_ectf_run(self, monkeypatch):
+        # the subset DP's bound is ECTF's makespan, from the trial's runs,
+        # so ECTF's loop runs once per trial whether or not it has a row
+        ectf = count_calls(monkeypatch, schedulers._ectf)
+        run_experiment(config(trials=6, algorithms=tuple(SchedulerChoice)))
+        assert len(ectf) == 6
+        run_experiment(config(trials=6, algorithms=(SchedulerChoice.NON_IDLING,)))
+        assert len(ectf) == 12
+
     def test_one_record_per_trial(self, monkeypatch):
         prepared = count_calls(monkeypatch, model._prepare)
         rows = run_experiment(
@@ -248,6 +258,22 @@ class TestCsvContract:
             opt = parse_rational(row["opt_value"])
             assert parse_rational(row["ratio"]) == value / opt
             assert "." not in row["value"]
+
+    def test_shared_cells_follow_each_row(self):
+        # a trial's rows share one beta, optimum and bound object each, and
+        # their cells are formatted once; a row holding other objects, even
+        # with the same instance id, gets its own cells
+        rows = run_experiment(config(trials=2, algorithms=tuple(SchedulerChoice)))
+        rows[1] = dataclasses.replace(rows[1], beta=F(3, 2), lb_release=F(1, 7))
+        rows[2] = dataclasses.replace(rows[2], opt_value=None, ratio=None)
+        cells = parse_csv(write_csv(rows))
+        assert [(c["beta"], c["lb_release"]) for c in cells[:3]] == [
+            ("1", format_rational(rows[0].lb_release)),
+            ("1.5", "1/7"),
+            ("1", format_rational(rows[0].lb_release)),
+        ]
+        assert cells[2]["opt_value"] == "" and cells[3]["opt_value"] == cells[0]["opt_value"]
+        assert [c["lb_fixed"] for c in cells[:4]] == [format_rational(rows[0].lb_fixed)] * 4
 
     def test_ratio_decimal_is_display_only(self):
         rows = run_experiment(

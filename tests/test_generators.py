@@ -28,10 +28,11 @@ from detsched import (
     reduce_instance,
     validate_instance,
 )
-from detsched.generators import BadSpec
+from detsched import generators
+from detsched.generators import RANDOM_MAX_N, BadSpec
 from detsched.model import Schedule, SchedulingError
 
-from conftest import digit_limit, instances, make_instance
+from conftest import count_calls, digit_limit, instances, make_instance
 
 F = Fraction
 
@@ -232,6 +233,20 @@ class TestFamilySpecValidation:
     def test_bool_refused(self, name):
         with pytest.raises(BadSpec, match=f"{name} must be an int, got bool"):
             spec_for(Family.RANDOM, **{"n": 3, name: True})
+
+    @pytest.mark.parametrize("family", [Family.RANDOM, Family.TWO_RELEASE])
+    def test_n_past_the_cap(self, monkeypatch, family):
+        # refused before any draw: nothing runs unbounded, no job is built
+        jobs = count_calls(monkeypatch, generators.Job)
+        with pytest.raises(BadSpec, match=f"n must be <= {RANDOM_MAX_N} for the {family.value}"):
+            generate(spec_for(family, RANDOM_MAX_N + 1))
+        assert jobs == []
+        assert spec_for(family, RANDOM_MAX_N).n == RANDOM_MAX_N
+
+    def test_cap_is_for_the_random_families_only(self):
+        # the adversarial families read n as their size k; their values
+        # grow like (1+beta)**k, which this cap does not bound
+        assert spec_for(Family.ECTF_ADV, RANDOM_MAX_N + 1).n == RANDOM_MAX_N + 1
 
     # One digit past the limit, each value leaked a bare ValueError from
     # the message that names it.

@@ -14,6 +14,7 @@ from detsched import (
     Instance,
     Job,
     Objective,
+    SchedulerChoice,
     best_of_two,
     brute_force,
     canonical_starts,
@@ -23,6 +24,7 @@ from detsched import (
     lb_release,
     non_idling,
     non_interfering,
+    run,
     sorted_subset_cost,
     validate_instance,
 )
@@ -35,6 +37,8 @@ from detsched.oracle import (
     DegenerateOptimum,
     InstanceTooLarge,
     OptResult,
+    _finish,
+    _lattice,
     _lb_fixed,
     _scaled,
     optimum,
@@ -424,6 +428,110 @@ class TestOrderMatchesBackwardTable:
         )
     )
     def test_same_order(self, inst):
+        result = optimum(inst, Objective.MAKESPAN, max_n=DP_MAX_N)
+        assert result == _reference_makespan_optimum(inst)
+
+
+@st.composite
+def spread_release_instances(draw, max_n=12):
+    """The order walk's slow regime: alphas in 0..8, releases in 0..8n and
+    beta = 1/n, so states stay open deep into the lattice."""
+    n = draw(st.integers(1, max_n))
+    jobs = tuple(
+        Job(i, F(draw(st.integers(0, 8))), F(draw(st.integers(0, 8 * n))))
+        for i in range(1, n + 1)
+    )
+    return validate_instance(Instance(F(1, n), jobs))
+
+
+PRUNED_DP_INSTANCES = st.one_of(
+    instances(max_n=6),
+    tie_heavy_instances(),
+    rational_tie_heavy_instances(max_n=7),
+    family_instances(),
+    spread_release_instances(max_n=7),
+    coprime_instances(),
+)
+
+
+class _Iterations(list):
+    """A list that counts the loops run over it: :func:`_finish` loops
+    over ``latest_first`` once per state it visits, and over ``by_alpha``
+    once per state it closes."""
+
+    count = 0
+
+    def __iter__(self):
+        self.count += 1
+        return super().__iter__()
+
+
+def _ectf_bound(inst: Instance) -> int:
+    makespan = run(inst, SchedulerChoice.ECTF).makespan
+    return makespan.numerator * (_scaled(inst)[0] // makespan.denominator)
+
+
+class TestPrunedDp:
+    """The subset DP bounded by ECTF's makespan against the unpruned full
+    table and brute force."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=PRUNED_DP_INSTANCES)
+    def test_matches_reference_and_brute_force(self, inst):
+        value = dp_min_makespan(inst)
+        assert value == _reference_dp_min_makespan(inst)
+        assert value == brute_force(inst, Objective.MAKESPAN).best_value
+
+    @settings(max_examples=300, deadline=None)
+    @given(inst=PRUNED_DP_INSTANCES, offset=st.sampled_from([-1, 0, 1]))
+    def test_any_bound_is_an_incumbent(self, inst, offset):
+        # from any incumbent, the result is the optimum if it beats it and
+        # the incumbent itself otherwise
+        lattice = _lattice(inst)
+        best = _reference_dp_min_makespan(inst)
+        best = best.numerator * (lattice.scale // best.denominator)
+        for bound in (best + offset, 2 * _ectf_bound(inst) + 1):
+            assert _finish(lattice, 0, 0, bound) == min(bound, best)
+
+    def test_ectf_optimal_prunes_every_child(self):
+        # ECTF runs job 1 then job 2, finishing at 3, and so does the
+        # optimum.  Job 1 first completes at c = 1, job 2 first at c = 3;
+        # with one job left, g * c + F_1 is 3 and 7, both at least 3, so
+        # only the empty mask is visited and no state closes
+        inst = make_instance(1, [(1, 1, 0), (2, 1, 1)])
+        lattice = _lattice(inst)
+        visited = _Iterations(lattice.latest_first)
+        closed = _Iterations(lattice.by_alpha)
+        lattice = lattice._replace(latest_first=visited, by_alpha=closed)
+        bound = _ectf_bound(inst)
+        assert _finish(lattice, 0, 0, bound) == bound
+        assert (visited.count, closed.count) == (1, 0)
+        # with a bound no child reaches, both children are stored and close
+        assert _finish(lattice, 0, 0, 100 * bound) == bound
+        assert (visited.count, closed.count) == (4, 2)
+        assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst) == F(3)
+
+    def test_ectf_not_optimal(self):
+        # ECTF runs 1, 2, 3 and finishes at 6; the optimum 1, 3, 2 at 4
+        inst = make_instance(1, [(1, 0, 0), (2, 0, 1), (3, 2, 0)])
+        assert run(inst, SchedulerChoice.ECTF).makespan == F(6)
+        assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst) == F(4)
+        result = optimum(inst, Objective.MAKESPAN)
+        assert result == brute_force(inst, Objective.MAKESPAN)
+        assert result.best_schedule.order == (1, 3, 2)
+
+    def test_shares_ectf_run(self):
+        inst = make_instance(1, [(1, 0, 0), (2, 0, 1), (3, 2, 0)])
+        runs = {}
+        dp_min_makespan(inst, runs)
+        record = runs[SchedulerChoice.ECTF]
+        assert list(runs) == [SchedulerChoice.ECTF]
+        assert dp_min_makespan(inst, runs) == F(4)
+        assert runs[SchedulerChoice.ECTF] is record
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=st.one_of(spread_release_instances(), rational_tie_heavy_instances()))
+    def test_order_matches_reference(self, inst):
         result = optimum(inst, Objective.MAKESPAN, max_n=DP_MAX_N)
         assert result == _reference_makespan_optimum(inst)
 
