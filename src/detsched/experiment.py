@@ -73,6 +73,10 @@ class ExperimentConfig:
     timings: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("trials", "n_min", "n_max", "seed", "alpha_max", "r_max", "max_bruteforce_n"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidArgument(f"{name} must be an int, got {type(value).__name__}")
         if self.trials < 0:
             raise InvalidArgument("trials must be >= 0")
         if self.n_min < 1 or self.n_max < self.n_min:

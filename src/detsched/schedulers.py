@@ -7,15 +7,16 @@ prefers the smaller estimate, then the smaller fixed part, then the
 smaller id.  Ratio experiments on tie-heavy instances are sensitive to
 these choices, so they are part of the contract, not a detail.
 
-The three greedy policies are event loops that decide on integers.  Each
-walks the instance's prepared keys (:class:`~detsched.model._Prepared`,
-built once per instance and shared with the oracle), sorted by
-``(R, A, id)``, and keeps a pointer to the first job not yet released.
-``R = release * d`` and ``A = alpha * d`` are exact integers, with ``d``
-the lcm of every alpha and release denominator, so every sort and heap
-comparison orders and ties exactly as the Fractions would.  With
-``beta = p/q``, the time is held as ``T / (d * q**k)``, where ``k``
-counts the jobs run since the loop last jumped to a release:
+Non-idling, non-interfering and ECTF run one event loop, :func:`_loop`,
+that decides on integers.  It walks the instance's prepared keys
+(:class:`~detsched.model._Prepared`, built once per instance and shared
+with the oracle), sorted by ``(R, A, id)``, and keeps a pointer to the
+first job not yet released.  ``R = release * d`` and ``A = alpha * d``
+are exact integers, with ``d`` the lcm of every alpha and release
+denominator, so every sort and heap comparison orders and ties exactly as
+the Fractions would.  With ``beta = p/q``, the time is held as
+``T / (d * q**k)``, where ``k`` counts the jobs run since the loop last
+jumped to a release:
 
 - a jump to a release sets ``T = R`` and ``k = 0``;
 - a job started at ``T`` completes at ``T' = A * q**(k+1) + (p + q) * T``,
@@ -26,35 +27,54 @@ counts the jobs run since the loop last jumped to a release:
 the loop, and a value carries the bits of its own block only: the scale
 restarts at every jump.
 
-- Non-idling and non-interfering push every released job onto a heap
-  keyed by ``(A, R, id)`` and take its head.  Non-interfering first walks
-  the unreleased jobs from the pointer while ``R_m * q**(k+1) < T'``, that
-  is, while their release falls before the candidate's completion; the
-  first with a smaller ``A`` blocks the candidate, and the loop jumps to
-  its release.
-- ECTF keeps two heaps: released jobs keyed by ``(A, id)``, whose
-  estimate is the completion ``T'``, and unreleased jobs keyed by
+Released jobs wait on a heap.  Each decision takes its head, the job with
+the smallest fixed part, unless the policy's rule sends the machine to a
+later release first: then the loop jumps there and decides again.  With
+nothing pending it jumps to the next release.  The three rules:
+
+- Non-idling never jumps while a job is pending.  Its heap is keyed
+  ``(A, R, id)``.
+- Non-interfering, on the same heap, walks the unreleased jobs from the
+  pointer while ``R_m * q**(k+1) < T'``, that is, while their release
+  falls before the candidate's completion; the first with a smaller ``A``
+  blocks the candidate, and the loop jumps to its release.
+- ECTF keys its heap ``(A, 0, id)``: it ties released jobs on the id, not
+  the release, and a released job's estimate is its completion ``T'``.
+  A second heap holds the unreleased jobs, keyed
   ``((p + q) * R + q * A, A, id)``, which is ``d * q`` times the estimate
-  ``(1 + beta) * release + alpha``.  The smaller of the two heads starts
-  next, compared as ``(estimate, A, id)`` with the unreleased head's key
-  brought to ``T'``'s scale as ``key * q**k``.  Starting an unreleased
-  head is a jump: its completion is its key, at ``k = 1``.
+  ``(1 + beta) * release + alpha``; released entries are popped lazily.
+  The loop jumps to the release ``r_j`` of its head ``j`` when
+  ``(key * q**k, A_j, id_j) < (T', A, id)``, the key at ``T'``'s scale.
 
-Every job is pushed and popped at most twice, so the loops take
-O(n log n) heap steps.  Non-interfering's blocking walk adds O(n) per
-decision in the worst case, when many unreleased jobs with larger fixed
-parts fall inside the candidate's window.
+Deciding again at ``r_j`` is exact: ``j`` wins there, so it starts at
+``r_j`` and completes at its estimate, as ECTF would start it from ``t``.
 
-Both loops, the greedy one (:func:`_greedy`) and ECTF's (:func:`_ectf`),
-return a :class:`PolicyRun`: the order and the exact makespan (one gcd per
-run).  Every policy schedule is the canonical schedule of its order, so
-the starts are built from the order, only when :attr:`PolicyRun.schedule`
-is first read.  :func:`run` is the one entry point to the loops: it maps
-a :class:`SchedulerChoice` to its loop.  Best-of-two picks on the two
-greedy makespans there, so the pick builds no schedule.  A caller that
-runs several policies on one instance, as the experiment harness does
-per trial, passes a dict of runs and each loop runs once.  The four
-public functions return the run's schedule.
+- A job released in ``(t, r_j]`` was unreleased at ``t``: its estimate
+  is no smaller than ``j``'s and its release no later, so its fixed part
+  is no smaller; if equal, so are its release and estimate, and ``j``
+  wins on the id.
+- A job released by ``t`` lost to ``j``: its completion from ``t`` is at
+  least ``j``'s estimate, which exceeds ``(1 + beta) * t + alpha_j`` as
+  ``r_j > t``, so its fixed part is larger.
+- No unreleased job beat ``j``'s estimate at ``t``; none does at ``r_j``.
+
+With nothing pending, the loop first jumps to the earliest release, and
+the same argument applies from there.
+
+Each job enters and leaves each heap at most once, and every jump
+releases a job, so the loop takes O(n log n) heap steps.
+Non-interfering's blocking walk adds O(n) per decision in the worst case,
+when many unreleased jobs with larger fixed parts fall inside the
+candidate's window.
+
+The loop returns a :class:`PolicyRun`: the order and the exact makespan
+(one gcd per run).  Every policy schedule is the canonical schedule of
+its order, built only when :attr:`PolicyRun.schedule` is first read.
+:func:`run`, the one entry point, picks best-of-two on the two greedy
+makespans, so the pick builds no schedule.  A caller that runs several
+policies on one instance, as the experiment harness does per trial,
+passes it a dict of runs, and each policy runs once.  The four public
+functions return the run's schedule.
 """
 
 from __future__ import annotations
@@ -77,8 +97,7 @@ class SchedulerChoice(Enum):
 
 @dataclass(frozen=True)
 class PolicyRun:
-    """One policy loop's result: the order it chose and its exact
-    makespan."""
+    """One :func:`_loop` run: its policy's order and exact makespan."""
 
     instance: Instance = field(repr=False)
     order: tuple[int, ...]
@@ -91,16 +110,22 @@ class PolicyRun:
         return canonical_starts(self.instance, self.order)
 
 
-def _greedy(instance: Instance, block: bool) -> PolicyRun:
-    """Shortest pending job first; with ``block``, never start a job whose
-    window ``(t, (1 + beta) * t + alpha)`` holds the release of a job with a
-    strictly smaller fixed part, and jump to that release instead."""
+def _loop(instance: Instance, choice: SchedulerChoice) -> PolicyRun:
+    """``choice``'s loop: start the pending job with the smallest fixed part,
+    unless ``choice``'s rule sends the machine to a later release first."""
     prepared = instance._prepared
     p, q, d, keys = prepared.p, prepared.q, prepared.d, prepared.by_release
     pq = p + q
     n = len(keys)
     i = 0
-    # (A, R, id)
+    block = choice is SchedulerChoice.NON_INTERFERING
+    estimate = choice is SchedulerChoice.ECTF
+    if estimate:
+        # (d * q * estimate, A, id, R): R rides along for the jump; ids are
+        # unique, so it is never compared.
+        unreleased = [(pq * r + q * a, a, jid, r) for r, a, jid in keys]
+        heapq.heapify(unreleased)
+    # (A, R, id), or (A, 0, id) under ECTF
     pending: list[tuple[int, int, int]] = []
     # the time is T / (d * Q), with Q = q**k
     T, Q = 0, 1
@@ -108,7 +133,7 @@ def _greedy(instance: Instance, block: bool) -> PolicyRun:
     while len(order) < n:
         while i < n and keys[i][0] * Q <= T:
             r, a, jid = keys[i]
-            heapq.heappush(pending, (a, r, jid))
+            heapq.heappush(pending, (a, 0 if estimate else r, jid))
             i += 1
         if not pending:
             T, Q = keys[i][0], 1
@@ -116,20 +141,28 @@ def _greedy(instance: Instance, block: bool) -> PolicyRun:
         a, _, jid = pending[0]
         Qq = Q * q
         completion = a * Qq + pq * T
+        jump = None
         if block:
             # Releases from the pointer on are past T; the first smaller
             # fixed part in release order is the smallest blocking release.
-            blocking = None
             for m in range(i, n):
                 r, a_m, _ = keys[m]
                 if not r * Qq < completion:
                     break
                 if a_m < a:
-                    blocking = r
+                    jump = r
                     break
-            if blocking is not None:
-                T, Q = blocking, 1
-                continue
+        elif estimate:
+            while unreleased and unreleased[0][3] * Q <= T:
+                heapq.heappop(unreleased)
+            if unreleased:
+                key, a_j, j, r = unreleased[0]
+                # the key at the scale d * Q * q of the pending head's estimate
+                if (key * Q, a_j, j) < (completion, a, jid):
+                    jump = r
+        if jump is not None:
+            T, Q = jump, 1
+            continue
         heapq.heappop(pending)
         order.append(jid)
         T, Q = completion, Qq
@@ -157,52 +190,6 @@ def ectf(instance: Instance) -> Schedule:
     return run(instance, SchedulerChoice.ECTF).schedule
 
 
-def _ectf(instance: Instance) -> PolicyRun:
-    """:func:`ectf`'s loop.  A chosen job's estimate is its completion, so
-    the time ends at the makespan."""
-    prepared = instance._prepared
-    p, q, d, keys = prepared.p, prepared.q, prepared.d, prepared.by_release
-    pq = p + q
-    n = len(keys)
-    i = 0
-    # (A, id)
-    released: list[tuple[int, int]] = []
-    # ((p+q) * R + q * A, A, id, R): the first entry is d * q times the
-    # estimate (1 + beta) * release + alpha.  R rides along for the release
-    # test; ids are unique, so it is never compared.
-    unreleased = [(pq * r + q * a, a, jid, r) for r, a, jid in keys]
-    heapq.heapify(unreleased)
-    started: set[int] = set()
-    # the time is T / (d * Q), with Q = q**k
-    T, Q = 0, 1
-    order: list[int] = []
-    while len(order) < n:
-        while i < n and keys[i][0] * Q <= T:
-            _, a, jid = keys[i]
-            if jid not in started:
-                heapq.heappush(released, (a, jid))
-            i += 1
-        while unreleased and unreleased[0][3] * Q <= T:
-            heapq.heappop(unreleased)
-        Qq = Q * q
-        best = None
-        if released:
-            a, jid = released[0]
-            best, heap = (a * Qq + pq * T, a, jid), released
-        jumped = False
-        if unreleased:
-            key, a, jid, _ = unreleased[0]
-            # the key at the scale d * Q * q of the released head's estimate
-            if best is None or (key * Q, a, jid) < best:
-                best, heap, jumped = (key, a, jid), unreleased, True
-        heapq.heappop(heap)
-        T, _, jid = best
-        Q = q if jumped else Qq
-        started.add(jid)
-        order.append(jid)
-    return PolicyRun(instance, tuple(order), Fraction(T, d * Q))
-
-
 def run(
     instance: Instance,
     choice: SchedulerChoice,
@@ -212,6 +199,7 @@ def run(
     same instance: one already there is returned as it is, and a new one is
     recorded there.
 
+    Non-idling, non-interfering and ECTF are :func:`_loop` runs.
     Best-of-two takes both greedy runs through ``runs`` and returns the one
     with the smaller makespan, non-idling on a tie: that record itself, not
     a copy."""
@@ -219,22 +207,20 @@ def run(
         runs = {}
     record = runs.get(choice)
     if record is None:
-        if choice is SchedulerChoice.ECTF:
-            record = _ectf(instance)
-        elif choice is SchedulerChoice.BEST_OF_TWO:
+        if choice is SchedulerChoice.BEST_OF_TWO:
             idling = run(instance, SchedulerChoice.NON_IDLING, runs)
             interfering = run(instance, SchedulerChoice.NON_INTERFERING, runs)
             record = idling if idling.makespan <= interfering.makespan else interfering
         else:
-            record = _greedy(instance, block=choice is SchedulerChoice.NON_INTERFERING)
+            record = _loop(instance, choice)
         runs[choice] = record
     return record
 
 
 def best_of_two(instance: Instance) -> Schedule:
-    """Run the non-idling and the non-interfering loops once each; keep the
-    schedule with the smaller makespan (the non-idling one on a tie).  The
-    loops return their makespans, so only the winner's schedule is built."""
+    """Run the non-idling and the non-interfering policies once each; keep
+    the schedule with the smaller makespan (the non-idling one on a tie).
+    The loop returns the makespans, so only the winner's schedule is built."""
     return run(instance, SchedulerChoice.BEST_OF_TWO).schedule
 
 

@@ -176,12 +176,36 @@ CATALOGUE = (
     Mutant(
         "run-ectf-branch-raises",
         "src/detsched/schedulers.py",
-        "record = _ectf(instance)",
-        'raise AssertionError("ectf")',
+        "elif estimate:",
+        'elif estimate:\n            raise AssertionError("ectf")',
         (
             "tests/test_schedulers.py::TestEctf::test_two_job_example",
             "tests/test_schedulers.py::TestRunEntryPoint::test_every_choice_maps_to_run",
         ),
+    ),
+    Mutant(
+        "ectf-pending-key-keeps-release",
+        "src/detsched/schedulers.py",
+        "heapq.heappush(pending, (a, 0 if estimate else r, jid))",
+        "heapq.heappush(pending, (a, r, jid))",
+        ("tests/test_schedulers.py::TestEctf::test_released_fixed_part_tie_goes_to_id_not_release",),
+    ),
+    Mutant(
+        "ectf-jump-without-ties",
+        "src/detsched/schedulers.py",
+        "if (key * Q, a_j, j) < (completion, a, jid):",
+        "if key * Q < completion:",
+        (
+            "tests/test_schedulers.py::TestEctf::test_estimate_tie_goes_to_smaller_alpha",
+            "tests/test_schedulers.py::TestEctf::test_two_job_example",
+        ),
+    ),
+    Mutant(
+        "ectf-never-jumps",
+        "src/detsched/schedulers.py",
+        "if (key * Q, a_j, j) < (completion, a, jid):",
+        "if False:",
+        ("tests/test_schedulers.py::TestEctf::test_jumps_twice_before_the_first_start",),
     ),
     Mutant(
         "walk-step-unreduced",

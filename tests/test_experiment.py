@@ -26,6 +26,7 @@ from detsched import (
 from detsched import model, schedulers
 from detsched.cli import main
 from detsched.experiment import CSV_HEADER
+from detsched.model import InvalidArgument
 from detsched.schedulers import PolicyRun
 from detsched.serialization import format_rational, parse_rational, write_instance
 
@@ -70,6 +71,16 @@ class TestConfigValidation:
     def test_empty_algorithms(self):
         with pytest.raises(ValueError, match="algorithms"):
             config(algorithms=())
+
+    @pytest.mark.parametrize(
+        "field",
+        ["trials", "n_min", "n_max", "seed", "alpha_max", "r_max", "max_bruteforce_n"],
+    )
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_non_int_fields_refused(self, field, value):
+        # refused as the config is built, so before any trial runs
+        with pytest.raises(InvalidArgument, match=f"^{field} must be an int, got "):
+            config(**{field: value})
 
     def test_betas_coerced_to_fractions(self):
         cfg = config(betas=(1, F(1, 2)))
@@ -168,8 +179,7 @@ class TestOneRunPerTrial:
         ids=["best-of-two-third", "best-of-two-first"],
     )
     def test_one_trial_all_algorithms(self, monkeypatch, objective, algorithms):
-        greedy = count_calls(monkeypatch, schedulers._greedy)
-        ectf = count_calls(monkeypatch, schedulers._ectf)
+        loops = count_calls(monkeypatch, schedulers._loop)
         evaluate = count_calls(monkeypatch, model.evaluate)
         built = count_schedule_builds(monkeypatch)
         prepared = count_calls(monkeypatch, model._prepare)
@@ -177,8 +187,11 @@ class TestOneRunPerTrial:
             config(trials=1, n_min=5, n_max=5, algorithms=algorithms, objective=objective)
         )
         assert len(rows) == 4
-        assert sorted(block for _, block in greedy) == [False, True]
-        assert len(ectf) == 1
+        assert sorted(choice.value for _, choice in loops) == [
+            "ectf",
+            "non-idling",
+            "non-interfering",
+        ]
         assert len(evaluate) == (0 if objective is Objective.MAKESPAN else 3)
         assert len(built) == (0 if objective is Objective.MAKESPAN else 3)
         assert len(prepared) == 1
@@ -186,11 +199,11 @@ class TestOneRunPerTrial:
     def test_makespan_bound_shares_ectf_run(self, monkeypatch):
         # the subset DP's bound is ECTF's makespan, from the trial's runs,
         # so ECTF's loop runs once per trial whether or not it has a row
-        ectf = count_calls(monkeypatch, schedulers._ectf)
+        loops = count_calls(monkeypatch, schedulers._loop)
         run_experiment(config(trials=6, algorithms=tuple(SchedulerChoice)))
-        assert len(ectf) == 6
+        assert [choice for _, choice in loops].count(SchedulerChoice.ECTF) == 6
         run_experiment(config(trials=6, algorithms=(SchedulerChoice.NON_IDLING,)))
-        assert len(ectf) == 12
+        assert [choice for _, choice in loops].count(SchedulerChoice.ECTF) == 12
 
     def test_one_record_per_trial(self, monkeypatch):
         prepared = count_calls(monkeypatch, model._prepare)
@@ -222,12 +235,15 @@ class TestOneRunPerTrial:
         assert built == []
 
     def test_best_of_two_evaluates_nothing(self, monkeypatch):
-        greedy = count_calls(monkeypatch, schedulers._greedy)
+        loops = count_calls(monkeypatch, schedulers._loop)
         evaluate = count_calls(monkeypatch, model.evaluate)
         built = count_schedule_builds(monkeypatch)
         inst = generate(FamilySpec(family=Family.RANDOM, n=6, beta=F(1), seed=3))
         best_of_two(inst)
-        assert len(greedy) == 2
+        assert [choice for _, choice in loops] == [
+            SchedulerChoice.NON_IDLING,
+            SchedulerChoice.NON_INTERFERING,
+        ]
         assert evaluate == []
         assert len(built) == 1
 

@@ -35,7 +35,7 @@ from detsched import (
 )
 from detsched import schedulers
 from detsched.model import ZERO
-from detsched.schedulers import SCHEDULERS, _ectf, _greedy
+from detsched.schedulers import SCHEDULERS, _loop
 
 from conftest import betas, count_calls, instances, make_instance, small_rationals
 from lemmas import is_interfering
@@ -43,6 +43,9 @@ from lemmas import is_interfering
 F = Fraction
 
 ALL = [non_idling, non_interfering, best_of_two, ectf]
+
+# the choices that run the policy loop, by value
+LOOP_CHOICES = ["ectf", "non-idling", "non-interfering"]
 
 
 # The O(n^2) loops the heap-based policies replaced, kept as the reference
@@ -288,6 +291,26 @@ class TestEctf:
         inst = make_instance(1, [(1, 3, 0), (2, 1, 0), (3, 2, 0)])
         assert ectf(inst).order == (2, 3, 1)
 
+    def test_jumps_twice_before_the_first_start(self):
+        # nothing is pending at t=0, so the loop jumps to release 1; job 1
+        # would complete at 2*1+10 = 12, job 2 estimates 2*2+1 = 5, so it
+        # jumps again, to release 2: job 2 runs [2,5), job 1 [5,20)
+        inst = make_instance(1, [(1, 10, 1), (2, 1, 2)])
+        sched = ectf(inst)
+        assert sched == _reference_ectf(inst)
+        assert sched == Schedule((2, 1), (F(2), F(5)))
+        assert evaluate(inst, sched).makespan == F(20)
+
+    def test_released_fixed_part_tie_goes_to_id_not_release(self):
+        # job 3 runs [0,4) (estimates 8 and 10 wait); then jobs 1 and 2 are
+        # both pending with alpha 6: job 1 wins on its id although job 2 was
+        # released first, which the greedy policies prefer
+        inst = make_instance(1, [(3, 4, 0), (1, 6, 2), (2, 6, 1)])
+        sched = ectf(inst)
+        assert sched == _reference_ectf(inst)
+        assert sched == Schedule((3, 1, 2), (F(0), F(4), F(14)))
+        assert non_idling(inst).order == (3, 2, 1)
+
     @settings(max_examples=100, deadline=None)
     @given(inst=instances(max_n=5, beta_strategy=st.sampled_from([F(1, 2), F(1), F(2)])))
     def test_within_three_plus_inverse_beta(self, inst):
@@ -395,16 +418,14 @@ class TestRunEntryPoint:
         assert record.schedule is schedule
 
     def test_repeated_run_runs_no_loop(self, monkeypatch):
-        greedy = count_calls(monkeypatch, schedulers._greedy)
-        estimate = count_calls(monkeypatch, schedulers._ectf)
+        loops = count_calls(monkeypatch, schedulers._loop)
         inst = generate(FamilySpec(family=Family.RANDOM, n=6, beta=F(1), seed=3))
         runs = {}
         first = {choice: run(inst, choice, runs) for choice in SchedulerChoice}
-        assert sorted(block for _, block in greedy) == [False, True]
-        assert len(estimate) == 1
+        assert sorted(choice.value for _, choice in loops) == LOOP_CHOICES
         for choice in SchedulerChoice:
             assert run(inst, choice, runs) is first[choice]
-        assert len(greedy) == 2 and len(estimate) == 1
+        assert sorted(choice.value for _, choice in loops) == LOOP_CHOICES
 
 
 class TestSchedulerContracts:
@@ -497,7 +518,8 @@ class TestLoopMakespans:
         )
     )
     def test_equal_evaluate(self, inst):
-        for record in (_greedy(inst, block=False), _greedy(inst, block=True), _ectf(inst)):
+        for choice in LOOP_CHOICES:
+            record = _loop(inst, SchedulerChoice(choice))
             assert "schedule" not in vars(record)
             makespan = record.makespan
             assert makespan == evaluate(inst, record.schedule).makespan
