@@ -56,7 +56,13 @@ from .serialization import decimal_string, format_rational
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; two equal configs give identical output."""
+    """Everything a run needs; two equal configs give identical output.
+
+    Every field is checked as the config is built, so before any trial
+    runs: the counts must be ints (bools refused), ``family``,
+    ``objective`` and each of ``algorithms`` members of their enums, and
+    ``timings`` a bool.  A bad field raises :class:`InvalidArgument`.
+    """
 
     family: Family
     trials: int
@@ -77,6 +83,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InvalidArgument(f"{name} must be an int, got {type(value).__name__}")
+        for name, kind in (("family", Family), ("objective", Objective), ("timings", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise InvalidArgument(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
         if self.trials < 0:
             raise InvalidArgument("trials must be >= 0")
         if self.n_min < 1 or self.n_max < self.n_min:
@@ -88,6 +98,10 @@ class ExperimentConfig:
         object.__setattr__(self, "betas", tuple(rational(b) for b in self.betas))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         for i, algorithm in enumerate(self.algorithms):
+            if not isinstance(algorithm, SchedulerChoice):
+                raise InvalidArgument(
+                    f"algorithms must be of type SchedulerChoice, got {type(algorithm).__name__}"
+                )
             if algorithm in self.algorithms[:i]:
                 raise InvalidArgument(f"algorithm {algorithm.value!r} is named twice")
         if self.b is not None:

@@ -33,9 +33,25 @@ class BadSpec(SchedulingError):
 
 
 # The most jobs the random and two-release families draw: 62 times the
-# largest size any benchmark or pinned output uses (n=1600).  It is
-# checked before any draw, so a mistyped n fails at once.
+# largest size any benchmark or pinned output uses (n=1600).
 RANDOM_MAX_N = 100_000
+
+# The largest size parameter k each adversarial family takes.  Their
+# values grow like (1 + beta)**k, so an instance and its integer record
+# hold on the order of k**2 bits: at k = 2000 and beta = 1/1600 the
+# staggered-release families take about 1.1 s and 18 MB to generate.
+# Every k a test, script default or pinned output uses is at most 7.
+ADVERSARIAL_MAX_K = 2_000
+
+# Each family's cap on ``FamilySpec.n``, checked before anything is
+# drawn or built, so a mistyped size fails at once.
+MAX_N = {
+    Family.RANDOM: RANDOM_MAX_N,
+    Family.TWO_RELEASE: RANDOM_MAX_N,
+    Family.NONINTERFERING_ADV: ADVERSARIAL_MAX_K,
+    Family.NONIDLING_ADV: ADVERSARIAL_MAX_K,
+    Family.ECTF_ADV: ADVERSARIAL_MAX_K,
+}
 
 
 @dataclass(frozen=True)
@@ -44,11 +60,13 @@ class FamilySpec:
 
     ``n`` counts jobs for the random and staggered-release families; the
     non-idling and estimate-first adversarial families read it as their size
-    parameter k (producing k+1 and 2k jobs).  ``b`` is the scale parameter;
-    families pick documented defaults when it is None.  ``alpha_max`` and
-    ``r_max`` only apply to the random families, which draw at most
-    ``RANDOM_MAX_N`` jobs.  ``n``, ``seed``,
-    ``alpha_max`` and ``r_max`` must be ints (bools are refused), so every
+    parameter k (producing k+1 and 2k jobs).  ``n`` is at most the
+    family's cap in :data:`MAX_N`: ``RANDOM_MAX_N`` jobs for the random
+    families, ``ADVERSARIAL_MAX_K`` for the adversarial ones.  ``b`` is
+    the scale parameter; families pick documented defaults when it is
+    None.  ``alpha_max`` and ``r_max`` only apply to the random families.
+    ``family`` must be a :class:`Family`, and ``n``, ``seed``,
+    ``alpha_max`` and ``r_max`` ints (bools are refused), so every
     instance is reproducible from its spec.
     """
 
@@ -61,49 +79,43 @@ class FamilySpec:
     r_max: int = 12
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, Family):
+            raise BadSpec(f"family must be of type Family, got {type(self.family).__name__}")
         for name in ("n", "seed", "alpha_max", "r_max"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise BadSpec(f"{name} must be an int, got {type(value).__name__}")
+        if self.n < 1:
+            raise BadSpec(f"n must be >= 1, got {_show(self.n)}")
+        if self.n > MAX_N[self.family]:
+            raise BadSpec(
+                f"n must be <= {MAX_N[self.family]} for the {self.family.value} family, "
+                f"got {_show(self.n)}"
+            )
         object.__setattr__(self, "beta", rational(self.beta))
         if self.b is not None:
             object.__setattr__(self, "b", rational(self.b))
-        if self.n < 1:
-            raise BadSpec(f"n must be >= 1, got {_show(self.n)}")
-        if self.family in (Family.RANDOM, Family.TWO_RELEASE) and self.n > RANDOM_MAX_N:
-            raise BadSpec(
-                f"n must be <= {RANDOM_MAX_N} for the {self.family.value} family, "
-                f"got {_show(self.n)}"
-            )
         if self.beta <= 0:
             raise BadSpec(f"beta must be > 0, got {_show(self.beta)}")
 
 
-class _Fractions(dict):
-    """Each drawn int as a Fraction, made once per distinct value."""
-
-    def __missing__(self, value: int) -> Fraction:
-        fraction = self[value] = Fraction(value)
-        return fraction
-
-
 def _gen_random(spec: FamilySpec) -> Instance:
     """n jobs with integer fixed parts in [0, alpha_max] and integer releases
-    in [0, r_max], drawn from a seeded generator."""
+    in [0, r_max], drawn from a seeded generator, each job's fixed part
+    before its release.  The draws are the instance's record at scale 1."""
     if spec.alpha_max < 0 or spec.r_max < 0:
         raise BadSpec("alpha_max and r_max must be >= 0")
     rng = random.Random(spec.seed)
-    fractions = _Fractions()
-    jobs = tuple(
-        Job(i, fractions[rng.randint(0, spec.alpha_max)], fractions[rng.randint(0, spec.r_max)])
-        for i in range(1, spec.n + 1)
-    )
-    return Instance(spec.beta, jobs)
+    keys = []
+    for i in range(1, spec.n + 1):
+        alpha = rng.randint(0, spec.alpha_max)
+        keys.append((rng.randint(0, spec.r_max), alpha, i))
+    return Instance._from_keys(spec.beta, 1, tuple(keys))
 
 
 def _gen_two_release(spec: FamilySpec) -> Instance:
     """Random fixed parts; every release is either 0 or r_max, with at least
-    one of each."""
+    one of each.  The draws are the instance's record at scale 1."""
     if spec.n < 2:
         raise BadSpec("two-release instances need n >= 2")
     if spec.r_max < 1:
@@ -117,12 +129,8 @@ def _gen_two_release(spec: FamilySpec) -> Instance:
         late[rng.randrange(spec.n)] = 1
     elif all(late):
         late[rng.randrange(spec.n)] = 0
-    fractions = _Fractions()
-    jobs = tuple(
-        Job(i + 1, fractions[alphas[i]], fractions[spec.r_max if late[i] else 0])
-        for i in range(spec.n)
-    )
-    return Instance(spec.beta, jobs)
+    keys = tuple((spec.r_max if late[i] else 0, alphas[i], i + 1) for i in range(spec.n))
+    return Instance._from_keys(spec.beta, 1, keys)
 
 
 def _gen_noninterfering_adv(spec: FamilySpec) -> Instance:

@@ -5,18 +5,26 @@ A job with fixed part ``alpha`` started at time ``s`` occupies the machine for
 The deterioration rate ``beta > 0`` is shared by every job of an instance;
 each job carries its own fixed part and release time.
 
-All quantities are exact rationals (``fractions.Fraction``).  Terms like
-``(1 + beta) ** n`` must compare exactly for the oracle and the bound checks
-to mean anything, so floats are kept out of every computation in this package.
+All quantities are exact rationals (``fractions.Fraction``) or exact
+integers.  Terms like ``(1 + beta) ** n`` must compare exactly for the
+oracle and the bound checks to mean anything, so floats are kept out of
+every computation in this package.
+
+An :class:`Instance` carries its times on integers, in one record
+(:class:`_Prepared`) built and checked when the instance is.  The parser
+and the random generators build an instance straight from that record;
+its :class:`Job` tuple of Fractions is then made only when something
+reads it, such as :func:`canonical_starts` and :func:`evaluate`, which
+walk the timeline in Fractions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class SchedulingError(Exception):
@@ -88,25 +96,58 @@ class Job:
             object.__setattr__(self, "release", rational(self.release))
 
 
-@dataclass(frozen=True)
 class Instance:
-    """A deterioration rate and the jobs subject to it.
+    """A deterioration rate and the jobs subject to it; immutable.
 
-    Every instance is valid once built: construction runs
-    :func:`validate_instance`, so nothing downstream checks it again.
+    Every instance is valid once built: its integer record
+    (:class:`_Prepared`) is built and checked by :func:`validate_instance`
+    when the instance is.  ``Instance(beta, jobs)`` derives the record
+    from the jobs.  The private :meth:`_from_keys` takes it as the
+    integers the parser read or a generator drew, and such an instance
+    makes its :attr:`jobs` only when they are first read.  Equality and
+    hash are those of ``(beta, jobs)``, read off the record, which
+    determines both.
     """
 
     beta: Fraction
-    jobs: tuple[Job, ...]
+    _prepared: _Prepared
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", rational(self.beta))
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        validate_instance(self)
+    def __init__(self, beta: int | Fraction, jobs: Iterable[Job]) -> None:
+        beta = rational(beta)
+        jobs = tuple(jobs)
+        d = math.lcm(*(v.denominator for j in jobs for v in (j.alpha, j.release)))
+        keys = tuple(
+            (
+                j.release.numerator * (d // j.release.denominator),
+                j.alpha.numerator * (d // j.alpha.denominator),
+                j.id,
+            )
+            for j in jobs
+        )
+        vars(self)["jobs"] = jobs
+        _record(self, beta, d, keys)
+
+    @classmethod
+    def _from_keys(cls, beta: Fraction, d: int, keys: tuple[tuple[int, int, int], ...]) -> Instance:
+        """The instance of ``beta`` and one ``(R, A, id)`` key per job, in
+        instance order, with every alpha and release ``A / d`` and ``R /
+        d``.  ``d`` must be the lcm of their lowest-terms denominators, as
+        :class:`_Prepared` defines it."""
+        instance = cls.__new__(cls)
+        _record(instance, beta, d, keys)
+        return instance
+
+    @cached_property
+    def jobs(self) -> tuple[Job, ...]:
+        """The jobs in instance order, made from the record on first read
+        when the instance was built from it, with one Fraction per
+        distinct value."""
+        fractions = _fractions(self._prepared)
+        return tuple(Job(jid, fractions[a], fractions[r]) for r, a, jid in self._prepared.keys)
 
     @property
     def n(self) -> int:
-        return len(self.jobs)
+        return len(self._prepared.keys)
 
     @property
     def growth(self) -> Fraction:
@@ -116,22 +157,39 @@ class Instance:
     def job_map(self) -> dict[int, Job]:
         return {job.id: job for job in self.jobs}
 
-    @cached_property
-    def _prepared(self) -> _Prepared:
-        """The instance's times on integers (see :class:`_Prepared`),
-        built on first use and then kept."""
-        return _prepare(self)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._prepared[:4] == other._prepared[:4]
+
+    def __hash__(self) -> int:
+        return hash(self._prepared[:4])
+
+    def __repr__(self) -> str:
+        return f"Instance(beta={self.beta!r}, jobs={self.jobs!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class _Prepared(NamedTuple):
     """An instance's integer set-up, shared by everything that decides on
-    integers: the policy loops, the subset DP and both lower bounds.
+    integers: the policy loops, the subset DP, both lower bounds, and the
+    writers and checks of ``solve`` and ``eval``.
 
     ``beta = p/q`` in lowest terms and ``d`` is the lcm of every alpha and
     release denominator, so ``R = release * d`` and ``A = alpha * d`` are
     exact integers.  ``keys`` holds one ``(R, A, id)`` per job in instance
     order; ``by_release`` holds the same keys sorted, by ``(R, A, id)``.
     Integer keys order and tie exactly as the Fractions would.
+
+    The record is built where the values arrive: from the jobs by
+    ``Instance(beta, jobs)``, from the document's texts by
+    :func:`~detsched.serialization.parse_instance`, and from the drawn
+    ints, with ``d = 1``, by the random and two-release generators.
     """
 
     p: int
@@ -141,20 +199,24 @@ class _Prepared(NamedTuple):
     by_release: tuple[tuple[int, int, int], ...]
 
 
-def _prepare(instance: Instance) -> _Prepared:
-    """:attr:`Instance._prepared`'s body: one lcm, 2n scalings, one sort."""
-    jobs = instance.jobs
-    d = math.lcm(*(v.denominator for j in jobs for v in (j.alpha, j.release)))
-    keys = tuple(
-        (
-            j.release.numerator * (d // j.release.denominator),
-            j.alpha.numerator * (d // j.alpha.denominator),
-            j.id,
-        )
-        for j in jobs
-    )
-    beta = instance.beta
-    return _Prepared(beta.numerator, beta.denominator, d, keys, tuple(sorted(keys)))
+def _record(
+    instance: Instance, beta: Fraction, d: int, keys: tuple[tuple[int, int, int], ...]
+) -> None:
+    """Give ``instance`` its ``beta`` and its record of ``keys`` at scale
+    ``d``, checked by :func:`validate_instance` before the keys are
+    sorted: both :class:`Instance` constructors build theirs here, once
+    per instance."""
+    record = _Prepared(beta.numerator, beta.denominator, d, keys, ())
+    vars(instance).update(beta=beta, _prepared=record)
+    validate_instance(instance)
+    vars(instance)["_prepared"] = record._replace(by_release=tuple(sorted(keys)))
+
+
+def _fractions(prepared: _Prepared) -> dict[int, Fraction]:
+    """Each distinct ``A`` and ``R`` of the record's keys, mapped to its
+    value ``A / d`` or ``R / d``, one Fraction apiece."""
+    d = prepared.d
+    return {v: Fraction(v, d) for r, a, _ in prepared.keys for v in (r, a)}
 
 
 @dataclass(frozen=True)
@@ -197,28 +259,34 @@ def _show(value: int | Fraction) -> str:
 
 
 def validate_instance(instance: Instance) -> Instance:
-    """Check every instance invariant; return the instance unchanged.
+    """Check every instance invariant on its record's integers; return the
+    instance unchanged.
 
-    :class:`Instance` runs this when it is built, so a second call only
-    repeats the checks.  Raises :class:`EmptyInstance`, :class:`BetaNonPositive`,
-    :class:`NegativeParameter`, or :class:`DuplicateId`.
+    Both :class:`Instance` constructors run this when they build the
+    record, so a second call only repeats the checks: at least one job,
+    ``beta > 0``, and per job in instance order, a positive non-bool int
+    id, ``A >= 0``, ``R >= 0`` and an id not seen before.  A message shows
+    a value as its Fraction.  Raises :class:`EmptyInstance`,
+    :class:`BetaNonPositive`, :class:`NegativeParameter`, or
+    :class:`DuplicateId`.
     """
-    if not instance.jobs:
+    d, keys = instance._prepared.d, instance._prepared.keys
+    if not keys:
         raise EmptyInstance("instance has no jobs")
     # a Fraction's sign is its numerator's: its denominator is positive
     if instance.beta.numerator <= 0:
         raise BetaNonPositive(f"beta must be > 0, got {_show(instance.beta)}")
     seen: set[int] = set()
-    for job in instance.jobs:
-        if not isinstance(job.id, int) or isinstance(job.id, bool) or job.id < 1:
-            raise NegativeParameter(f"job id must be a positive integer, got {_show(job.id)}")
-        if job.alpha.numerator < 0:
-            raise NegativeParameter(f"job {_show(job.id)}: alpha must be >= 0, got {_show(job.alpha)}")
-        if job.release.numerator < 0:
-            raise NegativeParameter(f"job {_show(job.id)}: release must be >= 0, got {_show(job.release)}")
-        if job.id in seen:
-            raise DuplicateId(f"job id {_show(job.id)} occurs more than once")
-        seen.add(job.id)
+    for r, a, jid in keys:
+        if not isinstance(jid, int) or isinstance(jid, bool) or jid < 1:
+            raise NegativeParameter(f"job id must be a positive integer, got {_show(jid)}")
+        if a < 0:
+            raise NegativeParameter(f"job {_show(jid)}: alpha must be >= 0, got {_show(Fraction(a, d))}")
+        if r < 0:
+            raise NegativeParameter(f"job {_show(jid)}: release must be >= 0, got {_show(Fraction(r, d))}")
+        if jid in seen:
+            raise DuplicateId(f"job id {_show(jid)} occurs more than once")
+        seen.add(jid)
     return instance
 
 

@@ -37,10 +37,15 @@ writer checks each id and value it writes against the interpreter's
 limit on digits per integer string conversion before it converts any, and
 names the first one past it (``beta``, ``jobs[3].alpha``, ``order[0]``).
 
-:func:`parse_instance` checks every job document field by field, in one
-loop, and reads each distinct alpha or release text of a document once:
-a text of ASCII digits goes straight to an int, any other through
-:func:`parse_rational`, and the Fraction is reused for the same text.
+:func:`parse_instance` builds the instance from its integer record
+(:class:`~detsched.model._Prepared`), and makes no :class:`Job`.  One
+loop checks every job document field by field and reads each distinct
+alpha or release text of the document once: a text of ASCII digits goes
+straight to an int, any other through :func:`parse_rational`.  ``d`` is
+the lcm of the texts' denominators, each text is scaled to it once, and
+the ``(R, A, id)`` keys are checked as :class:`Instance` checks them,
+after every :class:`ParseError` of the document.  :func:`write_instance`
+writes from the same record.
 """
 
 from __future__ import annotations
@@ -71,10 +76,10 @@ from typing import TYPE_CHECKING
 from .model import (
     EvalReport,
     Instance,
-    Job,
     Schedule,
     SchedulingError,
     _Prepared,
+    _fractions,
     _report,
     _timeline,
 )
@@ -229,10 +234,15 @@ _JOB_KEYS = ("id", "alpha", "release")
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse an instance document; building the :class:`Instance` validates it.
+    """Parse an instance document into an :class:`Instance` built from its
+    integer record, which validates it; no :class:`Job` is made.
 
-    Each distinct alpha or release text of the document is read once and
-    its Fraction reused, since alphas repeat heavily.
+    One loop checks every job document, field by field, and reads each
+    distinct alpha or release text once: a text of ASCII digits goes
+    straight to an int, any other through :func:`parse_rational`, whose
+    message names the field.  ``d`` is the lcm of the texts'
+    denominators, and each text is scaled to ``d`` once.  Every
+    :class:`ParseError` of the document comes before any validation error.
     """
     doc = _loads(text, "instance")
     if not isinstance(doc, dict):
@@ -245,41 +255,45 @@ def parse_instance(text: str) -> Instance:
     jobs_doc = doc["jobs"]
     if not isinstance(jobs_doc, list):
         raise ParseError("jobs: expected an array")
-    values: dict[str, Fraction] = {}
-    jobs = []
+    # each distinct alpha or release text, as its lowest-terms numerator
+    # and denominator
+    values: dict[str, tuple[int, int]] = {}
+    rows = []
     for idx, job_doc in enumerate(jobs_doc):
         if not isinstance(job_doc, dict):
             raise ParseError(f"jobs[{idx}]: expected an object")
-        for key in _JOB_KEYS:
-            if key not in job_doc:
-                raise ParseError(f"jobs[{idx}]: missing field '{key}'")
-        jid = job_doc["id"]
+        try:
+            jid, alpha, release = job_doc["id"], job_doc["alpha"], job_doc["release"]
+        except KeyError:
+            missing = next(key for key in _JOB_KEYS if key not in job_doc)
+            raise ParseError(f"jobs[{idx}]: missing field '{missing}'") from None
         if not isinstance(jid, int) or isinstance(jid, bool):
             raise ParseError(f"jobs[{idx}].id: expected an integer")
-        alpha = _job_value(job_doc, idx, "alpha", values)
-        release = _job_value(job_doc, idx, "release", values)
-        jobs.append(Job(jid, alpha, release))
-    return Instance(beta, tuple(jobs))
+        if type(alpha) is not str or alpha not in values:
+            values[alpha] = _parts(alpha, idx, "alpha")
+        if type(release) is not str or release not in values:
+            values[release] = _parts(release, idx, "release")
+        rows.append((release, alpha, jid))
+    # the document is the largest thing alive here, and the keys need none of it
+    del doc, jobs_doc
+    d = math.lcm(*{den for _, den in values.values()})
+    scaled = {value: num * (d // den) for value, (num, den) in values.items()}
+    keys = tuple((scaled[release], scaled[alpha], jid) for release, alpha, jid in rows)
+    return Instance._from_keys(beta, d, keys)
 
 
-def _job_value(job_doc: dict, idx: int, key: str, values: dict[str, Fraction]) -> Fraction:
-    """A job's ``alpha`` or ``release``, kept in ``values`` by its text.  A
-    text of ASCII digits only goes straight to an int; any other text, or
-    one past the digit limit, goes through :func:`parse_rational`, whose
+def _parts(text: object, idx: int, key: str) -> tuple[int, int]:
+    """The numerator and denominator in lowest terms of ``jobs[idx].key``'s
+    text.  A text of ASCII digits goes straight to an int; any other text,
+    or one past the digit limit, goes through :func:`parse_rational`, whose
     message names the field."""
-    text = job_doc[key]
-    if isinstance(text, str):
-        value = values.get(text)
-        if value is not None:
-            return value
-        if _digits(text):
-            try:
-                value = values[text] = Fraction(int(text))
-                return value
-            except ValueError:  # the interpreter's limit on digits per conversion
-                pass
-    value = values[text] = parse_rational(text, f"jobs[{idx}].{key}")
-    return value
+    if isinstance(text, str) and _digits(text):
+        try:
+            return int(text), 1
+        except ValueError:  # the interpreter's limit on digits per conversion
+            pass
+    value = parse_rational(text, f"jobs[{idx}].{key}")
+    return value.numerator, value.denominator
 
 
 def write_instance(instance: Instance) -> str:
@@ -287,22 +301,30 @@ def write_instance(instance: Instance) -> str:
     "\\n"`` of ``{"beta": ..., "jobs": [{"id": ..., "alpha": ...,
     "release": ...}, ...]}``, made by one join over its pieces.
 
-    Raises :class:`SchedulingError` naming ``beta`` or ``jobs[i].id``,
+    The values come from the instance's integer record: an alpha or
+    release is its ``A`` or ``R`` itself when ``d`` is 1, and ``A / d``
+    or ``R / d`` otherwise, so no :class:`Job` is read.  Raises
+    :class:`SchedulingError` naming ``beta`` or ``jobs[i].id``,
     ``.alpha`` or ``.release`` for the first value, in document order, past
     the digit limit, before any value is converted.
     """
+    prepared = instance._prepared
+    keys = prepared.keys
+    if prepared.d != 1:
+        fractions = _fractions(prepared)
+        keys = tuple((fractions[r], fractions[a], jid) for r, a, jid in keys)
     values = [instance.beta]
-    for job in instance.jobs:
-        values += (job.id, job.alpha, job.release)
+    for release, alpha, jid in keys:
+        values += (jid, alpha, release)
     _check_writable(values, _instance_field)
     pieces = ['{\n  "beta": "', format_rational(instance.beta), '",\n  "jobs": [\n    {\n      "id": ']
-    for job in instance.jobs:
+    for release, alpha, jid in keys:
         pieces += (
-            str(job.id),
+            str(jid),
             ',\n      "alpha": "',
-            format_rational(job.alpha),
+            format_rational(alpha),
             '",\n      "release": "',
-            format_rational(job.release),
+            format_rational(release),
             '"\n    },\n    {\n      "id": ',
         )
     # an instance has at least one job, so the last piece is a separator
@@ -397,9 +419,9 @@ def _canonical_eval(doc: object, instance: Instance) -> dict | None:
         return None
     if not all(type(jid) is int for jid in order):
         return None
-    if sorted(order) != sorted(job.id for job in instance.jobs):
-        return None
     prepared = instance._prepared
+    if sorted(order) != sorted(jid for _, _, jid in prepared.keys):
+        return None
     q = prepared.q
     jumps: list[bool] = []
     parts: dict[int, int] = {}  # the completions at scale d * q**k, by k

@@ -48,8 +48,8 @@ CATALOGUE = (
     Mutant(
         "record-sorted-by-alpha",
         "src/detsched/model.py",
-        "d, keys, tuple(sorted(keys)))",
-        "d, keys, tuple(sorted(keys, key=lambda k: (k[1], k[0], k[2]))))",
+        "record._replace(by_release=tuple(sorted(keys)))",
+        "record._replace(by_release=tuple(sorted(keys, key=lambda k: (k[1], k[0], k[2]))))",
         (
             "tests/test_oracle.py::TestPreparedRecord::test_keys",
             "tests/test_schedulers.py::TestMatchesReferenceLoops::test_same_schedules",
@@ -100,6 +100,37 @@ CATALOGUE = (
         (
             "tests/test_serialization.py::TestInstanceDocuments::test_job_errors_and_their_precedence",
             "tests/test_reference_routes.py::TestInstanceRoutes::test_mutated_documents",
+            "tests/test_reference_routes.py::TestRecordRoute::test_refusals",
+        ),
+    ),
+    Mutant(
+        "record-check-skips-duplicate-ids",
+        "src/detsched/model.py",
+        "if jid in seen:",
+        "if False:",
+        (
+            "tests/test_reference_routes.py::TestRecordRoute::test_refusals",
+            "tests/test_model.py::TestValidation::test_duplicate_ids_rejected",
+        ),
+    ),
+    Mutant(
+        "parse-p-over-q-as-its-numerator",
+        "src/detsched/serialization.py",
+        "return value.numerator, value.denominator",
+        "return value.numerator, 1",
+        (
+            "tests/test_reference_routes.py::TestRecordRoute::test_parsed_record_matches_the_job_route",
+            "tests/test_serialization.py::TestInstanceDocuments::test_plain_and_other_spellings_parse_alike",
+        ),
+    ),
+    Mutant(
+        "parse-scale-by-largest-denominator",
+        "src/detsched/serialization.py",
+        "d = math.lcm(*{den for _, den in values.values()})",
+        "d = max({den for _, den in values.values()})",
+        (
+            "tests/test_reference_routes.py::TestRecordRoute::test_parsed_record_matches_the_job_route",
+            "tests/test_reference_routes.py::TestInstanceRoutes::test_fuzzed_documents",
         ),
     ),
     Mutant(

@@ -18,7 +18,7 @@ import pytest
 
 from detsched import cli, model, serialization
 from detsched.cli import main
-from detsched.generators import RANDOM_MAX_N, Family, FamilySpec, generate
+from detsched.generators import ADVERSARIAL_MAX_K, RANDOM_MAX_N, Family, FamilySpec, generate
 from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
 from detsched.schedulers import SchedulerChoice
 from detsched.serialization import parse_instance, parse_rational, write_instance
@@ -156,6 +156,12 @@ class TestGen:
         argv = ["gen", "--family", family, "--n", str(RANDOM_MAX_N + 1), "--seed", "1"]
         assert main(argv) == 1
         assert f"n must be <= {RANDOM_MAX_N}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["noninterfering-adv", "nonidling-adv", "ectf-adv"])
+    def test_k_past_the_cap_rejected(self, capsys, no_env_seed, family):
+        # k = 3000000 ran until killed before the adversarial families had a cap
+        assert main(["gen", "--family", family, "--k", "3000000"]) == 1
+        assert f"n must be <= {ADVERSARIAL_MAX_K}" in capsys.readouterr().err
 
     def test_decimal_beta_rejected(self, capsys, no_env_seed):
         assert main(["gen", "--n", "3", "--beta", "0.5"]) == 1

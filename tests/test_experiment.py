@@ -23,7 +23,7 @@ from detsched import (
     run_experiment,
     write_csv,
 )
-from detsched import model, schedulers
+from detsched import experiment, model, schedulers
 from detsched.cli import main
 from detsched.experiment import CSV_HEADER
 from detsched.model import InvalidArgument
@@ -81,6 +81,23 @@ class TestConfigValidation:
         # refused as the config is built, so before any trial runs
         with pytest.raises(InvalidArgument, match=f"^{field} must be an int, got "):
             config(**{field: value})
+
+    # each leaked a bare KeyError or AttributeError from the first trial,
+    # or (timings=1) was accepted
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("family", "random", "family must be of type Family, got str"),
+            ("algorithms", ("ectf",), "algorithms must be of type SchedulerChoice, got str"),
+            ("objective", "makespan", "objective must be of type Objective, got str"),
+            ("timings", 1, "timings must be of type bool, got int"),
+        ],
+    )
+    def test_enum_and_bool_fields_refused(self, monkeypatch, field, value, message):
+        specs = count_calls(monkeypatch, experiment.generate)
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            run_experiment(config(**{field: value}))
+        assert specs == []
 
     def test_betas_coerced_to_fractions(self):
         cfg = config(betas=(1, F(1, 2)))
@@ -170,7 +187,8 @@ class TestOneRunPerTrial:
     are the values, so no schedule is built or evaluated; under total
     completion each distinct run's schedule is built and evaluated once.
     The instance's integer record is built once per trial, once per
-    ``solve`` and once per ``eval``."""
+    ``solve`` and once per ``eval``, by either constructor: ``model._record``
+    counts both."""
 
     @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
     @pytest.mark.parametrize(
@@ -182,7 +200,7 @@ class TestOneRunPerTrial:
         loops = count_calls(monkeypatch, schedulers._loop)
         evaluate = count_calls(monkeypatch, model.evaluate)
         built = count_schedule_builds(monkeypatch)
-        prepared = count_calls(monkeypatch, model._prepare)
+        prepared = count_calls(monkeypatch, model._record)
         rows = run_experiment(
             config(trials=1, n_min=5, n_max=5, algorithms=algorithms, objective=objective)
         )
@@ -206,7 +224,7 @@ class TestOneRunPerTrial:
         assert [choice for _, choice in loops].count(SchedulerChoice.ECTF) == 12
 
     def test_one_record_per_trial(self, monkeypatch):
-        prepared = count_calls(monkeypatch, model._prepare)
+        prepared = count_calls(monkeypatch, model._record)
         rows = run_experiment(
             config(trials=12, n_min=2, n_max=8, algorithms=tuple(SchedulerChoice))
         )
@@ -219,12 +237,25 @@ class TestOneRunPerTrial:
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(write_instance(inst), encoding="utf-8")
         sched_path = tmp_path / "sched.json"
-        prepared = count_calls(monkeypatch, model._prepare)
+        prepared = count_calls(monkeypatch, model._record)
         argv = ["solve", "--instance", str(inst_path), "--algorithm", algorithm]
         assert main(argv + ["--out", str(sched_path)]) == 0
         assert len(prepared) == 1
         assert main(["eval", "--instance", str(inst_path), "--schedule", str(sched_path)]) == 0
         assert len(prepared) == 2
+
+    @pytest.mark.parametrize("algorithm", [c.value for c in SchedulerChoice])
+    def test_solve_and_eval_build_no_job(self, monkeypatch, tmp_path, capsys, algorithm):
+        # both read the parsed instance's record only: no Fraction job is made
+        inst = generate(FamilySpec(family=Family.RANDOM, n=9, beta=F(1, 3), seed=4))
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(write_instance(inst), encoding="utf-8")
+        sched_path = tmp_path / "sched.json"
+        jobs = count_calls(monkeypatch, model.Job)
+        argv = ["solve", "--instance", str(inst_path), "--algorithm", algorithm]
+        assert main(argv + ["--out", str(sched_path)]) == 0
+        assert main(["eval", "--instance", str(inst_path), "--schedule", str(sched_path)]) == 0
+        assert jobs == []
 
     def test_makespan_sweep_builds_no_schedule(self, monkeypatch):
         built = count_schedule_builds(monkeypatch)

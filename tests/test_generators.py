@@ -29,12 +29,15 @@ from detsched import (
     validate_instance,
 )
 from detsched import generators
-from detsched.generators import RANDOM_MAX_N, BadSpec
+from detsched.generators import ADVERSARIAL_MAX_K, MAX_N, RANDOM_MAX_N, BadSpec
 from detsched.model import Schedule, SchedulingError
 
 from conftest import count_calls, digit_limit, instances, make_instance
 
 F = Fraction
+
+
+ADVERSARIAL = [Family.NONINTERFERING_ADV, Family.NONIDLING_ADV, Family.ECTF_ADV]
 
 
 def spec_for(family, n, beta=F(1), **kw):
@@ -245,8 +248,27 @@ class TestFamilySpecValidation:
 
     def test_cap_is_for_the_random_families_only(self):
         # the adversarial families read n as their size k; their values
-        # grow like (1+beta)**k, which this cap does not bound
-        assert spec_for(Family.ECTF_ADV, RANDOM_MAX_N + 1).n == RANDOM_MAX_N + 1
+        # grow like (1+beta)**k, so they have a cap of their own, far lower
+        assert MAX_N[Family.RANDOM] == MAX_N[Family.TWO_RELEASE] == RANDOM_MAX_N
+        for family in ADVERSARIAL:
+            assert MAX_N[family] == ADVERSARIAL_MAX_K < RANDOM_MAX_N
+            assert spec_for(family, ADVERSARIAL_MAX_K).n == ADVERSARIAL_MAX_K
+
+    @pytest.mark.parametrize("family", ADVERSARIAL)
+    def test_k_past_the_cap(self, monkeypatch, family):
+        # refused as the spec is built: no value is computed, no job built
+        jobs = count_calls(monkeypatch, generators.Job)
+        message = (
+            f"^n must be <= {ADVERSARIAL_MAX_K} for the {family.value} family, "
+            f"got {ADVERSARIAL_MAX_K + 1}$"
+        )
+        with pytest.raises(BadSpec, match=message):
+            generate(spec_for(family, ADVERSARIAL_MAX_K + 1))
+        assert jobs == []
+
+    def test_family_must_be_a_family(self):
+        with pytest.raises(BadSpec, match="^family must be of type Family, got str$"):
+            FamilySpec(family="random", n=3, beta=F(1))
 
     # One digit past the limit, each value leaked a bare ValueError from
     # the message that names it.

@@ -9,9 +9,11 @@ writes a policy run's Fraction schedule with :func:`write_schedule`;
 ``reference_total`` sums the completions over the common denominator of
 them all.  ``reference_write_instance`` writes through
 ``json.dumps(indent=2)``, and ``reference_parse_instance`` checks and
-parses every job document field by field.  The library's route must give
-the same schedule, instance and output bytes, or the same exception type
-and text, on every document.
+parses every job document field by field into Fraction jobs;
+``reference_generate`` draws the random families' jobs as Fractions.  The
+library's route, which builds the instance from its integer record, must
+give the same schedule, instance and output bytes, or the same exception
+type and text, on every document.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import decimal
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -43,7 +46,7 @@ from detsched import (
     write_instance,
     write_schedule,
 )
-from detsched.model import SchedulingError
+from detsched.model import DuplicateId, NegativeParameter, SchedulingError
 from detsched.serialization import (
     ParseError,
     _canonical_eval,
@@ -545,3 +548,136 @@ class TestInstanceRoutes:
             if digits > 640:
                 with pytest.raises(ParseError, match=rf"^jobs\[1\]\.{key}: 641 digits exceed"):
                     parse_instance(text)
+
+
+# Instance documents the record route must read as the job route does:
+# digit texts, p/q texts (so d > 1, some not in lowest terms, some with
+# leading zeros), drawn from a small pool so that texts repeat and
+# releases tie, on unsorted ids.
+_record_texts = st.one_of(
+    st.integers(0, 40).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 40), st.integers(1, 12)),
+    st.sampled_from(["007", "12/08", "0/5"]),
+)
+
+
+@st.composite
+def record_docs(draw):
+    ids = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=8, unique=True))
+    pool = draw(st.lists(_record_texts, min_size=1, max_size=4))
+    jobs = [
+        {"id": jid, "alpha": draw(st.sampled_from(pool)), "release": draw(st.sampled_from(pool))}
+        for jid in ids
+    ]
+    beta = draw(st.sampled_from(["1", "1/2", "3/2", "2/4", "1/1600", "7"]))
+    return json.dumps({"beta": beta, "jobs": jobs})
+
+
+class TestRecordRoute:
+    """``parse_instance`` builds the instance from its integer record, and
+    the random generators from their draws; the references build it from
+    per-text or per-draw Fractions and Jobs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=record_docs())
+    def test_parsed_record_matches_the_job_route(self, text):
+        inst, ref = parse_instance(text), reference_parse_instance(text)
+        assert inst._prepared == ref._prepared
+        assert inst.jobs == ref.jobs
+        assert inst == ref
+        assert hash(inst) == hash(ref)
+        assert repr(inst) == repr(ref)
+        assert write_instance(inst) == write_instance(ref) == reference_write_instance(ref)
+
+    # each document's outcome at the parent of the record route
+    @pytest.mark.parametrize(
+        "jobs, error, message",
+        [
+            (
+                [{"id": -1, "alpha": "1", "release": "0"}, {"id": 2, "alpha": "x", "release": "0"}],
+                ParseError,
+                "jobs[1].alpha: 'x' is not 'p' or 'p/q' in decimal digits",
+            ),
+            (
+                [{"id": 3, "alpha": "1", "release": "0"}, {"id": 3, "alpha": "2", "release": "1"}],
+                DuplicateId,
+                "job id 3 occurs more than once",
+            ),
+            (
+                [{"id": 1, "alpha": "1", "release": "0"}, {"id": 1, "alpha": "1", "release": "0"},
+                 {"id": 2, "alpha": "-1", "release": "0"}],
+                DuplicateId,
+                "job id 1 occurs more than once",
+            ),
+            (
+                [{"id": 1, "alpha": "-1", "release": "0"}],
+                NegativeParameter,
+                "job 1: alpha must be >= 0, got -1",
+            ),
+            (
+                [{"id": 1, "alpha": "1/3", "release": "-3/6"}],
+                NegativeParameter,
+                "job 1: release must be >= 0, got -1/2",
+            ),
+            (
+                [{"id": -1, "alpha": "1", "release": "0"}],
+                NegativeParameter,
+                "job id must be a positive integer, got -1",
+            ),
+            (
+                [{"id": 1, "alpha": "1", "release": "1.5"}],
+                ParseError,
+                "jobs[0].release: '1.5' is not 'p' or 'p/q' in decimal digits",
+            ),
+            (
+                [{"id": 1, "alpha": "1", "release": "0"}, {"id": True, "alpha": "1", "release": "0"}],
+                ParseError,
+                "jobs[1].id: expected an integer",
+            ),
+        ],
+        ids=[
+            "negative-id-then-bad-text",
+            "duplicate-id",
+            "duplicate-before-negative",
+            "minus-one",
+            "negative-p-over-q",
+            "negative-id",
+            "decimal-point",
+            "bool-id",
+        ],
+    )
+    def test_refusals(self, jobs, error, message):
+        text = json.dumps({"beta": "1/2", "jobs": jobs})
+        assert outcome(parse_instance, text) == outcome(reference_parse_instance, text) == (error, message)
+
+    @pytest.mark.parametrize("family", [Family.RANDOM, Family.TWO_RELEASE])
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_drawn_record_matches_the_job_route(self, family, seed):
+        spec = FamilySpec(family=family, n=40, beta=F(1, 40), seed=seed, alpha_max=6, r_max=9)
+        inst, ref = generate(spec), reference_generate(spec)
+        assert inst._prepared == ref._prepared
+        assert inst.jobs == ref.jobs
+        assert write_instance(inst) == reference_write_instance(ref)
+
+
+def reference_generate(spec: FamilySpec) -> Instance:
+    """The random families' jobs as Fractions, drawn as the generators
+    draw them: per job its fixed part, then its release; or every fixed
+    part, then every late flag, and one flag flipped if all agree."""
+    rng = random.Random(spec.seed)
+    if spec.family is Family.RANDOM:
+        jobs = []
+        for i in range(1, spec.n + 1):
+            alpha = F(rng.randint(0, spec.alpha_max))
+            jobs.append(Job(i, alpha, F(rng.randint(0, spec.r_max))))
+        return Instance(spec.beta, jobs)
+    alphas = [rng.randint(0, spec.alpha_max) for _ in range(spec.n)]
+    late = [rng.randint(0, 1) for _ in range(spec.n)]
+    if not any(late):
+        late[rng.randrange(spec.n)] = 1
+    elif all(late):
+        late[rng.randrange(spec.n)] = 0
+    return Instance(
+        spec.beta,
+        [Job(i + 1, F(alphas[i]), F(spec.r_max if late[i] else 0)) for i in range(spec.n)],
+    )
