@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .generators import Family, FamilySpec, generate
+from .generators import MAX_N, Family, FamilySpec, generate
 from .model import (
     Instance,
     InvalidArgument,
@@ -60,8 +60,10 @@ class ExperimentConfig:
 
     Every field is checked as the config is built, so before any trial
     runs: the counts must be ints (bools refused), ``family``,
-    ``objective`` and each of ``algorithms`` members of their enums, and
-    ``timings`` a bool.  A bad field raises :class:`InvalidArgument`.
+    ``objective`` and each of ``algorithms`` members of their enums,
+    ``timings`` a bool, and ``n_max`` at most the family's cap in
+    :data:`~detsched.generators.MAX_N` (each trial's size is the family
+    spec's ``n``).  A bad field raises :class:`InvalidArgument`.
     """
 
     family: Family
@@ -91,6 +93,11 @@ class ExperimentConfig:
             raise InvalidArgument("trials must be >= 0")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise InvalidArgument("need 1 <= n_min <= n_max")
+        cap = MAX_N[self.family]
+        if self.n_max > cap:
+            raise InvalidArgument(
+                f"n_max must be <= {cap} for the {self.family.value} family, got {self.n_max}"
+            )
         if not self.betas:
             raise InvalidArgument("betas must be nonempty")
         if not self.algorithms:

@@ -6,6 +6,13 @@ the subset DP up to ``DP_MAX_N`` jobs; total completion runs on
 the lexicographically smallest optimal order by job id, so either one
 certifies the same schedule.
 
+:func:`brute_force` walks the tree of order prefixes depth first on
+Fractions, computing each prefix's completion once for all the orders
+that extend it: one step per prefix, the sum of ``n!/(n-k)!`` over k
+from 1 to n, which is 13,699 at n=7, against ``n * n!`` (35,280) for
+recomputing every order's timeline.  It shares no arithmetic with the
+DP, which the tests check against it.
+
 One forward subset DP, :func:`_finish`, gives both the makespan value
 and its order: :func:`dp_min_makespan` runs it once from the empty mask,
 and :func:`_makespan_optimum` runs it from each candidate prefix of the
@@ -22,7 +29,6 @@ tight, as on random instances, it visits only a few masks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,7 +62,9 @@ class DegenerateOptimum(SchedulingError):
 
 
 # Default cap and hard ceiling on brute force, whatever cap a caller passes:
-# n=9 already takes about 20 s, and each further job multiplies that by n.
+# on a random instance (seed 5, beta 1) total completion takes about 4.5 s
+# at n=9 and 46 s at n=10, makespan about 3.4 s and 32 s, on one core of a
+# 2-vCPU Xeon host; each further job multiplies that by about n.
 BRUTE_FORCE_MAX_N = 10
 
 # At n=20 the DP holds at most two levels, each at most C(20, 10) masks
@@ -77,43 +85,53 @@ def brute_force(
     objective: Objective,
     max_n: int = BRUTE_FORCE_MAX_N,
 ) -> OptResult:
-    """Enumerate all n! orders with canonical starts and keep the best.
+    """The best of all n! orders with canonical starts, by a depth-first
+    walk over the tree of order prefixes, on Fractions.
 
-    Ties go to the lexicographically smallest order (by job id), which the
-    enumeration order makes automatic.  Raises :class:`InstanceTooLarge`
-    when ``instance.n > min(max_n, BRUTE_FORCE_MAX_N)``, before enumerating.
+    Each prefix's completion, and for total completion its running sum,
+    is computed once and shared by every order that extends it.  Children
+    are tried in ascending job id, so complete orders are reached in
+    lexicographic order; only a strictly smaller value replaces the best,
+    so ties go to the lexicographically smallest order.  Total completion
+    visits every order.  For makespan a child whose completion already
+    reaches the best is not entered: completions only grow along an order,
+    so no order below it can be strictly better.  Raises
+    :class:`InstanceTooLarge` when ``instance.n > min(max_n,
+    BRUTE_FORCE_MAX_N)``, before enumerating.
     """
     cap = min(max_n, BRUTE_FORCE_MAX_N)
     if instance.n > cap:
         raise InstanceTooLarge(
             f"n={instance.n} exceeds the brute-force cap of {cap}"
         )
-    jobs = instance.job_map()
-    ids = sorted(jobs)
     g = instance.growth
     want_total = objective is Objective.TOTAL_COMPLETION
-    best_perm: tuple[int, ...] | None = None
+    order: list[int] = []
+    best_order: tuple[int, ...] = ()
     best_value: Fraction | None = None
-    for perm in itertools.permutations(ids):
-        completion = ZERO
-        total = ZERO
-        for jid in perm:
-            job = jobs[jid]
-            s = job.release if job.release > completion else completion
-            completion = job.alpha + g * s
-            if want_total:
-                total += completion
-            elif best_value is not None and completion >= best_value:
-                break  # completions only grow; this order cannot improve
-        else:
+
+    def walk(
+        left: list[tuple[int, Fraction, Fraction]], completion: Fraction, total: Fraction
+    ) -> None:
+        nonlocal best_order, best_value
+        if not left:
             value = total if want_total else completion
             if best_value is None or value < best_value:
-                best_value = value
-                best_perm = perm
-    assert best_perm is not None and best_value is not None
+                best_value, best_order = value, tuple(order)
+            return
+        for i, (jid, alpha, release) in enumerate(left):
+            child = alpha + g * (release if release > completion else completion)
+            if not want_total and best_value is not None and child >= best_value:
+                continue  # completions only grow: nothing below beats the best
+            order.append(jid)
+            walk(left[:i] + left[i + 1 :], child, total + child)
+            order.pop()
+
+    walk(sorted((job.id, job.alpha, job.release) for job in instance.jobs), ZERO, ZERO)
+    assert best_value is not None
     return OptResult(
         objective=objective,
-        best_schedule=canonical_starts(instance, best_perm),
+        best_schedule=canonical_starts(instance, best_order),
         best_value=best_value,
     )
 

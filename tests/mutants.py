@@ -93,6 +93,36 @@ CATALOGUE = (
         ),
     ),
     Mutant(
+        "brute-force-tie-to-a-later-order",
+        "src/detsched/oracle.py",
+        "if best_value is None or value < best_value:",
+        "if best_value is None or value <= best_value:",
+        (
+            "tests/test_oracle.py::TestBruteForceMatchesReference::test_only_the_id_breaks_the_tie",
+            "tests/test_oracle.py::TestBruteForceMatchesReference::test_same_result",
+        ),
+    ),
+    Mutant(
+        "brute-force-children-in-instance-order",
+        "src/detsched/oracle.py",
+        "walk(sorted((job.id, job.alpha, job.release) for job in instance.jobs), ZERO, ZERO)",
+        "walk([(job.id, job.alpha, job.release) for job in instance.jobs], ZERO, ZERO)",
+        (
+            "tests/test_oracle.py::TestBruteForceMatchesReference::test_only_the_id_breaks_the_tie",
+            "tests/test_oracle.py::TestBruteForceMatchesReference::test_same_result",
+        ),
+    ),
+    Mutant(
+        "brute-force-total-not-carried",
+        "src/detsched/oracle.py",
+        "walk(left[:i] + left[i + 1 :], child, total + child)",
+        "walk(left[:i] + left[i + 1 :], child, child)",
+        (
+            "tests/test_oracle.py::TestBruteForce::test_two_job_total_completion",
+            "tests/test_oracle.py::TestBruteForceMatchesReference::test_same_result",
+        ),
+    ),
+    Mutant(
         "parse-instance-bool-ids",
         "src/detsched/serialization.py",
         "if not isinstance(jid, int) or isinstance(jid, bool):",

@@ -23,7 +23,7 @@ from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
 from detsched.schedulers import SchedulerChoice
 from detsched.serialization import parse_instance, parse_rational, write_instance
 
-from conftest import LOOSE_RATIONALS, digit_limit, make_instance
+from conftest import LOOSE_RATIONALS, count_calls, digit_limit, make_instance
 
 
 @pytest.fixture()
@@ -486,6 +486,18 @@ class TestExperiment:
     def test_empty_betas(self, capsys):
         assert main(["experiment", "--betas", " , ", "--seed", "0"]) == 1
         assert "--betas" in capsys.readouterr().err
+
+    def test_n_max_past_the_family_cap(self, monkeypatch, capsys):
+        specs = count_calls(monkeypatch, generate)
+        argv = ["experiment", "--family", "nonidling-adv", "--trials", "2",
+                "--n-min", str(ADVERSARIAL_MAX_K), "--n-max", str(ADVERSARIAL_MAX_K + 1),
+                "--seed", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: n_max must be <= {ADVERSARIAL_MAX_K} for the nonidling-adv family, "
+            f"got {ADVERSARIAL_MAX_K + 1}\n"
+        )
+        assert specs == []
 
     @staticmethod
     def _rows(tmp_path, args) -> list[dict[str, str]]:

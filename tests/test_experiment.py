@@ -26,6 +26,7 @@ from detsched import (
 from detsched import experiment, model, schedulers
 from detsched.cli import main
 from detsched.experiment import CSV_HEADER
+from detsched.generators import ADVERSARIAL_MAX_K, RANDOM_MAX_N
 from detsched.model import InvalidArgument
 from detsched.schedulers import PolicyRun
 from detsched.serialization import format_rational, parse_rational, write_instance
@@ -98,6 +99,22 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgument, match=f"^{message}$"):
             run_experiment(config(**{field: value}))
         assert specs == []
+
+    # a trial's size is its family spec's n, which the adversarial
+    # families read as k, so n_max meets the same cap as FamilySpec's n,
+    # before the trials below the cap are run
+    @pytest.mark.parametrize(
+        "family, cap",
+        [(Family.RANDOM, RANDOM_MAX_N), (Family.NONIDLING_ADV, ADVERSARIAL_MAX_K)],
+        ids=["random", "nonidling-adv"],
+    )
+    def test_n_max_past_the_family_cap(self, monkeypatch, family, cap):
+        specs = count_calls(monkeypatch, experiment.generate)
+        message = f"n_max must be <= {cap} for the {family.value} family, got {cap + 1}"
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            run_experiment(config(family=family, trials=2, n_min=cap, n_max=cap + 1))
+        assert specs == []
+        assert config(family=family, trials=0, n_min=cap, n_max=cap).n_max == cap
 
     def test_betas_coerced_to_fractions(self):
         cfg = config(betas=(1, F(1, 2)))

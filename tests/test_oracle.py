@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -28,6 +29,7 @@ from detsched import (
     sorted_subset_cost,
     validate_instance,
 )
+from detsched import oracle, schedulers
 from detsched.generators import Family, FamilySpec, generate
 from detsched.experiment import cross_objective_check
 from detsched.model import ZERO, InvalidArgument, NotRational, rational
@@ -184,10 +186,10 @@ def size_betas(n: int) -> st.SearchStrategy[Fraction]:
 
 
 @st.composite
-def tie_heavy_instances(draw, max_n=7):
+def tie_heavy_instances(draw, max_n=7, min_n=1):
     """Alphas and releases in {0..3} with shuffled ids, so many orders tie
     for the optimum and only the id tie-break tells them apart."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     beta = draw(size_betas(n))
     ids = draw(st.permutations(range(1, n + 1)))
     jobs = tuple(Job(i, F(draw(st.integers(0, 3))), F(draw(st.integers(0, 3)))) for i in ids)
@@ -322,10 +324,10 @@ DP_GRID = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
 
 
 @st.composite
-def rational_tie_heavy_instances(draw, max_n=12):
+def rational_tie_heavy_instances(draw, max_n=12, min_n=1):
     """Alphas and releases on a grid with denominators 1, 2 and 3 and ids
     shuffled, so many states close at the same time with tied alphas."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     beta = draw(size_betas(n))
     ids = draw(st.permutations(range(1, n + 1)))
     grid = st.sampled_from(DP_GRID)
@@ -367,6 +369,111 @@ def dense_instances(draw, max_n=7):
     others = [(draw(small_rationals), draw(small_rationals)) for _ in range(n - 1)]
     ids = draw(st.permutations(range(1, n + 1)))
     return _dense_instance(beta, others, draw(small_rationals), ids)
+
+
+# The enumeration that the prefix walk replaced: every one of the n!
+# orders from itertools.permutations, each timeline recomputed from the
+# start.  Kept as the reference the walk must match exactly.
+def _reference_brute_force(
+    instance: Instance,
+    objective: Objective,
+    max_n: int = BRUTE_FORCE_MAX_N,
+) -> OptResult:
+    cap = min(max_n, BRUTE_FORCE_MAX_N)
+    if instance.n > cap:
+        raise InstanceTooLarge(
+            f"n={instance.n} exceeds the brute-force cap of {cap}"
+        )
+    jobs = instance.job_map()
+    ids = sorted(jobs)
+    g = instance.growth
+    want_total = objective is Objective.TOTAL_COMPLETION
+    best_perm: tuple[int, ...] | None = None
+    best_value: Fraction | None = None
+    for perm in itertools.permutations(ids):
+        completion = ZERO
+        total = ZERO
+        for jid in perm:
+            job = jobs[jid]
+            s = job.release if job.release > completion else completion
+            completion = job.alpha + g * s
+            if want_total:
+                total += completion
+            elif best_value is not None and completion >= best_value:
+                break  # completions only grow; this order cannot improve
+        else:
+            value = total if want_total else completion
+            if best_value is None or value < best_value:
+                best_value = value
+                best_perm = perm
+    assert best_perm is not None and best_value is not None
+    return OptResult(
+        objective=objective,
+        best_schedule=canonical_starts(instance, best_perm),
+        best_value=best_value,
+    )
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("brute force reached the DP's or the policies' code")
+
+
+class TestBruteForceMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(max_n=6),
+            tie_heavy_instances(max_n=6),
+            rational_tie_heavy_instances(max_n=6),
+            family_instances(max_jobs=6),
+        ),
+        objective=st.sampled_from(Objective),
+    )
+    def test_same_result(self, inst, objective):
+        assert brute_force(inst, objective) == _reference_brute_force(inst, objective)
+
+    # the reference takes about 0.1-0.2 s per seven-job instance
+    @settings(max_examples=10, deadline=None)
+    @given(
+        inst=st.one_of(
+            instances(min_n=7, max_n=7),
+            tie_heavy_instances(min_n=7),
+            rational_tie_heavy_instances(min_n=7, max_n=7),
+            family_instances(),
+        ),
+        objective=st.sampled_from(Objective),
+    )
+    def test_seven_jobs(self, inst, objective):
+        assert brute_force(inst, objective) == _reference_brute_force(inst, objective)
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_only_the_id_breaks_the_tie(self, objective):
+        # jobs 1 and 4 are equal and so are jobs 2 and 3, and equal jobs
+        # can trade places: the optimum has four orders, and the walk must
+        # pick the smallest by id although the instance lists them last
+        inst = make_instance(1, [(4, 1, 0), (3, 2, 1), (2, 2, 1), (1, 1, 0)])
+        result = brute_force(inst, objective)
+        assert result == _reference_brute_force(inst, objective)
+        assert result.best_schedule.order == (1, 4, 2, 3)
+        field = "makespan" if objective is Objective.MAKESPAN else "total_completion"
+        for order in [(1, 4, 3, 2), (4, 1, 2, 3), (4, 1, 3, 2)]:
+            assert getattr(evaluate(inst, canonical_starts(inst, order)), field) == result.best_value
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_independent_of_the_dp_and_the_policies(self, monkeypatch, objective):
+        # brute force is the route the DP and the policies are checked
+        # against, so it must reach none of their code; the instance is
+        # built after the patches, so nothing it caches predates them
+        jobs = [(3, 2, 1), (1, 0, 2), (4, F(1, 2), 0), (2, 1, 3)]
+        expected = _reference_brute_force(make_instance(F(1, 3), jobs), objective)
+        for module, name in [
+            (oracle, "_lattice"),
+            (oracle, "_scaled"),
+            (oracle, "_finish"),
+            (schedulers, "_loop"),
+        ]:
+            monkeypatch.setattr(module, name, _refuse)
+        assert brute_force(make_instance(F(1, 3), jobs), objective) == expected
 
 
 class TestDpMatchesFullTable:
