@@ -17,15 +17,7 @@ from .model import (
     evaluate,
     validate_instance,
 )
-from .schedulers import (
-    SchedulerChoice,
-    best_of_two,
-    earliest_release_order,
-    ectf,
-    non_idling,
-    non_interfering,
-    run,
-)
+from .schedulers import SchedulerChoice, earliest_release_order, run
 from .oracle import (
     Objective,
     OptResult,
@@ -50,9 +42,7 @@ from .serialization import (
     format_rational,
     parse_instance,
     parse_rational,
-    parse_schedule,
     write_instance,
-    write_schedule,
 )
 from .experiment import (
     CrossObjectiveReport,

@@ -28,14 +28,13 @@ from .generators import Family, FamilySpec, generate
 from .model import SchedulingError
 from .oracle import BRUTE_FORCE_MAX_N, DP_MAX_N, Objective, optimum
 from .pseudomatching import ConstructionFailed, construct_two_pm
-from .schedulers import SchedulerChoice, non_interfering, run
+from .schedulers import SchedulerChoice, run
 from .serialization import (
+    _canonical_schedule,
     _dumps,
     _eval_report,
-    _write_run,
     decimal_string,
     format_rational,
-    format_rationals,
     parse_instance,
     parse_rational,
     write_instance,
@@ -216,7 +215,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    _emit(_write_run(run(instance, SchedulerChoice(args.algorithm))), args.out)
+    record = run(instance, SchedulerChoice(args.algorithm))
+    _emit(_dumps(_canonical_schedule(instance, record.order)), args.out)
     return 0
 
 
@@ -225,8 +225,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
     result = optimum(instance, Objective(args.objective), max_n=args.max_bruteforce_n)
     doc = {
         "objective": result.objective.value,
-        "order": list(result.best_schedule.order),
-        "starts": format_rationals(result.best_schedule.starts, "starts"),
+        **_canonical_schedule(instance, result.best_schedule.order),
         "value": format_rational(result.best_value, "value"),
     }
     _emit(_dumps(doc), args.out)
@@ -262,7 +261,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_verify_pm(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    ni = non_interfering(instance)
+    ni = run(instance, SchedulerChoice.NON_INTERFERING).schedule
     optimal = optimum(
         instance, Objective.MAKESPAN, max_n=args.max_bruteforce_n
     ).best_schedule

@@ -50,7 +50,7 @@ from .oracle import (
     optimum,
     value_ratio,
 )
-from .schedulers import PolicyRun, SchedulerChoice, ectf, run
+from .schedulers import PolicyRun, SchedulerChoice, run
 from .serialization import decimal_string, format_rational
 
 
@@ -59,9 +59,10 @@ class ExperimentConfig:
     """Everything a run needs; two equal configs give identical output.
 
     Every field is checked as the config is built, so before any trial
-    runs: the counts must be ints (bools refused), ``family``,
-    ``objective`` and each of ``algorithms`` members of their enums,
-    ``timings`` a bool, and ``n_max`` at most the family's cap in
+    runs: the counts must be ints (bools refused), ``trials`` and
+    ``max_bruteforce_n`` at least 0, ``family``, ``objective`` and each
+    of ``algorithms`` members of their enums, ``timings`` a bool, and
+    ``n_max`` at most the family's cap in
     :data:`~detsched.generators.MAX_N` (each trial's size is the family
     spec's ``n``).  A bad field raises :class:`InvalidArgument`.
     """
@@ -91,6 +92,8 @@ class ExperimentConfig:
                 raise InvalidArgument(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
         if self.trials < 0:
             raise InvalidArgument("trials must be >= 0")
+        if self.max_bruteforce_n < 0:
+            raise InvalidArgument("max_bruteforce_n must be >= 0")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise InvalidArgument("need 1 <= n_min <= n_max")
         cap = MAX_N[self.family]
@@ -344,7 +347,7 @@ def cross_objective_check(
 
     sum_opt_makespan = evaluate(instance, c_opt.best_schedule).makespan
     makespan_opt_sum = evaluate(instance, t_opt.best_schedule).total_completion
-    ectf_sum = evaluate(instance, ectf(instance)).total_completion
+    ectf_sum = evaluate(instance, run(instance, SchedulerChoice.ECTF).schedule).total_completion
 
     checks = (
         InequalityCheck(

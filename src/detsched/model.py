@@ -145,6 +145,14 @@ class Instance:
         fractions = _fractions(self._prepared)
         return tuple(Job(jid, fractions[a], fractions[r]) for r, a, jid in self._prepared.keys)
 
+    @cached_property
+    def _by_release(self) -> tuple[tuple[int, int, int], ...]:
+        """The record's keys sorted by ``(R, A, id)``, sorted on first read
+        and then kept: the policy loops and the release bound read them in
+        this order, and a parsed instance that only ``eval`` reads never
+        sorts."""
+        return tuple(sorted(self._prepared.keys))
+
     @property
     def n(self) -> int:
         return len(self._prepared.keys)
@@ -160,10 +168,10 @@ class Instance:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._prepared[:4] == other._prepared[:4]
+        return self._prepared == other._prepared
 
     def __hash__(self) -> int:
-        return hash(self._prepared[:4])
+        return hash(self._prepared)
 
     def __repr__(self) -> str:
         return f"Instance(beta={self.beta!r}, jobs={self.jobs!r})"
@@ -183,8 +191,8 @@ class _Prepared(NamedTuple):
     ``beta = p/q`` in lowest terms and ``d`` is the lcm of every alpha and
     release denominator, so ``R = release * d`` and ``A = alpha * d`` are
     exact integers.  ``keys`` holds one ``(R, A, id)`` per job in instance
-    order; ``by_release`` holds the same keys sorted, by ``(R, A, id)``.
-    Integer keys order and tie exactly as the Fractions would.
+    order, and :attr:`Instance._by_release` the same keys sorted.  Integer
+    keys order and tie exactly as the Fractions would.
 
     The record is built where the values arrive: from the jobs by
     ``Instance(beta, jobs)``, from the document's texts by
@@ -196,20 +204,16 @@ class _Prepared(NamedTuple):
     q: int
     d: int
     keys: tuple[tuple[int, int, int], ...]
-    by_release: tuple[tuple[int, int, int], ...]
 
 
 def _record(
     instance: Instance, beta: Fraction, d: int, keys: tuple[tuple[int, int, int], ...]
 ) -> None:
     """Give ``instance`` its ``beta`` and its record of ``keys`` at scale
-    ``d``, checked by :func:`validate_instance` before the keys are
-    sorted: both :class:`Instance` constructors build theirs here, once
-    per instance."""
-    record = _Prepared(beta.numerator, beta.denominator, d, keys, ())
-    vars(instance).update(beta=beta, _prepared=record)
+    ``d``, checked by :func:`validate_instance`: both :class:`Instance`
+    constructors build theirs here, once per instance."""
+    vars(instance).update(beta=beta, _prepared=_Prepared(beta.numerator, beta.denominator, d, keys))
     validate_instance(instance)
-    vars(instance)["_prepared"] = record._replace(by_release=tuple(sorted(keys)))
 
 
 def _fractions(prepared: _Prepared) -> dict[int, Fraction]:

@@ -96,9 +96,11 @@ def brute_force(
     visits every order.  For makespan a child whose completion already
     reaches the best is not entered: completions only grow along an order,
     so no order below it can be strictly better.  Raises
+    :class:`InvalidArgument` when ``max_n < 0`` and
     :class:`InstanceTooLarge` when ``instance.n > min(max_n,
     BRUTE_FORCE_MAX_N)``, before enumerating.
     """
+    _check_cap(max_n)
     cap = min(max_n, BRUTE_FORCE_MAX_N)
     if instance.n > cap:
         raise InstanceTooLarge(
@@ -352,12 +354,21 @@ def _makespan_optimum(instance: Instance) -> OptResult:
     )
 
 
+def _check_cap(max_n: int) -> None:
+    """Raise :class:`InvalidArgument` for a negative cap; a cap of 0
+    refuses every instance."""
+    if max_n < 0:
+        raise InvalidArgument(f"max_n must be >= 0, got {max_n}")
+
+
 def check_optimum_cap(
     instance: Instance, objective: Objective, max_n: int = BRUTE_FORCE_MAX_N
 ) -> None:
-    """Raise :class:`InstanceTooLarge` when :func:`optimum` would refuse
+    """Raise :class:`InvalidArgument` when ``max_n < 0``, and
+    :class:`InstanceTooLarge` when :func:`optimum` would refuse
     ``instance``: past ``min(max_n, DP_MAX_N)`` jobs for makespan, past
     ``min(max_n, BRUTE_FORCE_MAX_N)`` for total completion."""
+    _check_cap(max_n)
     if objective is Objective.MAKESPAN:
         route, cap = "subset-DP", min(max_n, DP_MAX_N)
     else:
@@ -375,8 +386,9 @@ def optimum(
     optimal order by job id, with canonical starts.
 
     Makespan runs on the subset DP, total completion on
-    :func:`brute_force`.  Raises :class:`InstanceTooLarge` (see
-    :func:`check_optimum_cap`) before anything is allocated.
+    :func:`brute_force`.  Raises :class:`InvalidArgument` or
+    :class:`InstanceTooLarge` (see :func:`check_optimum_cap`) before
+    anything is allocated.
     """
     check_optimum_cap(instance, objective, max_n)
     if objective is Objective.MAKESPAN:
@@ -403,11 +415,11 @@ def lb_release(instance: Instance) -> Fraction:
     at least ``sum beta**(n-i) * r_(i)``: every job started at or after its
     release inflates everything scheduled behind it.  The sum runs by
     Horner's rule over the ascending releases, one multiply per job, on the
-    integers of :func:`_horner`: the prepared record's ``R`` in its
-    release order, over its ``d``.
+    integers of :func:`_horner`: the prepared record's ``R`` in release
+    order (:attr:`~detsched.model.Instance._by_release`), over its ``d``.
     """
     prepared = instance._prepared
-    releases = [r for r, _, _ in prepared.by_release]
+    releases = [r for r, _, _ in instance._by_release]
     return _horner(prepared.p, prepared.q, 0, releases, prepared.d)
 
 

@@ -30,7 +30,7 @@ from .model import (
     canonical_starts,
     evaluate,
 )
-from .schedulers import non_interfering
+from .schedulers import SchedulerChoice, run
 from .generators import reduce_instance
 
 
@@ -245,7 +245,7 @@ def construct_two_pm(
     report = evaluate(instance, ni_schedule)
     if reduce_gaps and any(q > 0 for q in report.gaps):
         reduced_instance = reduce_instance(instance, ni_schedule)
-        ni = non_interfering(reduced_instance)
+        ni = run(reduced_instance, SchedulerChoice.NON_INTERFERING).schedule
         opt = canonical_starts(reduced_instance, optimal_schedule.order)
         inst = reduced_instance
         reduced = True

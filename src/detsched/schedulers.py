@@ -73,8 +73,7 @@ its order, built only when :attr:`PolicyRun.schedule` is first read.
 :func:`run`, the one entry point, picks best-of-two on the two greedy
 makespans, so the pick builds no schedule.  A caller that runs several
 policies on one instance, as the experiment harness does per trial,
-passes it a dict of runs, and each policy runs once.  The four public
-functions return the run's schedule.
+passes it a dict of runs, and each policy runs once.
 """
 
 from __future__ import annotations
@@ -89,9 +88,22 @@ from .model import Instance, Schedule, canonical_starts
 
 
 class SchedulerChoice(Enum):
+    """The four policies, each run by :func:`run`."""
+
+    #: Whenever the machine frees up, start the shortest pending job; never
+    #: idle while something is pending.  If nothing is pending, advance to
+    #: the next release.
     NON_IDLING = "non-idling"
+    #: Like non-idling, but refuse to start a job that would run over a
+    #: shorter job's release; instead idle until that release and
+    #: reconsider from scratch.
     NON_INTERFERING = "non-interfering"
+    #: Run non-idling and non-interfering once each; keep the one with the
+    #: smaller makespan, non-idling on a tie.
     BEST_OF_TWO = "best-of-two"
+    #: Estimated-completion-time-first: repeatedly start the uncompleted job
+    #: whose completion estimate ``(1 + beta) * max(t, release) + alpha`` is
+    #: smallest, idling up to its release if needed.
     ECTF = "ectf"
 
 
@@ -114,7 +126,7 @@ def _loop(instance: Instance, choice: SchedulerChoice) -> PolicyRun:
     """``choice``'s loop: start the pending job with the smallest fixed part,
     unless ``choice``'s rule sends the machine to a later release first."""
     prepared = instance._prepared
-    p, q, d, keys = prepared.p, prepared.q, prepared.d, prepared.by_release
+    p, q, d, keys = prepared.p, prepared.q, prepared.d, instance._by_release
     pq = p + q
     n = len(keys)
     i = 0
@@ -169,27 +181,6 @@ def _loop(instance: Instance, choice: SchedulerChoice) -> PolicyRun:
     return PolicyRun(instance, tuple(order), Fraction(T, d * Q))
 
 
-def non_idling(instance: Instance) -> Schedule:
-    """Whenever the machine frees up, start the shortest pending job; never
-    idle while something is pending.  If nothing is pending, advance to the
-    next release."""
-    return run(instance, SchedulerChoice.NON_IDLING).schedule
-
-
-def non_interfering(instance: Instance) -> Schedule:
-    """Like :func:`non_idling`, but refuse to start a job that would run over
-    a shorter job's release; instead idle until that release and reconsider
-    from scratch."""
-    return run(instance, SchedulerChoice.NON_INTERFERING).schedule
-
-
-def ectf(instance: Instance) -> Schedule:
-    """Estimated-completion-time-first: repeatedly start the uncompleted job
-    whose completion estimate ``(1 + beta) * max(t, release) + alpha`` is
-    smallest, idling up to its release if needed."""
-    return run(instance, SchedulerChoice.ECTF).schedule
-
-
 def run(
     instance: Instance,
     choice: SchedulerChoice,
@@ -217,13 +208,6 @@ def run(
     return record
 
 
-def best_of_two(instance: Instance) -> Schedule:
-    """Run the non-idling and the non-interfering policies once each; keep
-    the schedule with the smaller makespan (the non-idling one on a tie).
-    The loop returns the makespans, so only the winner's schedule is built."""
-    return run(instance, SchedulerChoice.BEST_OF_TWO).schedule
-
-
 def earliest_release_order(instance: Instance) -> Schedule:
     """Reference heuristic: canonical schedule of the order sorted by
     (release, id).  Used as a feasible benchmark on instances too big or too
@@ -232,9 +216,10 @@ def earliest_release_order(instance: Instance) -> Schedule:
     return canonical_starts(instance, order)
 
 
+# Each policy as a function from an instance to its schedule.  Its one
+# reader is the benchmark's certify check (perfbench/workloads.py); the map
+# goes when that check calls run (ROADMAP item 1).
 SCHEDULERS = {
-    SchedulerChoice.NON_IDLING: non_idling,
-    SchedulerChoice.NON_INTERFERING: non_interfering,
-    SchedulerChoice.BEST_OF_TWO: best_of_two,
-    SchedulerChoice.ECTF: ectf,
+    choice: lambda instance, choice=choice: run(instance, choice).schedule
+    for choice in SchedulerChoice
 }

@@ -9,23 +9,23 @@ Every rational has exactly one canonical text, the one
 :func:`format_rational` writes: lowest terms, a positive denominator
 written only when it is not 1, no sign on zero and no leading zeros.
 
-``solve`` and ``eval`` spell the starts, completions and gaps of a policy
-or canonical schedule without converting a binary int to decimal text,
+``solve``, ``opt`` and ``eval`` spell the starts, completions and gaps
+of a canonical schedule without converting a binary int to decimal text,
 which the interpreter does in time quadratic in the digits.
 :func:`_walk` computes each value in exact decimal integers, in a context
 of its own that traps every rounding, reduces it to lowest terms by gcds
-of small residues, and spells it in linear time.  ``solve``
-(:func:`_write_run`) first makes an integer pass over the policy loop's
-time, and refuses the first start past the interpreter's limit on digits
-per integer string conversion, with :func:`write_schedule`'s message,
-before it makes any text.  ``eval`` (:func:`_eval_report`) writes the
-walk's texts when each start of the document is, string for string, the
-walk's text for that position of the order's canonical schedule, and no
-value passes the digit limit.  Every other document (a delayed or
-respelled start, an order that is not a permutation, a missing field, a
-value past the limit) goes through the route that parses every start
-and walks the schedule once in Fractions, which gives the same report and
-every refusal.
+of small residues, and spells it in linear time.  ``solve`` and ``opt``
+write their schedules through :func:`_canonical_schedule`, which first
+makes an integer pass over the order's time, and refuses the first start
+past the interpreter's limit on digits per integer string conversion,
+naming it, before it makes any text.  ``eval`` (:func:`_eval_report`)
+writes the walk's texts when each start of the document is, string for
+string, the walk's text for that position of the order's canonical
+schedule, and no value passes the digit limit.  Every other document (a
+delayed or respelled start, an order that is not a permutation, a
+missing field, a value past the limit) goes through the route that
+parses every start and walks the schedule once in Fractions, which gives
+the same report and every refusal.
 
 The schedule, ``eval`` and ``opt`` documents are flat: strings, and lists
 of ints or of strings that JSON never escapes.  :func:`_dumps` writes
@@ -71,7 +71,6 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .model import (
     EvalReport,
@@ -83,9 +82,6 @@ from .model import (
     _report,
     _timeline,
 )
-
-if TYPE_CHECKING:
-    from .schedulers import PolicyRun
 
 
 class ParseError(SchedulingError):
@@ -340,22 +336,15 @@ def _instance_field(k: int) -> str:
     return f"jobs[{idx}].{_JOB_KEYS[key]}"
 
 
-def parse_schedule(text: str, instance: Instance) -> Schedule:
-    """Parse a schedule document against ``instance``.
+def _schedule_from_doc(doc: object, instance: Instance) -> tuple[Schedule, EvalReport]:
+    """The schedule of a document that ``json.loads`` gave, parsed against
+    ``instance``, and the report of its timeline.
 
     A document without ``starts`` yields the canonical schedule of its
-    order; explicit starts are checked for feasibility.  Raises
-    :class:`ParseError` for a malformed document or start, before
-    :class:`NotAPermutation` or :class:`InfeasibleSchedule`.
-    """
-    return _schedule_from_doc(_loads(text, "schedule"), instance)[0]
-
-
-def _schedule_from_doc(doc: object, instance: Instance) -> tuple[Schedule, EvalReport]:
-    """:func:`parse_schedule` on the document ``json.loads`` gave, and the
-    report of its timeline.  Every start is parsed before the one walk of
-    :func:`_timeline` checks the schedule, so a malformed start is named
-    even next to an order that is not a permutation.
+    order; explicit starts are checked for feasibility.  Every start is
+    parsed before the one walk of :func:`_timeline` checks the schedule,
+    so a :class:`ParseError` for a malformed document or start comes
+    before :class:`NotAPermutation` or :class:`InfeasibleSchedule`.
     """
     if not isinstance(doc, dict):
         raise ParseError("schedule: top level must be an object")
@@ -617,7 +606,7 @@ def _check_starts(prepared: _Prepared, order: Sequence[int]) -> list[bool]:
 
     Raises :class:`SchedulingError` naming ``starts[k]`` for the first
     start past the interpreter's limit on digits per integer string
-    conversion, as :func:`write_schedule` would, before any text is made.
+    conversion, as :func:`format_rationals` would, before any text is made.
     A start ``T / (d * Q)`` is reduced only when ``T`` or ``d * Q`` passes
     the limit: its lowest terms are no larger."""
     limit = sys.get_int_max_str_digits()
@@ -633,29 +622,25 @@ def _check_starts(prepared: _Prepared, order: Sequence[int]) -> list[bool]:
     return jumps
 
 
-def _write_run(record: PolicyRun) -> str:
-    """The schedule document of a policy run, byte for byte
-    :func:`write_schedule` of ``record.schedule`` and with the same
-    refusals, raised before any text is made.  A policy schedule is the
-    canonical schedule of its order, so the starts come from :func:`_walk`
-    on the order and the jump flags :func:`_check_starts` finds."""
-    prepared, order = record.instance._prepared, record.order
+def _canonical_schedule(instance: Instance, order: Sequence[int]) -> dict[str, list]:
+    """The ``order`` and ``starts`` fields of the canonical schedule of
+    ``order``, a permutation of the instance's ids: the texts
+    :func:`format_rationals` gives for its starts, with the same
+    refusals, raised before any text is made.  Every policy and optimal
+    schedule is the canonical schedule of its order, so ``solve`` and
+    ``opt`` write theirs here.
+
+    Raises :class:`SchedulingError` naming ``order[i]`` or ``starts[i]``
+    for the first value past the digit limit: the order is checked first,
+    then the starts by :func:`_check_starts`, whose jump flags
+    :func:`_walk` then follows."""
+    prepared = instance._prepared
     _check_writable(order, lambda i: f"order[{i}]")
     jumps = _check_starts(prepared, order)
-    starts = [_text(start) for start, _, _ in _walk(prepared, order, jumps)]
-    return _dumps({"order": list(order), "starts": starts})
-
-
-def write_schedule(schedule: Schedule) -> str:
-    """The schedule document.  Raises :class:`SchedulingError` naming
-    ``order[i]`` or ``starts[i]`` for the first value past the digit limit,
-    before any value is converted."""
-    _check_writable(schedule.order, lambda i: f"order[{i}]")
-    doc = {
-        "order": list(schedule.order),
-        "starts": format_rationals(schedule.starts, "starts"),
+    return {
+        "order": list(order),
+        "starts": [_text(start) for start, _, _ in _walk(prepared, order, jumps)],
     }
-    return _dumps(doc)
 
 
 def _dumps(doc: dict[str, str | Sequence[int] | Sequence[str]]) -> str:

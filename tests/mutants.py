@@ -48,8 +48,8 @@ CATALOGUE = (
     Mutant(
         "record-sorted-by-alpha",
         "src/detsched/model.py",
-        "record._replace(by_release=tuple(sorted(keys)))",
-        "record._replace(by_release=tuple(sorted(keys, key=lambda k: (k[1], k[0], k[2]))))",
+        "return tuple(sorted(self._prepared.keys))",
+        "return tuple(sorted(self._prepared.keys, key=lambda k: (k[1], k[0], k[2])))",
         (
             "tests/test_oracle.py::TestPreparedRecord::test_keys",
             "tests/test_schedulers.py::TestMatchesReferenceLoops::test_same_schedules",
@@ -294,6 +294,33 @@ CATALOGUE = (
             "tests/test_reference_routes.py::TestWalkRoutes::test_solve_document",
             "tests/test_reference_routes.py::TestWalkRoutes::test_fixed_walks",
         ),
+    ),
+    Mutant(
+        "canonical-writer-ignores-jumps",
+        "src/detsched/serialization.py",
+        "[_text(start) for start, _, _ in _walk(prepared, order, jumps)]",
+        "[_text(start) for start, _, _ in _walk(prepared, order, [k == 0 for k in range(len(order))])]",
+        (
+            "tests/test_reference_routes.py::TestWalkRoutes::test_opt_document",
+            "tests/test_reference_routes.py::TestWalkRoutes::test_solve_document",
+        ),
+    ),
+    Mutant(
+        "canonical-writer-walks-sorted-order",
+        "src/detsched/serialization.py",
+        "[_text(start) for start, _, _ in _walk(prepared, order, jumps)]",
+        "[_text(start) for start, _, _ in _walk(prepared, sorted(order), jumps)]",
+        (
+            "tests/test_reference_routes.py::TestWalkRoutes::test_opt_document",
+            "tests/test_reference_routes.py::TestWalkRoutes::test_fixed_walks",
+        ),
+    ),
+    Mutant(
+        "canonical-writer-skips-order-check",
+        "src/detsched/serialization.py",
+        'prepared = instance._prepared\n    _check_writable(order, lambda i: f"order[{i}]")',
+        "prepared = instance._prepared",
+        ("tests/test_serialization.py::TestWritersPastTheDigitLimit::test_write_schedule_names_the_order_position",),
     ),
 )
 

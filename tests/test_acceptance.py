@@ -42,7 +42,6 @@ from detsched import (
     Objective,
     Pseudomatching,
     SchedulerChoice,
-    best_of_two,
     brute_force,
     canonical_starts,
     check_two_pm,
@@ -50,14 +49,12 @@ from detsched import (
     cross_objective_check,
     dp_min_makespan,
     earliest_release_order,
-    ectf,
     evaluate,
     generate,
     lb_release,
-    non_idling,
-    non_interfering,
     optimum,
     reduce_instance,
+    run,
     run_experiment,
     value_ratio,
     write_csv,
@@ -159,7 +156,7 @@ PAIR_GRID = [(float(a), float(r)) for a in range(4) for r in range(7)]
 
 
 def _ectf_float(jobs, g: float) -> float:
-    # twin of detsched.schedulers.ectf on exact dyadic floats
+    # twin of the ECTF policy (run with SchedulerChoice.ECTF) on exact dyadic floats
     t = 0.0
     rem = list(range(len(jobs)))
     while rem:
@@ -230,7 +227,7 @@ def test_c03_ectf_upper_bound(verdict):
                     violations.append((beta, combo, val, opt))
                 if checked % 5000 == 0:
                     inst = _as_instance(combo, beta)
-                    exact_val = evaluate(inst, ectf(inst)).makespan
+                    exact_val = evaluate(inst, run(inst, SchedulerChoice.ECTF).schedule).makespan
                     exact_opt = dp_min_makespan(inst)
                     assert exact_val == F(val) and exact_opt == F(opt), (
                         f"float fast path diverged on {describe(inst)}"
@@ -242,7 +239,7 @@ def test_c03_ectf_upper_bound(verdict):
         beta = (F(1, 2), F(1), F(2))[i % 3]
         inst = rand_instance(33001 + i, n, beta)
         opt = dp_min_makespan(inst)
-        val = evaluate(inst, ectf(inst)).makespan
+        val = evaluate(inst, run(inst, SchedulerChoice.ECTF).schedule).makespan
         if opt == 0:
             if val != 0:
                 violations.append((beta, inst, val, opt))
@@ -273,7 +270,7 @@ def test_c04_ectf_adversarial_ratios(verdict):
         inst = generate(
             FamilySpec(family=Family.ECTF_ADV, n=k, beta=F(1), b=F(1))
         )
-        val = evaluate(inst, ectf(inst)).makespan
+        val = evaluate(inst, run(inst, SchedulerChoice.ECTF).schedule).makespan
         # the family's documented reference runs the long jobs 1..k first
         reference = evaluate(
             inst, canonical_starts(inst, tuple(range(1, 2 * k + 1)))
@@ -309,9 +306,8 @@ def test_c05_nonidling_adversarial_ratios(verdict):
     problems = []
     for k, expected in want.items():
         inst = generate(FamilySpec(family=Family.NONIDLING_ADV, n=k, beta=F(1)))
-        ratio = value_ratio(
-            evaluate(inst, non_idling(inst)).makespan, dp_min_makespan(inst)
-        )
+        schedule = run(inst, SchedulerChoice.NON_IDLING).schedule
+        ratio = value_ratio(evaluate(inst, schedule).makespan, dp_min_makespan(inst))
         if ratio != expected:
             problems.append(f"k={k}: got {ratio}, want {expected}")
     ok = not problems
@@ -340,7 +336,7 @@ def test_c06_nonidling_ratio_slow_growth(verdict):
         beta = F(1, n) if i % 2 else F(1, 2 * n)
         inst = rand_instance(61001 + i, n, beta)
         opt = dp_min_makespan(inst)
-        val = evaluate(inst, non_idling(inst)).makespan
+        val = evaluate(inst, run(inst, SchedulerChoice.NON_IDLING).schedule).makespan
         ORACLE_PAIRS.append((inst, opt))
         if opt == 0:
             continue
@@ -373,7 +369,7 @@ def test_c07_noninterfering_ratio_fast_growth(verdict):
         beta = F(n + 1) + F(i % 4, 2)
         inst = rand_instance(71001 + i, n, beta)
         opt = dp_min_makespan(inst)
-        val = evaluate(inst, non_interfering(inst)).makespan
+        val = evaluate(inst, run(inst, SchedulerChoice.NON_INTERFERING).schedule).makespan
         ORACLE_PAIRS.append((inst, opt))
         if opt == 0:
             continue
@@ -413,7 +409,7 @@ def test_c08_noninterfering_adversarial_growth(verdict):
                 family=Family.NONINTERFERING_ADV, n=n, beta=F(1), b=F(n * n)
             )
         )
-        ni_val = evaluate(inst, non_interfering(inst)).makespan
+        ni_val = evaluate(inst, run(inst, SchedulerChoice.NON_INTERFERING).schedule).makespan
         bench = evaluate(inst, earliest_release_order(inst)).makespan
         ratio = value_ratio(ni_val, bench)
         ratios.append(ratio)
@@ -448,7 +444,7 @@ def test_c09_best_of_two_two_release(verdict):
             FamilySpec(family=Family.TWO_RELEASE, n=n, beta=beta, seed=91001 + i)
         )
         opt = dp_min_makespan(inst)
-        val = evaluate(inst, best_of_two(inst)).makespan
+        val = evaluate(inst, run(inst, SchedulerChoice.BEST_OF_TWO).schedule).makespan
         ORACLE_PAIRS.append((inst, opt))
         if opt == 0:
             continue
@@ -558,7 +554,7 @@ def test_c10b_two_pm_construction(verdict):
         beta = (F(1, 2), F(1), F(2), F(3))[i % 4]
         inst = rand_instance(103001 + i, n, beta)
         opt = optimum(inst, Objective.MAKESPAN).best_schedule
-        ni = non_interfering(inst)
+        ni = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         for reduce_gaps in (True, False):
             trials += 1
             report = construct_two_pm(inst, ni, opt, reduce_gaps=reduce_gaps)
@@ -623,13 +619,13 @@ def test_c11_reduced_instance_replay(verdict):
         n = 2 + i % 7
         beta = (F(1, 2), F(1), F(2), F(4))[i % 4]
         inst = rand_instance(113001 + i, n, beta)
-        ni = non_interfering(inst)
+        ni = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         reduced = reduce_instance(inst, ni)
         replay = evaluate(reduced, canonical_starts(reduced, ni.order))
         if any(q != 0 for q in replay.gaps):
             problems.append(f"i={i}: replay of original order has idle gaps")
             continue
-        again = non_interfering(reduced)
+        again = run(reduced, SchedulerChoice.NON_INTERFERING).schedule
         fresh = evaluate(reduced, again)
         if any(q != 0 for q in fresh.gaps):
             problems.append(f"i={i}: fresh run on reduced instance has gaps")

@@ -641,6 +641,11 @@ ERROR_PATHS = (
         ["experiment", "--n-min", "0", "--seed", "0"],
         ["experiment", "--betas", "0", "--trials", "1", "--seed", "0"],
         ["experiment", "--alpha-max", "-1", "--trials", "1", "--seed", "0"],
+        ["experiment", "--max-bruteforce-n", "-1", "--trials", "1", "--seed", "0"],
+    ]
+    + [
+        [cmd, "--instance", "good", "--max-bruteforce-n", "-5"]
+        for cmd in ("opt", "verify-pm", "cross-check")
     ]
 )
 

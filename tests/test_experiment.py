@@ -17,9 +17,9 @@ from detsched import (
     FamilySpec,
     Objective,
     SchedulerChoice,
-    best_of_two,
     cross_objective_check,
     generate,
+    run,
     run_experiment,
     write_csv,
 )
@@ -64,6 +64,12 @@ class TestConfigValidation:
     def test_inverted_size_range(self):
         with pytest.raises(ValueError, match="n_min"):
             config(n_min=5, n_max=4)
+
+    def test_negative_bruteforce_cap(self):
+        # a cap of -1 ran every trial and left every ratio blank
+        with pytest.raises(InvalidArgument, match="^max_bruteforce_n must be >= 0$"):
+            config(max_bruteforce_n=-1)
+        assert config(max_bruteforce_n=0).max_bruteforce_n == 0
 
     def test_empty_betas(self):
         with pytest.raises(ValueError, match="betas"):
@@ -287,7 +293,7 @@ class TestOneRunPerTrial:
         evaluate = count_calls(monkeypatch, model.evaluate)
         built = count_schedule_builds(monkeypatch)
         inst = generate(FamilySpec(family=Family.RANDOM, n=6, beta=F(1), seed=3))
-        best_of_two(inst)
+        run(inst, SchedulerChoice.BEST_OF_TWO).schedule
         assert [choice for _, choice in loops] == [
             SchedulerChoice.NON_IDLING,
             SchedulerChoice.NON_INTERFERING,

@@ -17,15 +17,14 @@ from detsched import (
     Family,
     FamilySpec,
     Objective,
+    SchedulerChoice,
     brute_force,
     canonical_starts,
     dp_min_makespan,
-    ectf,
     evaluate,
     generate,
-    non_idling,
-    non_interfering,
     reduce_instance,
+    run,
     validate_instance,
 )
 from detsched import generators
@@ -125,7 +124,7 @@ class TestNonInterferingFamily:
         # interference chains across all releases: nothing starts before r_n
         for n in (2, 3, 4):
             inst = generate(spec_for(Family.NONINTERFERING_ADV, n))
-            sched = non_interfering(inst)
+            sched = run(inst, SchedulerChoice.NON_INTERFERING).schedule
             assert sched.starts[0] == inst.jobs[-1].release
 
 
@@ -147,7 +146,7 @@ class TestNonIdlingFamily:
         # at the default B
         for k in range(1, 6):
             inst = generate(spec_for(Family.NONIDLING_ADV, k))
-            value = evaluate(inst, non_idling(inst)).makespan
+            value = evaluate(inst, run(inst, SchedulerChoice.NON_IDLING).schedule).makespan
             optimum = dp_min_makespan(inst)
             g = 1 + inst.beta
             b = inst.jobs[0].alpha
@@ -172,7 +171,7 @@ class TestEctfFamily:
     def test_policy_runs_all_shorts_first(self):
         for k in (1, 2, 3):
             inst = generate(spec_for(Family.ECTF_ADV, k, b=F(1)))
-            order = ectf(inst).order
+            order = run(inst, SchedulerChoice.ECTF).order
             shorts = set(range(k + 1, 2 * k + 1))
             assert set(order[:k]) == shorts
 
@@ -182,7 +181,7 @@ class TestEctfFamily:
         # (long, short, short, long) for 18 and beats the longs-first
         # schedule, so 24 is only an upper bound on T*, not T* itself
         inst = generate(spec_for(Family.ECTF_ADV, 2, b=F(1)))
-        assert evaluate(inst, ectf(inst)).makespan == F(30)
+        assert evaluate(inst, run(inst, SchedulerChoice.ECTF).schedule).makespan == F(30)
         longs_first = evaluate(inst, canonical_starts(inst, (1, 2, 3, 4))).makespan
         assert longs_first == F(24)
         result = brute_force(inst, Objective.MAKESPAN)
@@ -194,7 +193,7 @@ class TestEctfFamily:
         # than the longs-first analysis suggests, never smaller
         for k, claimed in [(1, F(3, 2)), (2, F(5, 4)), (3, F(9, 8))]:
             inst = generate(spec_for(Family.ECTF_ADV, k, b=F(1)))
-            value = evaluate(inst, ectf(inst)).makespan
+            value = evaluate(inst, run(inst, SchedulerChoice.ECTF).schedule).makespan
             optimum = dp_min_makespan(inst)
             assert value / optimum >= claimed
 
@@ -293,25 +292,25 @@ class TestReduceInstance:
     def test_two_job_example(self, two_job_instance):
         # policy order (2,1): job 2 clamps to min(2, 0) = 0, then job 1 to
         # min(0, gap-free prefix 1) = 0
-        ni = non_interfering(two_job_instance)
+        ni = run(two_job_instance, SchedulerChoice.NON_INTERFERING).schedule
         assert ni.order == (2, 1)
         reduced = reduce_instance(two_job_instance, ni)
         assert [j.release for j in reduced.jobs] == [F(0), F(0)]
-        again = non_interfering(reduced)
+        again = run(reduced, SchedulerChoice.NON_INTERFERING).schedule
         assert again.order == (2, 1)
         assert evaluate(reduced, again).gaps == (F(0), F(0))
 
     def test_gap_free_instance_keeps_order(self):
         inst = make_instance(1, [(1, 1, 0), (2, 2, 0), (3, 3, 0)])
-        ni = non_interfering(inst)
+        ni = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         reduced = reduce_instance(inst, ni)
-        assert non_interfering(reduced).order == ni.order
+        assert run(reduced, SchedulerChoice.NON_INTERFERING).order == ni.order
         for old, new in zip(inst.jobs, reduced.jobs):
             assert new.release <= old.release
 
     def test_single_job(self):
         inst = make_instance(1, [(1, 5, 7)])
-        reduced = reduce_instance(inst, non_interfering(inst))
+        reduced = reduce_instance(inst, run(inst, SchedulerChoice.NON_INTERFERING).schedule)
         assert reduced.jobs[0].release == F(0)
 
     @settings(max_examples=200, deadline=None)
@@ -323,9 +322,9 @@ class TestReduceInstance:
         # tie effect: jobs in a leading all-zero-alpha block finish at time
         # 0 regardless of sequence, their clamped releases collapse to 0,
         # and the deterministic tie-break re-sorts that block by id.
-        ni = non_interfering(inst)
+        ni = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         reduced = reduce_instance(inst, ni)
-        again = non_interfering(reduced)
+        again = run(reduced, SchedulerChoice.NON_INTERFERING).schedule
         assert all(q == 0 for q in evaluate(reduced, again).gaps)
         replay = canonical_starts(reduced, ni.order)
         assert all(q == 0 for q in evaluate(reduced, replay).gaps)
@@ -343,12 +342,12 @@ class TestReduceInstance:
         # clamping both sit at release 0 with alpha 0 and the id tie-break
         # flips them.  Gaps still vanish and the makespan is unchanged.
         inst = make_instance(F(1, 10), [(1, 0, 1), (2, 0, 0)])
-        ni = non_interfering(inst)
+        ni = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         assert ni.order == (2, 1)
         assert evaluate(inst, ni).gaps == (F(0), F(1))
         reduced = reduce_instance(inst, ni)
         assert [j.release for j in reduced.jobs] == [F(0), F(0)]
-        again = non_interfering(reduced)
+        again = run(reduced, SchedulerChoice.NON_INTERFERING).schedule
         assert again.order == (1, 2)
         assert evaluate(reduced, again).gaps == (F(0), F(0))
         assert evaluate(reduced, again).makespan == F(0)
@@ -365,7 +364,7 @@ class TestReduceInstance:
     @settings(max_examples=100)
     @given(inst=instances(max_n=6))
     def test_preserves_ids_and_alphas(self, inst):
-        reduced = reduce_instance(inst, non_interfering(inst))
+        reduced = reduce_instance(inst, run(inst, SchedulerChoice.NON_INTERFERING).schedule)
         assert [(j.id, j.alpha) for j in reduced.jobs] == [
             (j.id, j.alpha) for j in inst.jobs
         ]

@@ -27,11 +27,9 @@ from detsched import (
     SchedulerChoice,
     SchedulingError,
     canonical_starts,
-    ectf,
     evaluate,
     generate,
-    non_idling,
-    non_interfering,
+    run,
     sorted_subset_cost,
     validate_instance,
 )
@@ -325,8 +323,12 @@ class TestEvaluateSum:
         inst = generate(
             FamilySpec(family=Family.RANDOM, n=1600, beta=F(1, 1600), seed=5, r_max=6400)
         )
-        for policy in (non_idling, non_interfering, ectf):
-            report = evaluate(inst, policy(inst))
+        for choice in (
+            SchedulerChoice.NON_IDLING,
+            SchedulerChoice.NON_INTERFERING,
+            SchedulerChoice.ECTF,
+        ):
+            report = evaluate(inst, run(inst, choice).schedule)
             assert report.total_completion == sum(report.completions, ZERO)
 
 

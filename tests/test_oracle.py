@@ -16,21 +16,18 @@ from detsched import (
     Job,
     Objective,
     SchedulerChoice,
-    best_of_two,
     brute_force,
     canonical_starts,
     dp_min_makespan,
-    ectf,
     evaluate,
     lb_release,
-    non_idling,
-    non_interfering,
     run,
     sorted_subset_cost,
     validate_instance,
 )
 from detsched import oracle, schedulers
 from detsched.generators import Family, FamilySpec, generate
+from detsched.serialization import _eval_report, parse_instance
 from detsched.experiment import cross_objective_check
 from detsched.model import ZERO, InvalidArgument, NotRational, rational
 from detsched.oracle import (
@@ -43,11 +40,12 @@ from detsched.oracle import (
     _lattice,
     _lb_fixed,
     _scaled,
+    check_optimum_cap,
     optimum,
     value_ratio,
 )
 
-from conftest import betas, digit_limit, instances, make_instance, small_rationals
+from conftest import betas, count_calls, digit_limit, instances, make_instance, small_rationals
 from lemmas import lb_combined
 
 F = Fraction
@@ -129,6 +127,13 @@ class TestBruteForce:
         with pytest.raises(InstanceTooLarge):
             brute_force(inst, Objective.MAKESPAN, max_n=11)
 
+    def test_negative_cap_refused(self, two_job_instance):
+        # refused as an argument, before the cap is compared with n
+        with pytest.raises(InvalidArgument, match=r"^max_n must be >= 0, got -1$"):
+            brute_force(two_job_instance, Objective.TOTAL_COMPLETION, max_n=-1)
+        with pytest.raises(InstanceTooLarge, match="cap of 0$"):
+            brute_force(two_job_instance, Objective.TOTAL_COMPLETION, max_n=0)
+
     @pytest.mark.parametrize("objective", list(Objective))
     def test_ceiling_beats_a_raised_cap(self, objective):
         # one job past the ceiling: a cap of 25 must not unlock 11! orders
@@ -154,8 +159,8 @@ class TestBruteForce:
     @given(inst=instances(max_n=5))
     def test_no_schedule_beats_it(self, inst):
         optimum = brute_force(inst, Objective.MAKESPAN).best_value
-        for scheduler in (non_idling, non_interfering, best_of_two, ectf):
-            assert evaluate(inst, scheduler(inst)).makespan >= optimum
+        for choice in SchedulerChoice:
+            assert evaluate(inst, run(inst, choice).schedule).makespan >= optimum
 
 
 class TestDpMinMakespan:
@@ -698,6 +703,17 @@ class TestOptimum:
         with pytest.raises(InstanceTooLarge, match=message):
             optimum(inst, objective, max_n=max_n)
 
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_negative_cap_refused(self, monkeypatch, two_job_instance, objective):
+        # refused before either route runs; a cap of 0 refuses by size
+        routes = [count_calls(monkeypatch, oracle._makespan_optimum), count_calls(monkeypatch, oracle.brute_force)]
+        for entry in (check_optimum_cap, optimum):
+            with pytest.raises(InvalidArgument, match=r"^max_n must be >= 0, got -3$"):
+                entry(two_job_instance, objective, max_n=-3)
+            with pytest.raises(InstanceTooLarge, match="cap of 0$"):
+                entry(two_job_instance, objective, max_n=0)
+        assert routes == [[], []]
+
 
 # The Fraction bodies that the integer Horner loops replaced, kept as the
 # references the bounds must match exactly, errors included.
@@ -806,9 +822,18 @@ class TestPreparedRecord:
             inst.beta.denominator,
             d,
         )
-        assert list(prepared.by_release) == _reference_by_release(inst, d)
-        assert sorted(prepared.keys) == list(prepared.by_release)
+        assert list(inst._by_release) == _reference_by_release(inst, d)
+        assert sorted(prepared.keys) == list(inst._by_release)
         assert [jid for _, _, jid in prepared.keys] == [job.id for job in inst.jobs]
+
+    def test_sorted_on_first_read(self):
+        # eval reads the keys in instance order, so it never sorts them
+        inst = parse_instance('{"beta": "1", "jobs": [{"id": 2, "alpha": "1", "release": "3"}, '
+                              '{"id": 1, "alpha": "2", "release": "0"}]}')
+        _eval_report('{"order": [1, 2], "starts": ["0", "3"]}', inst)
+        assert "_by_release" not in vars(inst)
+        assert inst._by_release == ((0, 2, 1), (3, 1, 2))
+        assert inst._by_release is inst._by_release
 
     @settings(max_examples=300, deadline=None)
     @given(inst=RECORD_INSTANCES)
@@ -825,7 +850,9 @@ class TestPreparedRecord:
     def test_built_once_and_kept(self):
         inst = make_instance(F(1, 2), [(3, F(1, 3), 2), (1, 2, F(1, 2))])
         assert inst._prepared is inst._prepared
-        assert inst._prepared == (1, 2, 6, ((12, 2, 3), (3, 12, 1)), ((3, 12, 1), (12, 2, 3)))
+        assert inst._prepared == (1, 2, 6, ((12, 2, 3), (3, 12, 1)))
+        assert inst._by_release is inst._by_release
+        assert inst._by_release == ((3, 12, 1), (12, 2, 3))
 
 
 class TestLbRelease:
@@ -934,7 +961,7 @@ def _makespan_ratio(inst, sched):
 
 class TestApproximationRatio:
     def test_ectf_on_two_job(self, two_job_instance):
-        sched = ectf(two_job_instance)
+        sched = run(two_job_instance, SchedulerChoice.ECTF).schedule
         assert _makespan_ratio(two_job_instance, sched) == F(15, 11)
 
     def test_optimal_schedule_is_one(self, two_job_instance):
@@ -943,7 +970,7 @@ class TestApproximationRatio:
 
     def test_non_idling_blocked_instance(self):
         inst = make_instance(1, [(1, 8, 0), (2, 0, 1), (3, 0, 1)])
-        assert _makespan_ratio(inst, non_idling(inst)) == F(2)  # 32 over 16
+        assert _makespan_ratio(inst, run(inst, SchedulerChoice.NON_IDLING).schedule) == F(2)  # 32 over 16
 
     def test_zero_over_zero_is_one(self):
         inst = make_instance(1, [(1, 0, 0)])

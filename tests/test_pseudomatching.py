@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 from detsched import (
     Objective,
     Pseudomatching,
+    SchedulerChoice,
     brute_force,
     canonical_starts,
     check_two_pm,
     construct_two_pm,
     evaluate,
     last_critical_index,
-    non_interfering,
+    run,
 )
 
 from conftest import instances, make_instance
@@ -270,12 +271,12 @@ class TestWeakBoundCheck:
 class TestLastCriticalIndex:
     def test_schedule_against_itself(self):
         inst = make_instance(1, [(1, 3, 0), (2, 1, 2), (3, 4, 1)])
-        sched = non_interfering(inst)
+        sched = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         assert last_critical_index(inst, sched, sched) == inst.n
 
     def test_two_job_example(self, two_job_instance):
         # policy completions (5, 15) vs reference (5, 11): only position 1
-        ni = non_interfering(two_job_instance)
+        ni = run(two_job_instance, SchedulerChoice.NON_INTERFERING).schedule
         opt = canonical_starts(two_job_instance, (1, 2))
         assert last_critical_index(two_job_instance, ni, opt) == 1
 
@@ -381,7 +382,7 @@ class TestConstructTwoPm:
     def test_direct_two_job_construction(self, two_job_instance):
         # ell = 1 (policy completion 5 <= reference completion 5); the single
         # stage self-matches job 1 and certifies 5 <= 2 * (5 + 1)
-        ni = non_interfering(two_job_instance)
+        ni = run(two_job_instance, SchedulerChoice.NON_INTERFERING).schedule
         opt = canonical_starts(two_job_instance, (1, 2))
         report = construct_two_pm(two_job_instance, ni, opt, reduce_gaps=False)
         assert report.last_critical_index == 1
@@ -395,7 +396,7 @@ class TestConstructTwoPm:
         # the policy schedule idles before job 2's release, so the default
         # path clamps releases; on the reduced instance the policy is never
         # behind and the stage list is empty
-        ni = non_interfering(two_job_instance)
+        ni = run(two_job_instance, SchedulerChoice.NON_INTERFERING).schedule
         opt = canonical_starts(two_job_instance, (1, 2))
         report = construct_two_pm(two_job_instance, ni, opt)
         assert report.reduced is True
@@ -407,7 +408,7 @@ class TestConstructTwoPm:
 
     def test_gap_free_input_not_reduced(self):
         inst = make_instance(1, [(1, 3, 0), (2, 1, 0), (3, 2, 0)])
-        ni = non_interfering(inst)
+        ni = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         opt = brute_force(inst, Objective.MAKESPAN).best_schedule
         report = construct_two_pm(inst, ni, opt)
         assert report.reduced is False
@@ -418,7 +419,7 @@ class TestConstructTwoPm:
     def test_construction_succeeds_and_checks_out(self, inst):
         # ConstructionFailed here would mean a broken invariant: the policy
         # schedule vs a true optimum must always admit the staged matching
-        ni = non_interfering(inst)
+        ni = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         opt = brute_force(inst, Objective.MAKESPAN).best_schedule
         for reduce_gaps in (True, False):
             report = construct_two_pm(inst, ni, opt, reduce_gaps=reduce_gaps)
@@ -445,7 +446,7 @@ class TestConstructTwoPm:
         # at k = n the certified inequality is the full fixed-part charge:
         # everything after the critical position costs at most twice the
         # whole reference load
-        ni = non_interfering(inst)
+        ni = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         opt = brute_force(inst, Objective.MAKESPAN).best_schedule
         report = construct_two_pm(inst, ni, opt)
         if not report.per_k_bound_lhs:

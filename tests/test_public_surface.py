@@ -12,6 +12,7 @@ count too.  Tests do not count: a name only tests need belongs in
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,3 +57,21 @@ def test_every_export_is_used_outside_the_tests():
     used = set().union(*map(_used, places))
     unused = sorted(_exported() - used)
     assert not unused, f"re-exported but used by no module, script or bench: {unused}"
+
+
+# Names the package no longer has: the four policy aliases, each of which
+# was ``run(instance, choice).schedule``, and the schedule writer and
+# parser that no command called (``tests/test_reference_routes.py`` keeps
+# those two as reference routes).
+REMOVED = ("non_idling", "non_interfering", "ectf", "best_of_two", "write_schedule", "parse_schedule")
+
+
+def test_removed_names_stay_removed():
+    modules = ["detsched"] + sorted(f"detsched.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    back = [
+        f"{module}.{name}"
+        for module in modules
+        for name in REMOVED
+        if hasattr(importlib.import_module(module), name)
+    ]
+    assert not back, f"removed names are back: {back}"

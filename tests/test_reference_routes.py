@@ -1,28 +1,37 @@
-"""The schedule parse route, the decimal walk behind ``solve`` and
-``eval``, the per-denominator total and the instance reader and writer
-against the routes they replaced, which are kept here as references.
+"""The schedule parse route, the decimal walk behind ``solve``, ``opt``
+and ``eval``, the per-denominator total and the instance reader and
+writer against the routes they replaced, which are kept here as
+references.
 
-``reference_parse_schedule`` parses every start, then checks the schedule
-with :func:`evaluate`; ``reference_eval_document`` writes every value of
-the report with :func:`format_rationals`; ``reference_solve_document``
-writes a policy run's Fraction schedule with :func:`write_schedule`;
-``reference_total`` sums the completions over the common denominator of
-them all.  ``reference_write_instance`` writes through
-``json.dumps(indent=2)``, and ``reference_parse_instance`` checks and
-parses every job document field by field into Fraction jobs;
-``reference_generate`` draws the random families' jobs as Fractions.  The
-library's route, which builds the instance from its integer record, must
-give the same schedule, instance and output bytes, or the same exception
-type and text, on every document.
+:func:`parse_schedule` reads a schedule document through ``eval``'s
+fallback route, and :func:`write_schedule` writes any schedule's starts
+with :func:`format_rationals`; no command calls either, so they live
+here.  ``reference_parse_schedule`` parses every start, then
+checks the schedule with :func:`evaluate`; ``reference_eval_document``
+writes every value of the report with :func:`format_rationals`;
+``reference_solve_document`` and ``reference_opt_document`` write a
+policy run's or an optimum's Fraction schedule with
+:func:`write_schedule`; ``reference_total`` sums the completions over
+the common denominator of them all.  ``reference_write_instance`` writes
+through ``json.dumps(indent=2)``, and ``reference_parse_instance``
+checks and parses every job document field by field into Fraction jobs;
+``reference_generate`` draws the random families' jobs as Fractions.
+The library's route, which builds the instance from its integer record,
+must give the same schedule, instance and output bytes, or the same
+exception type and text, on every document.
 """
 
 from __future__ import annotations
 
+import contextlib
 import decimal
+import io
 import json
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,19 +50,20 @@ from detsched import (
     generate,
     optimum,
     parse_instance,
-    parse_schedule,
     run,
     write_instance,
-    write_schedule,
 )
+from detsched.cli import main
 from detsched.model import DuplicateId, NegativeParameter, SchedulingError
 from detsched.serialization import (
     ParseError,
     _canonical_eval,
+    _canonical_schedule,
+    _check_writable,
     _dumps,
     _eval_report,
     _loads,
-    _write_run,
+    _schedule_from_doc,
     format_rational,
     format_rationals,
     parse_rational,
@@ -62,6 +72,22 @@ from detsched.serialization import (
 from conftest import delayed_starts, digit_limit, doc_text, instance_docs, instances, make_instance, small_rationals
 
 F = Fraction
+
+
+def parse_schedule(text: str, instance: Instance) -> Schedule:
+    """The schedule of a document, through ``eval``'s fallback route: a
+    document without ``starts`` yields the canonical schedule of its
+    order, and explicit starts are checked for feasibility."""
+    return _schedule_from_doc(_loads(text, "schedule"), instance)[0]
+
+
+def write_schedule(schedule: Schedule) -> str:
+    """The schedule document of any schedule, its starts written by
+    :func:`format_rationals`.  Raises :class:`SchedulingError` naming
+    ``order[i]`` or ``starts[i]`` for the first value past the digit limit,
+    before any value is converted."""
+    _check_writable(schedule.order, lambda i: f"order[{i}]")
+    return _dumps({"order": list(schedule.order), "starts": format_rationals(schedule.starts, "starts")})
 
 
 def reference_parse_schedule(text: str, instance: Instance) -> Schedule:
@@ -116,8 +142,41 @@ def eval_document(text: str, instance: Instance) -> dict:
     return _eval_report(text, instance)
 
 
+def solve_document(record) -> str:
+    """``solve``'s document for a policy run."""
+    return _dumps(_canonical_schedule(record.instance, record.order))
+
+
 def reference_solve_document(record) -> str:
     return write_schedule(record.schedule)
+
+
+def opt_document(instance: Instance, objective: Objective) -> tuple[int, str, str]:
+    """``opt``'s exit status, output and error output for ``instance``,
+    run in process through the command line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        with digit_limit(0):
+            path.write_text(write_instance(instance), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["opt", "--instance", str(path), "--objective", objective.value])
+    return code, out.getvalue(), err.getvalue()
+
+
+def reference_opt_document(instance: Instance, objective: Objective) -> tuple[int, str, str]:
+    """The optimum's schedule through :func:`write_schedule`, between the
+    objective and the value, as ``json.dumps`` writes the document."""
+    result = optimum(instance, objective)
+    try:
+        doc = {
+            "objective": objective.value,
+            **json.loads(write_schedule(result.best_schedule)),
+            "value": format_rational(result.best_value, "value"),
+        }
+    except SchedulingError as exc:
+        return 1, "", f"error: {exc}\n"
+    return 0, json.dumps(doc, indent=2) + "\n", ""
 
 
 def outcome(route, *args):
@@ -295,16 +354,35 @@ def walk_instances(draw):
     )
 
 
+@st.composite
+def opt_cases(draw):
+    """An instance and an objective: a :func:`walk_instances` instance, or
+    one of every family's at k of 2 to 5; ``ectf-adv`` has 2k jobs, so its
+    total-completion optimum, on brute force, stops at k = 3."""
+    objective = draw(st.sampled_from(list(Objective)))
+    if draw(st.booleans()):
+        return draw(walk_instances()), objective
+    family = draw(st.sampled_from(list(Family)))
+    top = 3 if family is Family.ECTF_ADV and objective is Objective.TOTAL_COMPLETION else 5
+    spec = FamilySpec(
+        family=family,
+        n=draw(st.integers(2, top)),
+        beta=draw(st.sampled_from([F(1, 2), F(1), F(2), F(3, 7), F(5, 2), F(1, 5)])),
+        seed=draw(st.integers(0, 99)),
+    )
+    return generate(spec), objective
+
+
 class TestWalkRoutes:
-    """``solve`` and ``eval`` write policy schedules from the decimal walk;
-    the Fraction routes are the references."""
+    """``solve``, ``opt`` and ``eval`` write canonical schedules from the
+    decimal walk; the Fraction routes are the references."""
 
     @settings(max_examples=150, deadline=None)
     @given(inst=walk_instances(), choice=st.sampled_from(list(SchedulerChoice)), limit=st.sampled_from([640, 0]))
     def test_solve_document(self, inst, choice, limit):
         record = run(inst, choice)
         with digit_limit(limit):
-            assert outcome(_write_run, record) == outcome(reference_solve_document, record)
+            assert outcome(solve_document, record) == outcome(reference_solve_document, record)
 
     @settings(max_examples=150, deadline=None)
     @given(inst=walk_instances(), choice=st.sampled_from(list(SchedulerChoice)), limit=st.sampled_from([640, 0]))
@@ -319,6 +397,13 @@ class TestWalkRoutes:
             # the canonical texts of a canonical schedule take the fast route
             assert _dumps(fast) == report
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=opt_cases(), limit=st.sampled_from([640, 0]))
+    def test_opt_document(self, case, limit):
+        inst, objective = case
+        with digit_limit(limit):
+            assert opt_document(inst, objective) == reference_opt_document(inst, objective)
+
     @pytest.mark.parametrize(
         "inst",
         [
@@ -332,7 +417,7 @@ class TestWalkRoutes:
     def test_fixed_walks(self, inst):
         for choice in SchedulerChoice:
             record = run(inst, choice)
-            text = _write_run(record)
+            text = solve_document(record)
             assert text == reference_solve_document(record)
             report = _dumps(_eval_report(text, inst))
             assert report == _dumps(reference_eval_document(text, inst))
@@ -343,7 +428,7 @@ class TestWalkRoutes:
                 hostile.Emax = 1
                 hostile.traps[decimal.Inexact] = True
                 hostile.traps[decimal.Rounded] = True
-                assert _write_run(record) == text
+                assert solve_document(record) == text
                 assert _dumps(_canonical_eval(json.loads(text), inst)) == report
 
     @pytest.mark.parametrize("release", [10**640 - 1, 10**640])
@@ -352,8 +437,8 @@ class TestWalkRoutes:
         inst = make_instance(1, [(1, 1, release), (2, 1, 0)])
         record = run(inst, SchedulerChoice.NON_IDLING)
         with digit_limit(640):
-            assert outcome(_write_run, record) == outcome(reference_solve_document, record)
-            assert isinstance(outcome(_write_run, record), str) == (release < 10**640)
+            assert outcome(solve_document, record) == outcome(reference_solve_document, record)
+            assert isinstance(outcome(solve_document, record), str) == (release < 10**640)
 
     @pytest.mark.parametrize("q, limit", [(2**64, 640), (10**700, 0)], ids=["2**64", "10**700"])
     def test_walk_at_any_scale(self, q, limit):
@@ -366,7 +451,7 @@ class TestWalkRoutes:
         with digit_limit(limit):
             for choice in SchedulerChoice:
                 record = run(inst, choice)
-                text = _write_run(record)
+                text = solve_document(record)
                 assert text == reference_solve_document(record)
                 fast = _canonical_eval(json.loads(text), inst)
                 assert fast is not None

@@ -21,15 +21,11 @@ from detsched import (
     Objective,
     Schedule,
     SchedulerChoice,
-    best_of_two,
     brute_force,
     canonical_starts,
     earliest_release_order,
-    ectf,
     evaluate,
     generate,
-    non_idling,
-    non_interfering,
     run,
     validate_instance,
 )
@@ -41,8 +37,6 @@ from conftest import betas, count_calls, instances, make_instance, small_rationa
 from lemmas import is_interfering
 
 F = Fraction
-
-ALL = [non_idling, non_interfering, best_of_two, ectf]
 
 # the choices that run the policy loop, by value
 LOOP_CHOICES = ["ectf", "non-idling", "non-interfering"]
@@ -122,9 +116,9 @@ def _reference_ectf(instance: Instance) -> Schedule:
 
 
 REFERENCES = [
-    (non_idling, _reference_non_idling),
-    (non_interfering, _reference_non_interfering),
-    (ectf, _reference_ectf),
+    (SchedulerChoice.NON_IDLING, _reference_non_idling),
+    (SchedulerChoice.NON_INTERFERING, _reference_non_interfering),
+    (SchedulerChoice.ECTF, _reference_ectf),
 ]
 
 
@@ -132,8 +126,8 @@ REFERENCES = [
 # loops, then an evaluation of each result, non-idling on a tie.
 
 def _reference_best_of_two(instance: Instance) -> Schedule:
-    a = non_idling(instance)
-    b = non_interfering(instance)
+    a = run(instance, SchedulerChoice.NON_IDLING).schedule
+    b = run(instance, SchedulerChoice.NON_INTERFERING).schedule
     if evaluate(instance, a).makespan <= evaluate(instance, b).makespan:
         return a
     return b
@@ -181,7 +175,7 @@ def family_instances(draw):
 
 class TestNonIdling:
     def test_two_job_example(self, two_job_instance):
-        sched = non_idling(two_job_instance)
+        sched = run(two_job_instance, SchedulerChoice.NON_IDLING).schedule
         assert sched.order == (1, 2)
         assert sched.starts == (F(0), F(5))
         assert evaluate(two_job_instance, sched).makespan == F(11)
@@ -191,22 +185,22 @@ class TestNonIdling:
         # job is the only pending job at t=0, so it runs first and the zeros
         # ride the doubling: 8 -> 16 -> 32
         inst = make_instance(1, [(1, 8, 0), (2, 0, 1), (3, 0, 1)])
-        sched = non_idling(inst)
+        sched = run(inst, SchedulerChoice.NON_IDLING).schedule
         assert sched.order == (1, 2, 3)
         assert evaluate(inst, sched).makespan == F(32)
 
     def test_single_release_is_spt(self):
         inst = make_instance(1, [(1, 3, 0), (2, 1, 0), (3, 2, 0)])
-        assert non_idling(inst).order == (2, 3, 1)
+        assert run(inst, SchedulerChoice.NON_IDLING).order == (2, 3, 1)
 
     def test_tie_break_alpha_then_release_then_id(self):
         inst = make_instance(1, [(3, 1, 0), (2, 1, 0), (1, 2, 0)])
-        assert non_idling(inst).order == (2, 3, 1)
+        assert run(inst, SchedulerChoice.NON_IDLING).order == (2, 3, 1)
 
     @settings(max_examples=150)
     @given(inst=instances())
     def test_never_idles_while_pending(self, inst):
-        sched = non_idling(inst)
+        sched = run(inst, SchedulerChoice.NON_IDLING).schedule
         report = evaluate(inst, sched)
         jobs = inst.job_map()
         for k, jid in enumerate(sched.order):
@@ -217,7 +211,7 @@ class TestNonIdling:
                 assert sched.starts[k] == earliest == jobs[jid].release
 
     def test_canonical_starts_match(self, two_job_instance):
-        sched = non_idling(two_job_instance)
+        sched = run(two_job_instance, SchedulerChoice.NON_IDLING).schedule
         assert sched == canonical_starts(two_job_instance, sched.order)
 
 
@@ -247,7 +241,7 @@ class TestIsInterfering:
 class TestNonInterfering:
     def test_two_job_example(self, two_job_instance):
         # idle [0,2) to let the short job go first
-        sched = non_interfering(two_job_instance)
+        sched = run(two_job_instance, SchedulerChoice.NON_INTERFERING).schedule
         assert sched.order == (2, 1)
         assert sched.starts == (F(2), F(5))
         assert evaluate(two_job_instance, sched).makespan == F(15)
@@ -256,18 +250,19 @@ class TestNonInterfering:
         # alpha (11, 10), releases (10, 30): waiting for the shorter job
         # costs a full doubling: C = 10+2*30 = 70, then 11+2*70 = 151
         inst = make_instance(1, [(1, 11, 10), (2, 10, 30)])
-        sched = non_interfering(inst)
+        sched = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         assert sched.order == (2, 1)
         assert evaluate(inst, sched).makespan == F(151)
 
     def test_single_release_matches_non_idling(self):
         inst = make_instance(1, [(1, 3, 0), (2, 1, 0), (3, 2, 0)])
-        assert non_interfering(inst) == non_idling(inst)
+        non_interfering = run(inst, SchedulerChoice.NON_INTERFERING).schedule
+        assert non_interfering == run(inst, SchedulerChoice.NON_IDLING).schedule
 
     @settings(max_examples=150)
     @given(inst=instances())
     def test_chosen_job_never_interfered(self, inst):
-        sched = non_interfering(inst)
+        sched = run(inst, SchedulerChoice.NON_INTERFERING).schedule
         for jid, start in zip(sched.order, sched.starts):
             assert is_interfering(inst, jid, start) is None
 
@@ -277,26 +272,26 @@ class TestEctf:
         # long (alpha=2, r=0) and short (alpha=0, r=1) both estimate 2 at
         # t=0; the short job wins the tie and the machine idles [0,1)
         inst = make_instance(1, [(1, 2, 0), (2, 0, 1)])
-        sched = ectf(inst)
+        sched = run(inst, SchedulerChoice.ECTF).schedule
         assert sched.order == (2, 1)
         assert evaluate(inst, sched).makespan == F(6)
 
     def test_two_job_example(self, two_job_instance):
         # estimates tie at 5; job 2 has the smaller fixed part
-        sched = ectf(two_job_instance)
+        sched = run(two_job_instance, SchedulerChoice.ECTF).schedule
         assert sched.order == (2, 1)
         assert evaluate(two_job_instance, sched).makespan == F(15)
 
     def test_single_release_is_spt(self):
         inst = make_instance(1, [(1, 3, 0), (2, 1, 0), (3, 2, 0)])
-        assert ectf(inst).order == (2, 3, 1)
+        assert run(inst, SchedulerChoice.ECTF).order == (2, 3, 1)
 
     def test_jumps_twice_before_the_first_start(self):
         # nothing is pending at t=0, so the loop jumps to release 1; job 1
         # would complete at 2*1+10 = 12, job 2 estimates 2*2+1 = 5, so it
         # jumps again, to release 2: job 2 runs [2,5), job 1 [5,20)
         inst = make_instance(1, [(1, 10, 1), (2, 1, 2)])
-        sched = ectf(inst)
+        sched = run(inst, SchedulerChoice.ECTF).schedule
         assert sched == _reference_ectf(inst)
         assert sched == Schedule((2, 1), (F(2), F(5)))
         assert evaluate(inst, sched).makespan == F(20)
@@ -306,15 +301,15 @@ class TestEctf:
         # both pending with alpha 6: job 1 wins on its id although job 2 was
         # released first, which the greedy policies prefer
         inst = make_instance(1, [(3, 4, 0), (1, 6, 2), (2, 6, 1)])
-        sched = ectf(inst)
+        sched = run(inst, SchedulerChoice.ECTF).schedule
         assert sched == _reference_ectf(inst)
         assert sched == Schedule((3, 1, 2), (F(0), F(4), F(14)))
-        assert non_idling(inst).order == (3, 2, 1)
+        assert run(inst, SchedulerChoice.NON_IDLING).order == (3, 2, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(inst=instances(max_n=5, beta_strategy=st.sampled_from([F(1, 2), F(1), F(2)])))
     def test_within_three_plus_inverse_beta(self, inst):
-        value = evaluate(inst, ectf(inst)).makespan
+        value = evaluate(inst, run(inst, SchedulerChoice.ECTF).schedule).makespan
         optimum = brute_force(inst, Objective.MAKESPAN).best_value
         assert value <= (3 + F(1) / inst.beta) * optimum
 
@@ -323,27 +318,29 @@ class TestBestOfTwo:
     def test_picks_non_idling(self):
         # non-idling: 3 then 1+2*3=7; non-interfering idles to 2: 5, 3+2*5=13
         inst = make_instance(1, [(1, 3, 0), (2, 1, 2)])
-        sched = best_of_two(inst)
-        assert sched == non_idling(inst)
+        sched = run(inst, SchedulerChoice.BEST_OF_TWO).schedule
+        assert sched == run(inst, SchedulerChoice.NON_IDLING).schedule
         assert evaluate(inst, sched).makespan == F(7)
 
     def test_picks_non_interfering(self):
         # the alpha=8 job first costs 32; idling to run the zeros costs 16
         inst = make_instance(1, [(1, 8, 0), (2, 0, 1), (3, 0, 1)])
-        sched = best_of_two(inst)
-        assert sched == non_interfering(inst)
+        sched = run(inst, SchedulerChoice.BEST_OF_TWO).schedule
+        assert sched == run(inst, SchedulerChoice.NON_INTERFERING).schedule
         assert evaluate(inst, sched).makespan == F(16)
 
     def test_tie_returns_non_idling(self):
         inst = make_instance(1, [(1, 1, 0), (2, 2, 0)])
-        assert best_of_two(inst) == non_idling(inst) == non_interfering(inst)
+        best = run(inst, SchedulerChoice.BEST_OF_TWO).schedule
+        assert best == run(inst, SchedulerChoice.NON_IDLING).schedule
+        assert best == run(inst, SchedulerChoice.NON_INTERFERING).schedule
 
     @settings(max_examples=150)
     @given(inst=instances())
     def test_never_worse_than_either(self, inst):
-        t = evaluate(inst, best_of_two(inst)).makespan
-        assert t <= evaluate(inst, non_idling(inst)).makespan
-        assert t <= evaluate(inst, non_interfering(inst)).makespan
+        t = evaluate(inst, run(inst, SchedulerChoice.BEST_OF_TWO).schedule).makespan
+        assert t <= evaluate(inst, run(inst, SchedulerChoice.NON_IDLING).schedule).makespan
+        assert t <= evaluate(inst, run(inst, SchedulerChoice.NON_INTERFERING).schedule).makespan
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -363,7 +360,7 @@ class TestBestOfTwo:
             alpha = data.draw(st.integers(0, 9))
             jobs.append((i + 1, alpha, high if late[i] else 0))
         inst = make_instance(beta, jobs)
-        value = evaluate(inst, best_of_two(inst)).makespan
+        value = evaluate(inst, run(inst, SchedulerChoice.BEST_OF_TWO).schedule).makespan
         optimum = brute_force(inst, Objective.MAKESPAN).best_value
         assert value <= 2 * optimum
 
@@ -383,8 +380,8 @@ BEST_OF_TWO_CASES = [
 
 
 class TestRunEntryPoint:
-    """:func:`run` is the one policy entry point: every public policy is its
-    schedule, and one dict of runs runs each loop once."""
+    """:func:`run` is the one policy entry point: ``SCHEDULERS`` maps each
+    choice to its run's schedule, and one dict of runs runs each loop once."""
 
     @settings(max_examples=100, deadline=None)
     @given(inst=instances())
@@ -442,16 +439,16 @@ class TestSchedulerContracts:
         )
     )
     def test_all_feasible_and_canonical(self, inst):
-        for scheduler in ALL:
-            sched = scheduler(inst)
+        for choice in SchedulerChoice:
+            sched = run(inst, choice).schedule
             evaluate(inst, sched)  # raises if infeasible
             assert sched == canonical_starts(inst, sched.order)
 
     @settings(max_examples=100)
     @given(inst=instances())
     def test_deterministic(self, inst):
-        for scheduler in ALL:
-            assert scheduler(inst) == scheduler(inst)
+        for choice in SchedulerChoice:
+            assert run(inst, choice).schedule == run(inst, choice).schedule
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -463,9 +460,9 @@ class TestSchedulerContracts:
         jobs = [(i + 1, data.draw(st.integers(0, 9)), 0) for i in range(n)]
         inst = make_instance(beta, jobs)
         optimum = brute_force(inst, Objective.MAKESPAN).best_value
-        spt = non_idling(inst).order
-        for scheduler in (non_idling, non_interfering, ectf):
-            sched = scheduler(inst)
+        spt = run(inst, SchedulerChoice.NON_IDLING).order
+        for choice in LOOP_CHOICES:
+            sched = run(inst, SchedulerChoice(choice)).schedule
             assert sched.order == spt
             assert evaluate(inst, sched).makespan == optimum
 
@@ -481,15 +478,15 @@ class TestMatchesReferenceLoops:
         )
     )
     def test_same_schedules(self, inst):
-        for policy, reference in REFERENCES:
-            assert policy(inst) == reference(inst)
+        for choice, reference in REFERENCES:
+            assert run(inst, choice).schedule == reference(inst)
 
     def test_long_horizon_instance(self):
         inst = generate(
             FamilySpec(family=Family.RANDOM, n=400, beta=F(1, 400), seed=7, r_max=1600)
         )
-        for policy, reference in REFERENCES:
-            assert policy(inst) == reference(inst)
+        for choice, reference in REFERENCES:
+            assert run(inst, choice).schedule == reference(inst)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -501,7 +498,7 @@ class TestMatchesReferenceLoops:
         )
     )
     def test_best_of_two_matches_reference(self, inst):
-        assert best_of_two(inst) == _reference_best_of_two(inst)
+        assert run(inst, SchedulerChoice.BEST_OF_TWO).schedule == _reference_best_of_two(inst)
 
 
 class TestLoopMakespans:

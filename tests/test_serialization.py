@@ -18,19 +18,19 @@ from detsched import (
     Job,
     ParseError,
     Schedule,
+    SchedulerChoice,
     decimal_string,
     format_rational,
     parse_instance,
     parse_rational,
-    parse_schedule,
+    run,
     write_instance,
-    write_schedule,
 )
 from detsched.model import InfeasibleSchedule, NotAPermutation, SchedulingError
-from detsched.schedulers import non_idling
-from detsched.serialization import _dumps, format_rationals
+from detsched.serialization import _canonical_schedule, _dumps, format_rationals
 
-from conftest import LOOSE_RATIONALS, digit_limit, doc_text, instance_docs, instances, schedule_docs
+from conftest import LOOSE_RATIONALS, digit_limit, doc_text, instance_docs, instances, make_instance, schedule_docs
+from test_reference_routes import parse_schedule, write_schedule
 
 F = Fraction
 
@@ -191,12 +191,19 @@ class TestWritersPastTheDigitLimit:
     def test_write_schedule_names_the_order_position(self):
         with pytest.raises(SchedulingError, match=r"^order\[0\]: cannot write a 16610-bit value: "):
             write_schedule(Schedule((10**5000,), (0,)))
+        with pytest.raises(SchedulingError, match=r"^order\[0\]: cannot write a 16610-bit value: "):
+            _canonical_schedule(make_instance(1, [(10**5000, 0, 0)]), (10**5000,))
         with digit_limit(640):
-            # the order is checked before the starts
+            # the order is checked before the starts; the first start is the
+            # first job's release
             with pytest.raises(SchedulingError, match=r"^order\[1\]: .* limit of 640 digits"):
                 write_schedule(Schedule((1, 10**640), (F(10**640), 0)))
+            with pytest.raises(SchedulingError, match=r"^order\[1\]: .* limit of 640 digits"):
+                _canonical_schedule(make_instance(1, [(1, 0, 10**640), (10**640, 0, 0)]), (1, 10**640))
             with pytest.raises(SchedulingError, match=r"^starts\[0\]: .* limit of 640 digits"):
                 write_schedule(Schedule((1, 10**640 - 1), (F(10**640), 0)))
+            with pytest.raises(SchedulingError, match=r"^starts\[0\]: .* limit of 640 digits"):
+                _canonical_schedule(make_instance(1, [(1, 0, 10**640), (9, 0, 0)]), (1, 9))
 
 
 class TestDecimalString:
@@ -429,7 +436,7 @@ class TestScheduleDocuments:
     @settings(max_examples=100)
     @given(inst=instances())
     def test_round_trip(self, inst):
-        sched = non_idling(inst)
+        sched = run(inst, SchedulerChoice.NON_IDLING).schedule
         assert parse_schedule(write_schedule(sched), inst) == sched
 
 
