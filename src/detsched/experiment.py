@@ -35,6 +35,7 @@ from .generators import MAX_N, Family, FamilySpec, generate
 from .model import (
     Instance,
     InvalidArgument,
+    _show,
     evaluate,
     rational,
 )
@@ -54,17 +55,24 @@ from .schedulers import PolicyRun, SchedulerChoice, run
 from .serialization import decimal_string, format_rational
 
 
+# The most trials one run may plan.  A run holds every row until it
+# returns, and trial ids are ``t%05d``, so up to this cap the ids sort in
+# trial order.
+MAX_TRIALS = 100_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; two equal configs give identical output.
 
     Every field is checked as the config is built, so before any trial
-    runs: the counts must be ints (bools refused), ``trials`` and
-    ``max_bruteforce_n`` at least 0, ``family``, ``objective`` and each
-    of ``algorithms`` members of their enums, ``timings`` a bool, and
-    ``n_max`` at most the family's cap in
-    :data:`~detsched.generators.MAX_N` (each trial's size is the family
-    spec's ``n``).  A bad field raises :class:`InvalidArgument`.
+    runs: the counts must be ints (bools refused), ``trials`` from 0 to
+    :data:`MAX_TRIALS`, ``max_bruteforce_n`` at least 0, ``family``,
+    ``objective`` and each of ``algorithms`` members of their enums,
+    ``timings`` a bool, each of ``betas`` above 0, and ``n_max`` at most
+    the family's cap in :data:`~detsched.generators.MAX_N` (each trial's
+    size is the family spec's ``n``).  A bad field raises
+    :class:`InvalidArgument`.
     """
 
     family: Family
@@ -92,6 +100,8 @@ class ExperimentConfig:
                 raise InvalidArgument(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
         if self.trials < 0:
             raise InvalidArgument("trials must be >= 0")
+        if self.trials > MAX_TRIALS:
+            raise InvalidArgument(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
         if self.max_bruteforce_n < 0:
             raise InvalidArgument("max_bruteforce_n must be >= 0")
         if self.n_min < 1 or self.n_max < self.n_min:
@@ -106,6 +116,9 @@ class ExperimentConfig:
         if not self.algorithms:
             raise InvalidArgument("algorithms must be nonempty")
         object.__setattr__(self, "betas", tuple(rational(b) for b in self.betas))
+        for beta in self.betas:
+            if beta <= 0:
+                raise InvalidArgument(f"beta must be > 0, got {_show(beta)}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         for i, algorithm in enumerate(self.algorithms):
             if not isinstance(algorithm, SchedulerChoice):
@@ -124,7 +137,13 @@ class ExperimentRow:
 
     ``opt_value`` and ``ratio`` are None when the instance exceeded the
     oracle cap.  ``wall_time_ms`` is already a string: empty unless the
-    run opted into timings.
+    run opted into timings.  :func:`run_experiment` builds each row by
+    filling its ``vars()``, as :func:`~detsched.model._record` does for an
+    instance, not through the frozen ``__init__``.  The rows of one trial
+    share their beta, optimum and bound objects, the rows of one policy
+    run share its makespan object, and every row whose value equals the
+    optimum holds the one ratio object that
+    :func:`~detsched.oracle.value_ratio` returns for it.
     """
 
     instance_id: str
@@ -177,24 +196,12 @@ def _shared_cells(row: ExperimentRow) -> tuple[str, str, str, str]:
     )
 
 
-def _csv_cells(row: ExperimentRow, shared: tuple[str, str, str, str]) -> list[str]:
-    beta, opt_value, lb_release, lb_fixed = shared
-    return [
-        row.instance_id,
-        str(row.n),
-        beta,
-        row.family,
-        str(row.seed),
-        row.algorithm,
-        row.objective,
-        format_rational(row.value),
-        opt_value,
-        "" if row.ratio is None else format_rational(row.ratio),
-        "" if row.ratio is None else decimal_string(row.ratio),
-        lb_release,
-        lb_fixed,
-        row.wall_time_ms,
-    ]
+def _measured_cells(value: Fraction, ratio: Fraction | None) -> tuple[str, str, str]:
+    """The cells of a row's value, its exact ratio and the ratio's
+    decimal rendering."""
+    if ratio is None:
+        return format_rational(value), "", ""
+    return format_rational(value), format_rational(ratio), decimal_string(ratio)
 
 
 def _optimum(
@@ -228,8 +235,16 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     no schedule is built or evaluated.  Under total completion each
     distinct run's schedule is built and evaluated once: best-of-two's run
     is the winning greedy run's own record, so its value is found by
-    identity, not by comparing or hashing Fractions."""
+    identity, not by comparing or hashing Fractions.
+
+    Each row is built by filling its ``vars()`` (see
+    :class:`ExperimentRow`), and the names of the family, the objective
+    and the algorithms are read once per run."""
     span = config.n_max - config.n_min + 1
+    family_name, objective_name = config.family.value, config.objective.value
+    makespan = config.objective is Objective.MAKESPAN
+    timings = config.timings
+    algorithms = [(algorithm, algorithm.value) for algorithm in config.algorithms]
     rows: list[ExperimentRow] = []
     for trial in range(config.trials):
         spec = FamilySpec(
@@ -242,45 +257,42 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             r_max=config.r_max,
         )
         instance = generate(spec)
-        instance_id = f"{config.family.value}-t{trial:05d}"
         lbr = lb_release(instance)
         lbf = _lb_fixed(instance)
         runs: dict[SchedulerChoice, PolicyRun] = {}
         opt = _optimum(instance, config.objective, config.max_bruteforce_n, runs)
+        shared = {
+            "instance_id": f"{family_name}-t{trial:05d}",
+            "n": instance.n,
+            "beta": instance.beta,
+            "family": family_name,
+            "seed": spec.seed,
+            "objective": objective_name,
+            "opt_value": opt,
+            "lb_release": lbr,
+            "lb_fixed": lbf,
+        }
         evaluated: list[tuple[PolicyRun, Fraction]] = []
-        for algorithm in config.algorithms:
-            started = time.perf_counter() if config.timings else 0.0
+        for algorithm, name in algorithms:
+            started = time.perf_counter() if timings else 0.0
             record = run(instance, algorithm, runs)
-            if config.objective is Objective.MAKESPAN:
+            if makespan:
                 value = record.makespan
             else:
                 value = next((v for r, v in evaluated if r is record), None)
                 if value is None:
                     value = evaluate(instance, record.schedule).total_completion
                     evaluated.append((record, value))
-            elapsed = (
-                f"{(time.perf_counter() - started) * 1000.0:.3f}"
-                if config.timings
-                else ""
+            elapsed = f"{(time.perf_counter() - started) * 1000.0:.3f}" if timings else ""
+            row = ExperimentRow.__new__(ExperimentRow)
+            vars(row).update(
+                shared,
+                algorithm=name,
+                value=value,
+                ratio=None if opt is None else value_ratio(value, opt),
+                wall_time_ms=elapsed,
             )
-            ratio = None if opt is None else value_ratio(value, opt)
-            rows.append(
-                ExperimentRow(
-                    instance_id=instance_id,
-                    n=instance.n,
-                    beta=instance.beta,
-                    family=config.family.value,
-                    seed=spec.seed,
-                    algorithm=algorithm.value,
-                    objective=config.objective.value,
-                    value=value,
-                    opt_value=opt,
-                    ratio=ratio,
-                    lb_release=lbr,
-                    lb_fixed=lbf,
-                    wall_time_ms=elapsed,
-                )
-            )
+            rows.append(row)
     rows.sort(key=lambda r: (r.instance_id, r.algorithm))
     return rows
 
@@ -290,16 +302,49 @@ def write_csv(rows: list[ExperimentRow]) -> str:
 
     The rows of one trial share their beta, optimum and bound objects
     (see :func:`run_experiment`), so those cells are formatted once per
-    run of rows that hold the very same objects."""
+    run of rows that hold the very same objects.  Within such a run, the
+    value, ratio and ratio-decimal cells are formatted once per distinct
+    pair of value and ratio objects, keyed on both: a row whose ratio was
+    replaced keeps its value object but gets its own cells.  The objects
+    are told apart by ``id``, which is sound because ``rows`` keeps every
+    one of them alive.  All the rows go to the writer in one
+    ``writerows`` call."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    last = shared = None
+    lines = []
+    last = None
     for row in rows:
         key = (id(row.beta), id(row.opt_value), id(row.lb_release), id(row.lb_fixed))
         if key != last:
-            last, shared = key, _shared_cells(row)
-        writer.writerow(_csv_cells(row, shared))
+            last = key
+            beta, opt_value, lb_release, lb_fixed = _shared_cells(row)
+            measured: dict[tuple[int, int], tuple[str, str, str]] = {}
+        value, ratio = row.value, row.ratio
+        pair = (id(value), id(ratio))
+        cells = measured.get(pair)
+        if cells is None:
+            cells = measured[pair] = _measured_cells(value, ratio)
+        value_cell, ratio_cell, decimal_cell = cells
+        lines.append(
+            (
+                row.instance_id,
+                str(row.n),
+                beta,
+                row.family,
+                str(row.seed),
+                row.algorithm,
+                row.objective,
+                value_cell,
+                opt_value,
+                ratio_cell,
+                decimal_cell,
+                lb_release,
+                lb_fixed,
+                row.wall_time_ms,
+            )
+        )
+    writer.writerows(lines)
     return buffer.getvalue()
 
 

@@ -280,12 +280,13 @@ def _finish(lattice: _Lattice, mask: int, t: int, bound: int) -> int:
 
 def _incumbent(
     instance: Instance, lattice: _Lattice, runs: dict[SchedulerChoice, PolicyRun] | None
-) -> int:
-    """ECTF's makespan at the lattice's scale, from ``runs`` when ECTF
-    already ran there (see :func:`~detsched.schedulers.run`).  It is the
-    makespan of an order, so an integer there (see :func:`_scaled`)."""
+) -> tuple[Fraction, int]:
+    """ECTF's makespan, from ``runs`` when ECTF already ran there (see
+    :func:`~detsched.schedulers.run`), and that makespan at the lattice's
+    scale.  It is the makespan of an order, so an integer there (see
+    :func:`_scaled`)."""
     makespan = run(instance, SchedulerChoice.ECTF, runs).makespan
-    return makespan.numerator * (lattice.scale // makespan.denominator)
+    return makespan, makespan.numerator * (lattice.scale // makespan.denominator)
 
 
 def dp_min_makespan(
@@ -293,9 +294,10 @@ def dp_min_makespan(
 ) -> Fraction:
     """Optimal makespan by dynamic programming over job subsets:
     :func:`_finish` from the empty mask at time 0, bounded by ECTF's
-    makespan, as ``Fraction(best, L)`` on the integers of :func:`_scaled`.
-    When no finish beats ECTF's makespan, that makespan is the optimum
-    and is the value returned.  ``runs`` is passed to
+    makespan, on the integers of :func:`_scaled`.  When no finish beats
+    ECTF's makespan, that makespan is the optimum, and the value returned
+    is ECTF's own :attr:`~detsched.schedulers.PolicyRun.makespan` object;
+    otherwise it is a new ``Fraction(best, L)``.  ``runs`` is passed to
     :func:`~detsched.schedulers.run`, so a caller that keeps one dict of
     runs per instance, as the experiment harness does per trial, runs
     ECTF's loop once.
@@ -310,8 +312,9 @@ def dp_min_makespan(
     if n > DP_MAX_N:
         raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
     lattice = _lattice(instance)
-    best = _finish(lattice, 0, 0, _incumbent(instance, lattice, runs))
-    return Fraction(best, lattice.scale)
+    ectf, bound = _incumbent(instance, lattice, runs)
+    best = _finish(lattice, 0, 0, bound)
+    return ectf if best == bound else Fraction(best, lattice.scale)
 
 
 def _makespan_optimum(instance: Instance) -> OptResult:
@@ -329,7 +332,8 @@ def _makespan_optimum(instance: Instance) -> OptResult:
     """
     lattice = _lattice(instance)
     q, pq = lattice.q, lattice.pq
-    best = _finish(lattice, 0, 0, _incumbent(instance, lattice, None))
+    _, bound = _incumbent(instance, lattice, None)
+    best = _finish(lattice, 0, 0, bound)
     by_id = sorted(
         (job.id, bit, alpha, release)
         for job, (bit, alpha, release) in zip(instance.jobs, lattice.jobs)
@@ -458,12 +462,17 @@ def sorted_subset_cost(
     return _horner(p + q, q, t.numerator * (d // t.denominator), terms, d)
 
 
+# value_ratio's result for every value equal to its optimum
+_ONE = Fraction(1)
+
+
 def value_ratio(value: Fraction, optimum: Fraction) -> Fraction:
-    """value / optimum with the degenerate cases pinned: 0/0 is ratio 1,
-    a zero optimum against a nonzero value raises
-    :class:`DegenerateOptimum`."""
+    """value / optimum with the degenerate cases pinned.  A value equal to
+    its optimum, 0/0 included, gets ratio 1, and every such call returns
+    the same ``Fraction(1)`` object, with no division; a zero optimum
+    against a nonzero value raises :class:`DegenerateOptimum`."""
+    if value == optimum:
+        return _ONE
     if optimum == 0:
-        if value == 0:
-            return Fraction(1)
         raise DegenerateOptimum(f"optimum is 0 but the value is {_show(value)}")
     return value / optimum

@@ -109,7 +109,13 @@ class SchedulerChoice(Enum):
 
 @dataclass(frozen=True)
 class PolicyRun:
-    """One :func:`_loop` run: its policy's order and exact makespan."""
+    """One :func:`_loop` run: its policy's order and exact makespan.
+
+    :func:`_loop` builds each run by filling its ``vars()``, as
+    :func:`~detsched.model._record` does for an instance, not through the
+    frozen ``__init__``.  The makespan object is the run's own: the
+    subset DP returns it as the optimum when nothing beats ECTF (see
+    :func:`~detsched.oracle.dp_min_makespan`)."""
 
     instance: Instance = field(repr=False)
     order: tuple[int, ...]
@@ -178,7 +184,9 @@ def _loop(instance: Instance, choice: SchedulerChoice) -> PolicyRun:
         heapq.heappop(pending)
         order.append(jid)
         T, Q = completion, Qq
-    return PolicyRun(instance, tuple(order), Fraction(T, d * Q))
+    record = PolicyRun.__new__(PolicyRun)
+    vars(record).update(instance=instance, order=tuple(order), makespan=Fraction(T, d * Q))
+    return record
 
 
 def run(

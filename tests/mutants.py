@@ -322,6 +322,36 @@ CATALOGUE = (
         "prepared = instance._prepared",
         ("tests/test_serialization.py::TestWritersPastTheDigitLimit::test_write_schedule_names_the_order_position",),
     ),
+    Mutant(
+        "ratio-shortcut-on-greater-or-equal",
+        "src/detsched/oracle.py",
+        "if value == optimum:",
+        "if value >= optimum:",
+        (
+            "tests/test_oracle.py::TestApproximationRatio::test_equal_values_share_one_ratio",
+            "tests/test_experiment.py::TestRunExperiment::test_estimate_first_adversarial_ratios",
+        ),
+    ),
+    Mutant(
+        "dp-returns-ectf-value-when-beaten",
+        "src/detsched/oracle.py",
+        "return ectf if best == bound else Fraction(best, lattice.scale)",
+        "return ectf if best <= bound else Fraction(best, lattice.scale)",
+        (
+            "tests/test_oracle.py::TestEctfAdversaryAgainstTheDp::test_closed_form",
+            "tests/test_oracle.py::TestPrunedDp::test_ectf_value_returned_as_is",
+        ),
+    ),
+    Mutant(
+        "csv-cells-keyed-on-value-alone",
+        "src/detsched/experiment.py",
+        "pair = (id(value), id(ratio))",
+        "pair = (id(value), 0)",
+        (
+            "tests/test_experiment.py::TestCsvContract::test_replaced_ratio_gets_its_own_cells",
+            "tests/test_reference_routes.py::TestCsvRoutes::test_same_bytes",
+        ),
+    ),
 )
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from detsched import cli, model, serialization
 from detsched.cli import main
+from detsched.experiment import MAX_TRIALS
 from detsched.generators import ADVERSARIAL_MAX_K, RANDOM_MAX_N, Family, FamilySpec, generate
 from detsched.oracle import BRUTE_FORCE_MAX_N, DP_MAX_N
 from detsched.schedulers import SchedulerChoice
@@ -497,6 +498,31 @@ class TestExperiment:
             f"error: n_max must be <= {ADVERSARIAL_MAX_K} for the nonidling-adv family, "
             f"got {ADVERSARIAL_MAX_K + 1}\n"
         )
+        assert specs == []
+
+    # trial 0 ran to the end (generation, both bounds, every policy) before
+    # trial 1's spec refused its beta, and with no trials the beta passed
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--trials", "2", "--n-min", "14", "--n-max", "14", "--betas", "1,0"],
+            ["--trials", "0", "--betas", "0"],
+        ],
+        ids=["second-beta-zero", "no-trials"],
+    )
+    def test_non_positive_beta(self, monkeypatch, capsys, tmp_path, argv):
+        specs = count_calls(monkeypatch, generate)
+        out = tmp_path / "rows.csv"
+        assert main(["experiment", *argv, "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: beta must be > 0, got 0\n"
+        assert specs == []
+        assert not out.exists()
+
+    def test_trials_past_the_cap(self, monkeypatch, capsys):
+        specs = count_calls(monkeypatch, generate)
+        argv = ["experiment", "--trials", str(MAX_TRIALS + 1), "--seed", "0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: trials must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}\n"
         assert specs == []
 
     @staticmethod

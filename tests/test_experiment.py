@@ -25,13 +25,13 @@ from detsched import (
 )
 from detsched import experiment, model, schedulers
 from detsched.cli import main
-from detsched.experiment import CSV_HEADER
+from detsched.experiment import CSV_HEADER, MAX_TRIALS, ExperimentRow
 from detsched.generators import ADVERSARIAL_MAX_K, RANDOM_MAX_N
 from detsched.model import InvalidArgument
 from detsched.schedulers import PolicyRun
 from detsched.serialization import format_rational, parse_rational, write_instance
 
-from conftest import count_calls, instances, make_instance
+from conftest import count_calls, digit_limit, instances, make_instance
 
 
 def config(**overrides) -> ExperimentConfig:
@@ -122,6 +122,29 @@ class TestConfigValidation:
         assert specs == []
         assert config(family=family, trials=0, n_min=cap, n_max=cap).n_max == cap
 
+    # a beta of 0 ran every trial before it to the end, and with no
+    # trials at all was never refused
+    @pytest.mark.parametrize(
+        "betas, shown",
+        [((1, 0), "0"), ((F(-1, 2),), "-1/2"), ((F(-(10**5000)),), "a 16610-bit value")],
+        ids=["zero-second", "negative", "past-the-digit-limit"],
+    )
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_non_positive_beta_refused(self, monkeypatch, betas, shown, trials):
+        specs = count_calls(monkeypatch, experiment.generate)
+        with digit_limit(4300), pytest.raises(InvalidArgument, match=f"^beta must be > 0, got {shown}$"):
+            run_experiment(config(trials=trials, n_min=14, n_max=14, betas=betas))
+        assert specs == []
+
+    def test_trials_past_the_cap(self, monkeypatch):
+        specs = count_calls(monkeypatch, experiment.generate)
+        message = f"trials must be <= {MAX_TRIALS}, got {MAX_TRIALS + 1}"
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            run_experiment(config(trials=MAX_TRIALS + 1))
+        assert specs == []
+        # the cap itself is accepted; the config is not run
+        assert config(trials=MAX_TRIALS).trials == MAX_TRIALS
+
     def test_betas_coerced_to_fractions(self):
         cfg = config(betas=(1, F(1, 2)))
         assert cfg.betas == (F(1), F(1, 2))
@@ -182,6 +205,28 @@ class TestRunExperiment:
         )
         for row in rows:
             assert row.opt_value is None and row.ratio is None
+
+    def test_shared_value_and_ratio_objects(self):
+        # a row whose value equals the optimum holds the shared ratio 1;
+        # under makespan, when nothing beats ECTF, ECTF's row holds the
+        # optimum object itself as its value
+        rows = run_experiment(config(trials=12, n_min=2, n_max=8, algorithms=tuple(SchedulerChoice)))
+        ones = [row.ratio for row in rows if row.value == row.opt_value]
+        assert ones and all(ratio is ones[0] for ratio in ones) and ones[0] == 1
+        ectf = [row for row in rows if row.algorithm == "ectf"]
+        assert any(row.ratio == 1 for row in ectf)
+        for row in ectf:
+            assert (row.value is row.opt_value) == (row.ratio == 1)
+
+    def test_rows_equal_to_the_frozen_constructor(self):
+        # rows are built by filling vars(); each equals the row the frozen
+        # constructor gives for the same fields, and stays frozen
+        for row in run_experiment(config(trials=3, algorithms=tuple(SchedulerChoice))):
+            rebuilt = ExperimentRow(**{f.name: getattr(row, f.name) for f in dataclasses.fields(row)})
+            assert row == rebuilt and hash(row) == hash(rebuilt) and repr(row) == repr(rebuilt)
+            assert vars(row) == vars(rebuilt)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                row.value = F(0)
 
     def test_beta_cycling(self):
         rows = run_experiment(
@@ -344,6 +389,27 @@ class TestCsvContract:
         ]
         assert cells[2]["opt_value"] == "" and cells[3]["opt_value"] == cells[0]["opt_value"]
         assert [c["lb_fixed"] for c in cells[:4]] == [format_rational(rows[0].lb_fixed)] * 4
+
+    def test_replaced_ratio_gets_its_own_cells(self):
+        # the value, ratio and decimal cells are formatted once per pair of
+        # value and ratio objects: a row whose ratio is replaced while its
+        # value object is kept gets the new ratio's cells, and a row that
+        # shares both objects with another shares its cells
+        # best-of-two's run is non-idling's own record here, and its value
+        # equals the optimum, so both rows hold one value and one ratio
+        rows = run_experiment(
+            config(family=Family.ECTF_ADV, trials=1, n_min=2, n_max=2, b=F(1),
+                   algorithms=(SchedulerChoice.NON_IDLING, SchedulerChoice.BEST_OF_TWO))
+        )
+        assert rows[0].value is rows[1].value and rows[0].ratio is rows[1].ratio
+        rows[1] = dataclasses.replace(rows[1], ratio=F(7, 4))
+        rows.append(dataclasses.replace(rows[0], algorithm="x"))
+        cells = parse_csv(write_csv(rows))
+        assert [(c["value"], c["ratio"], c["ratio_decimal"]) for c in cells] == [
+            ("18", "1", "1"),
+            ("18", "7/4", "1.75"),
+            ("18", "1", "1"),
+        ]
 
     def test_ratio_decimal_is_display_only(self):
         rows = run_experiment(

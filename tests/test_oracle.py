@@ -632,6 +632,29 @@ class TestPrunedDp:
         assert result == brute_force(inst, Objective.MAKESPAN)
         assert result.best_schedule.order == (1, 3, 2)
 
+    def test_ectf_value_returned_as_is(self):
+        # when nothing beats ECTF the optimum is ECTF's own makespan
+        # object; when the DP beats it, a new Fraction below it
+        optimal = make_instance(1, [(1, 1, 0), (2, 1, 1)])
+        runs = {}
+        assert dp_min_makespan(optimal, runs) is runs[SchedulerChoice.ECTF].makespan
+        beaten = make_instance(1, [(1, 0, 0), (2, 0, 1), (3, 2, 0)])
+        runs = {}
+        value = dp_min_makespan(beaten, runs)
+        assert value == F(4) and runs[SchedulerChoice.ECTF].makespan == F(6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=PRUNED_DP_INSTANCES)
+    def test_ectf_value_only_when_optimal(self, inst):
+        runs = {}
+        value = dp_min_makespan(inst, runs)
+        ectf = runs[SchedulerChoice.ECTF].makespan
+        assert value == brute_force(inst, Objective.MAKESPAN).best_value
+        if value == ectf:
+            assert value is ectf
+        else:
+            assert value < ectf and value is not ectf
+
     def test_shares_ectf_run(self):
         inst = make_instance(1, [(1, 0, 0), (2, 0, 1), (3, 2, 0)])
         runs = {}
@@ -646,6 +669,27 @@ class TestPrunedDp:
     def test_order_matches_reference(self, inst):
         result = optimum(inst, Objective.MAKESPAN, max_n=DP_MAX_N)
         assert result == _reference_makespan_optimum(inst)
+
+
+class TestEctfAdversaryAgainstTheDp:
+    """ECTF on the estimate-first adversarial family (default B) against
+    the exact optimum.  For beta in {1, 2, 4} and k = 1..8 the ratio is
+    ``(g**k + 1) / (beta * g**(k-1) + 1)`` with ``g = 1 + beta``: below
+    ``1 + 1/beta`` and tending to it as k grows.  The ratio is above 1, so
+    the DP beats its incumbent in every case and returns a new value."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("beta", [F(1), F(2), F(4)], ids=str)
+    def test_closed_form(self, beta, k):
+        inst = generate(FamilySpec(family=Family.ECTF_ADV, n=k, beta=beta))
+        runs = {}
+        value = dp_min_makespan(inst, runs)
+        ectf = runs[SchedulerChoice.ECTF].makespan
+        g = 1 + beta
+        ratio = value_ratio(ectf, value)
+        assert ratio == (g**k + 1) / (beta * g ** (k - 1) + 1)
+        assert 1 < ratio < 1 + 1 / beta
+        assert value is not ectf
 
 
 class TestOptimum:
@@ -975,6 +1019,13 @@ class TestApproximationRatio:
     def test_zero_over_zero_is_one(self):
         inst = make_instance(1, [(1, 0, 0)])
         assert _makespan_ratio(inst, canonical_starts(inst, (1,))) == 1
+
+    def test_equal_values_share_one_ratio(self):
+        one = value_ratio(F(7, 3), F(7, 3))
+        assert one == 1
+        assert value_ratio(F(0), F(0)) is one and value_ratio(F(5), F(5)) is one
+        assert value_ratio(F(8, 3), F(7, 3)) == F(8, 7)
+        assert value_ratio(F(2), F(4)) == F(1, 2)
 
     def test_degenerate_optimum(self):
         assert value_ratio(F(0), F(0)) == 1

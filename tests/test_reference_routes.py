@@ -1,7 +1,7 @@
 """The schedule parse route, the decimal walk behind ``solve``, ``opt``
-and ``eval``, the per-denominator total and the instance reader and
-writer against the routes they replaced, which are kept here as
-references.
+and ``eval``, the per-denominator total, the instance reader and writer
+and the experiment CSV writer against the routes they replaced, which
+are kept here as references.
 
 :func:`parse_schedule` reads a schedule document through ``eval``'s
 fallback route, and :func:`write_schedule` writes any schedule's starts
@@ -16,6 +16,9 @@ the common denominator of them all.  ``reference_write_instance`` writes
 through ``json.dumps(indent=2)``, and ``reference_parse_instance``
 checks and parses every job document field by field into Fraction jobs;
 ``reference_generate`` draws the random families' jobs as Fractions.
+``reference_write_csv`` writes the experiment CSV one ``writerow`` per
+row, every cell formatted from its own row, where :func:`write_csv`
+formats shared cells once and hands every row to one ``writerows``.
 The library's route, which builds the instance from its integer record,
 must give the same schedule, instance and output bytes, or the same
 exception type and text, on every document.
@@ -24,6 +27,8 @@ exception type and text, on every document.
 from __future__ import annotations
 
 import contextlib
+import csv
+import dataclasses
 import decimal
 import io
 import json
@@ -38,6 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsched import (
+    ExperimentConfig,
     Family,
     FamilySpec,
     Instance,
@@ -51,9 +57,12 @@ from detsched import (
     optimum,
     parse_instance,
     run,
+    run_experiment,
+    write_csv,
     write_instance,
 )
 from detsched.cli import main
+from detsched.experiment import CSV_HEADER, ExperimentRow
 from detsched.model import DuplicateId, NegativeParameter, SchedulingError
 from detsched.serialization import (
     ParseError,
@@ -64,6 +73,7 @@ from detsched.serialization import (
     _eval_report,
     _loads,
     _schedule_from_doc,
+    decimal_string,
     format_rational,
     format_rationals,
     parse_rational,
@@ -766,3 +776,84 @@ def reference_generate(spec: FamilySpec) -> Instance:
         spec.beta,
         [Job(i + 1, F(alphas[i]), F(spec.r_max if late[i] else 0)) for i in range(spec.n)],
     )
+
+
+def reference_write_csv(rows: list[ExperimentRow]) -> str:
+    """The experiment CSV, one ``writerow`` per row, every cell of the row
+    formatted from its own values: no cell is shared with another row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow(
+            [
+                row.instance_id,
+                str(row.n),
+                decimal_string(row.beta),
+                row.family,
+                str(row.seed),
+                row.algorithm,
+                row.objective,
+                format_rational(row.value),
+                "" if row.opt_value is None else format_rational(row.opt_value),
+                "" if row.ratio is None else format_rational(row.ratio),
+                "" if row.ratio is None else decimal_string(row.ratio),
+                format_rational(row.lb_release),
+                format_rational(row.lb_fixed),
+                row.wall_time_ms,
+            ]
+        )
+    return buffer.getvalue()
+
+
+@st.composite
+def experiment_rows(draw):
+    """The rows of a small sweep over any family and objective, with an
+    oracle cap that may blank some trials' ratios and with timings drawn
+    too; then some rows' ratios replaced while their value objects are
+    kept, and some rows copied with another algorithm name."""
+    family = draw(st.sampled_from(list(Family)))
+    objective = draw(st.sampled_from(list(Objective)))
+    n_min = draw(st.integers(2 if family is Family.TWO_RELEASE else 1, 3))
+    rows = run_experiment(
+        ExperimentConfig(
+            family=family,
+            trials=draw(st.integers(0, 4)),
+            n_min=n_min,
+            n_max=n_min + draw(st.integers(0, 2)),
+            betas=tuple(draw(st.lists(st.sampled_from([F(1, 3), F(1, 2), F(1), F(2)]), min_size=1, max_size=3))),
+            seed=draw(st.integers(0, 50)),
+            algorithms=tuple(draw(st.permutations(list(SchedulerChoice)))[: draw(st.integers(1, 4))]),
+            objective=objective,
+            max_bruteforce_n=draw(st.integers(0, 6)),
+            timings=draw(st.booleans()),
+        )
+    )
+    if rows:
+        index = st.integers(0, len(rows) - 1)
+        for i in draw(st.lists(index, max_size=4)):
+            ratio = draw(st.one_of(st.none(), small_rationals, st.just(rows[i].ratio)))
+            rows[i] = dataclasses.replace(rows[i], ratio=ratio)
+        for i in draw(st.lists(index, max_size=2)):
+            rows.insert(i, dataclasses.replace(rows[i], algorithm="copy"))
+    return rows
+
+
+class TestCsvRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=experiment_rows())
+    def test_same_bytes(self, rows):
+        assert write_csv(rows) == reference_write_csv(rows)
+
+    def test_quoted_cells(self):
+        # the csv module quotes a cell that needs it, on both routes
+        rows = run_experiment(
+            ExperimentConfig(
+                family=Family.RANDOM, trials=2, n_min=3, n_max=3, betas=(F(1),), seed=1,
+                algorithms=(SchedulerChoice.ECTF, SchedulerChoice.NON_IDLING),
+            )
+        )
+        rows[1] = dataclasses.replace(rows[1], algorithm='a "quoted", name', family="x\ny")
+        text = write_csv(rows)
+        assert text == reference_write_csv(rows)
+        assert '"a ""quoted"", name"' in text and '"x\ny"' in text
