@@ -69,10 +69,12 @@ class ExperimentConfig:
     runs: the counts must be ints (bools refused), ``trials`` from 0 to
     :data:`MAX_TRIALS`, ``max_bruteforce_n`` at least 0, ``family``,
     ``objective`` and each of ``algorithms`` members of their enums,
-    ``timings`` a bool, each of ``betas`` above 0, and ``n_max`` at most
+    ``timings`` a bool, each of ``betas`` above 0, ``n_max`` at most
     the family's cap in :data:`~detsched.generators.MAX_N` (each trial's
-    size is the family spec's ``n``).  A bad field raises
-    :class:`InvalidArgument`.
+    size is the family spec's ``n``), and a given ``b`` within its
+    adversarial family's bound: at least ``n_max`` for
+    ``noninterfering-adv``, above 0 for ``nonidling-adv`` and
+    ``ectf-adv``.  A bad field raises :class:`InvalidArgument`.
     """
 
     family: Family
@@ -129,6 +131,13 @@ class ExperimentConfig:
                 raise InvalidArgument(f"algorithm {algorithm.value!r} is named twice")
         if self.b is not None:
             object.__setattr__(self, "b", rational(self.b))
+            # each adversarial family's own bound on B, at the largest size
+            if self.family is Family.NONINTERFERING_ADV and self.b < self.n_max:
+                raise InvalidArgument(
+                    f"b must be >= n_max ({self.n_max}) for the {self.family.value} family, got {_show(self.b)}"
+                )
+            if self.family in (Family.NONIDLING_ADV, Family.ECTF_ADV) and self.b <= 0:
+                raise InvalidArgument(f"b must be > 0 for the {self.family.value} family, got {_show(self.b)}")
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,17 @@ of a canonical schedule without converting a binary int to decimal text,
 which the interpreter does in time quadratic in the digits.
 :func:`_walk` computes each value in exact decimal integers, in a context
 of its own that traps every rounding, reduces it to lowest terms by gcds
-of small residues, and spells it in linear time.  ``solve`` and ``opt``
-write their schedules through :func:`_canonical_schedule`, which first
-makes an integer pass over the order's time, and refuses the first start
-past the interpreter's limit on digits per integer string conversion,
-naming it, before it makes any text.  ``eval`` (:func:`_eval_report`)
-writes the walk's texts when each start of the document is, string for
-string, the walk's text for that position of the order's canonical
-schedule, and no value passes the digit limit.  Every other document (a
+of small residues, and spells it in linear time as it goes, through
+:data:`_spell`; it makes one decimal per distinct ``A * q`` and a
+release's only where a job starts at it.  ``solve`` and ``opt`` write
+their schedules through :func:`_canonical_schedule`, which first makes
+an integer pass over the order's time, and refuses the first start past
+the interpreter's limit on digits per integer string conversion, naming
+it, before it makes any text.  ``eval`` (:func:`_eval_report`) writes
+the walk's texts when each start of the document is, string for string,
+the walk's text for that position of the order's canonical schedule,
+which the walk checks as it goes, and no value passes the digit limit.
+Every other document (a
 delayed or respelled start, an order that is not a permutation, a
 missing field, a value past the limit) goes through the route that
 parses every start and walks the schedule once in Fractions, which gives
@@ -38,9 +41,12 @@ limit on digits per integer string conversion before it converts any, and
 names the first one past it (``beta``, ``jobs[3].alpha``, ``order[0]``).
 
 :func:`parse_instance` builds the instance from its integer record
-(:class:`~detsched.model._Prepared`), and makes no :class:`Job`.  One
-loop checks every job document field by field and reads each distinct
-alpha or release text of the document once: a text of ASCII digits goes
+(:class:`~detsched.model._Prepared`), and makes no :class:`Job`.  A job
+list of int ids and canonical integer texts, as :func:`write_instance`
+writes for an instance of integers, is read in one column pass
+(:func:`_columns`).  Any other goes through one loop (:func:`_rows`) that
+checks every job document field by field and reads each distinct alpha
+or release text of the document once: a text of ASCII digits goes
 straight to an int, any other through :func:`parse_rational`.  ``d`` is
 the lcm of the texts' denominators, each text is scaled to it once, and
 the ``(R, A, id)`` keys are checked as :class:`Instance` checks them,
@@ -53,6 +59,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 import sys
 from collections.abc import Callable, Iterator, Sequence
@@ -233,12 +240,11 @@ def parse_instance(text: str) -> Instance:
     """Parse an instance document into an :class:`Instance` built from its
     integer record, which validates it; no :class:`Job` is made.
 
-    One loop checks every job document, field by field, and reads each
-    distinct alpha or release text once: a text of ASCII digits goes
-    straight to an int, any other through :func:`parse_rational`, whose
-    message names the field.  ``d`` is the lcm of the texts'
-    denominators, and each text is scaled to ``d`` once.  Every
-    :class:`ParseError` of the document comes before any validation error.
+    A job list that :func:`_columns` reads, int ids and canonical integer
+    texts, is read in one column pass.  Any other goes through
+    :func:`_rows`, which checks every job document field by field and
+    names the first fault.  Every :class:`ParseError` of the document
+    comes before any validation error.
     """
     doc = _loads(text, "instance")
     if not isinstance(doc, dict):
@@ -251,6 +257,58 @@ def parse_instance(text: str) -> Instance:
     jobs_doc = doc["jobs"]
     if not isinstance(jobs_doc, list):
         raise ParseError("jobs: expected an array")
+    keys = _columns(jobs_doc)
+    d = 1
+    if keys is None:
+        d, keys = _rows(jobs_doc)
+    # the document is the largest thing alive here, and the keys need none of it
+    del doc, jobs_doc
+    return Instance._from_keys(beta, d, keys)
+
+
+_JOB_FIELDS = operator.itemgetter(*_JOB_KEYS)
+
+
+def _columns(jobs_doc: list) -> tuple[tuple[int, int, int], ...] | None:
+    """The ``(R, A, id)`` keys, at ``d = 1``, of a job list whose every job
+    is an object with an int id (not a bool) and an alpha and a release
+    that are canonical integer texts: ASCII digits, no leading zero,
+    within the digit limit.  None for any other job list.
+
+    One ``itemgetter`` map reads every field; one check over the joined
+    distinct texts finds any character that is not an ASCII digit (``int``
+    would take ``"+1"``, ``" 1"``, ``"1_0"`` or ``"\\u0661"``), and one count
+    finds a leading zero; each distinct text goes through ``int`` once.
+    """
+    try:
+        ids, alphas, releases = zip(*map(_JOB_FIELDS, jobs_doc))
+        texts = {*alphas, *releases}
+        digits = "".join(texts)
+    except (KeyError, TypeError, ValueError):  # a missing field, a job or text of another type, no job
+        return None
+    if set(map(type, ids)) != {int} or not _digits(digits) or "" in texts:
+        return None
+    # every text starts after a newline, and only "0" may start with 0
+    if ("\n" + "\n".join(texts)).count("\n0") > ("0" in texts):
+        return None
+    try:
+        values = dict(zip(texts, map(int, texts)))
+    except ValueError:  # the interpreter's limit on digits per conversion
+        return None
+    scaled = values.__getitem__
+    return tuple(zip(map(scaled, releases), map(scaled, alphas), ids))
+
+
+def _rows(jobs_doc: list) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """``d`` and the ``(R, A, id)`` keys of any job list, or the
+    :class:`ParseError` of its first fault.
+
+    One loop checks every job document, field by field, and reads each
+    distinct alpha or release text once: a text of ASCII digits goes
+    straight to an int, any other through :func:`parse_rational`, whose
+    message names the field.  ``d`` is the lcm of the texts'
+    denominators, and each text is scaled to ``d`` once.
+    """
     # each distinct alpha or release text, as its lowest-terms numerator
     # and denominator
     values: dict[str, tuple[int, int]] = {}
@@ -270,12 +328,9 @@ def parse_instance(text: str) -> Instance:
         if type(release) is not str or release not in values:
             values[release] = _parts(release, idx, "release")
         rows.append((release, alpha, jid))
-    # the document is the largest thing alive here, and the keys need none of it
-    del doc, jobs_doc
     d = math.lcm(*{den for _, den in values.values()})
     scaled = {value: num * (d // den) for value, (num, den) in values.items()}
-    keys = tuple((scaled[release], scaled[alpha], jid) for release, alpha, jid in rows)
-    return Instance._from_keys(beta, d, keys)
+    return d, tuple((scaled[release], scaled[alpha], jid) for release, alpha, jid in rows)
 
 
 def _parts(text: object, idx: int, key: str) -> tuple[int, int]:
@@ -398,8 +453,7 @@ def _canonical_eval(doc: object, instance: Instance) -> dict | None:
     One pass of :func:`_scaled_timeline` decides on integers where the
     canonical schedule waits for a release, and sums the completions: each
     is added at its own power of ``q`` and the sums folded, once, to the
-    largest.  :func:`_walk` then gives the texts.  A completion followed by
-    no idle gap is the next start, so it takes that start's text.
+    largest.  :func:`_walk` then compares the starts and gives the texts.
     """
     if not isinstance(doc, dict):
         return None
@@ -417,29 +471,13 @@ def _canonical_eval(doc: object, instance: Instance) -> dict | None:
     for jumped, _, _, k, completion in _scaled_timeline(prepared, order):
         jumps.append(jumped)
         parts[k + 1] = parts.get(k + 1, 0) + completion
+    walked = _walk(prepared, order, jumps, given)
+    if walked is None:
+        return None
+    _, gaps, completions = walked
     limit = sys.get_int_max_str_digits()
-
-    def within(value: _Value) -> bool:
-        # a nonzero int of exactly limit + 1 digits has adjusted() == limit
-        return not limit or (value[0].adjusted() < limit and value[1].adjusted() < limit)
-
-    n = len(order)
-    gaps, completions = [], []
-    for k, (start, gap, completion) in enumerate(_walk(prepared, order, jumps)):
-        if not within(start) or given[k] != _text(start):
-            return None
-        if gap is None:
-            gaps.append("0")
-        elif within(gap):
-            gaps.append(_text(gap))
-        else:
-            return None
-        if k + 1 < n and not jumps[k + 1]:
-            completions.append(given[k + 1])
-        elif within(completion):
-            completions.append(_text(completion))
-        else:
-            return None
+    if not all(_within(texts, limit) for texts in (given, gaps, completions)):
+        return None
     top = max(parts)
     total = 0
     for k in range(top + 1):
@@ -454,6 +492,15 @@ def _canonical_eval(doc: object, instance: Instance) -> dict | None:
             Fraction(total, prepared.d * q**top), "total_completion"
         ),
     }
+
+
+def _within(texts: list[str], limit: int) -> bool:
+    """Whether no numerator or denominator of ``texts``, canonical texts
+    of non-negative values, has more than ``limit`` digits; a limit of 0
+    means none.  A text no longer than ``limit`` has no part longer."""
+    if not limit or max(map(len, texts)) <= limit:
+        return True
+    return all(len(part) <= limit for text in texts if len(text) > limit for part in text.split("/"))
 
 
 def _eval_document(order: Sequence[int], report: EvalReport) -> dict:
@@ -493,8 +540,9 @@ _EXACT = Context(
 )
 _ZERO = _EXACT.create_decimal(0)
 _ONE = _EXACT.create_decimal(1)
-
-_Value = tuple[Decimal, Decimal]
+# The one point where :func:`_walk` turns an exact decimal integer into
+# text, in time linear in its digits.
+_spell = _EXACT.to_sci_string
 
 
 def _scaled_timeline(
@@ -523,12 +571,16 @@ def _scaled_timeline(
 
 
 def _walk(
-    prepared: _Prepared, order: Sequence[int], jumps: Sequence[bool]
-) -> Iterator[tuple[_Value, _Value | None, _Value]]:
-    """Per position of ``order``: its start, the idle gap before it (None
-    when the job starts at the previous completion) and its completion,
-    each as a numerator and a denominator in lowest terms, exact decimal
-    integers that :func:`_text` spells.
+    prepared: _Prepared, order: Sequence[int], jumps: Sequence[bool], given: Sequence[object] | None = None
+) -> tuple[list[str], list[str], list[str]] | None:
+    """The canonical texts of the starts of the canonical schedule of
+    ``order``, made in one walk in exact decimal integers.
+
+    With ``given``, the document's starts, the walk stops at the first
+    start whose text differs and returns None; otherwise it also gives the
+    texts of the idle gaps and of the completions.  A completion followed
+    by no idle gap is the next start, so it takes that start's text.
+    Without ``given``, the gap and completion lists are empty.
 
     A position starts at its job's release where ``jumps`` says so and at
     the previous completion otherwise (see :func:`_scaled_timeline`).
@@ -540,64 +592,76 @@ def _walk(
     runs.  With ``d == 1``, ``g = gcd(x mod q, q)`` is already
     ``gcd(x, y)``: a prime of ``D`` divides ``q``, so it divides neither
     ``N`` nor ``p + q``, and so not ``x``.  A residue goes to an int
-    without text, so no digit limit applies to it.
+    without text, so no digit limit applies to it.  Each distinct ``A*q``
+    becomes a decimal once, and a release only where a job starts at it.
     """
     ctx = _EXACT
-    mul, add, sub, dec = ctx.multiply, ctx.add, ctx.subtract, ctx.create_decimal
+    mul, add, sub, dec, spell = ctx.multiply, ctx.add, ctx.subtract, ctx.create_decimal, _spell
     # every g below divides what it divides, so the quotient that truncates
     # is exact, and faster than ctx.divide
-    div = ctx.divide_int
+    div, remainder = ctx.divide_int, ctx.remainder
+    gcd = math.gcd
     p, q, d = prepared.p, prepared.q, prepared.d
     m = d * q
     modulus = dec(m)
 
-    def residue(x: Decimal) -> int:
-        return int(ctx.remainder(x, modulus))
-
-    def lowest(x: Decimal, y: Decimal) -> _Value:
-        while (g := math.gcd(residue(x), residue(y), m)) > 1:
+    def lowest(x: Decimal, y: Decimal) -> tuple[Decimal, Decimal]:
+        while (g := gcd(int(remainder(x, modulus)), int(remainder(y, modulus)), m)) > 1:
             x, y = div(x, dec(g)), div(y, dec(g))
         return x, y
 
-    # per job: its release in lowest terms, and A * q
-    jobs = {}
-    for r, a, jid in prepared.keys:
-        g = math.gcd(r, d)
-        jobs[jid] = (dec(r // g), dec(d // g), dec(a * q))
+    def text(num: Decimal, den: Decimal) -> str:
+        return spell(num) if den == _ONE else f"{spell(num)}/{spell(den)}"
+
+    keys = {jid: (r, a) for r, a, jid in prepared.keys}
     growth = dec(d * (p + q))
-    # per divisor g of m met so far: g and m // g as decimals
-    divisors: dict[int, _Value] = {}
+    scaled: dict[int, Decimal] = {}  # A * q, by A
+    divisors: dict[int, tuple[Decimal, Decimal]] = {}  # g and m // g, by g > 1
+    report = given is not None
+    starts: list[str] = []
+    gaps: list[str] = []
+    completions: list[str] = []
     num, den = _ZERO, _ONE  # the previous completion
-    for jid, jumped in zip(order, jumps):
-        r_num, r_den, aq = jobs[jid]
-        gap = None
+    for k, jid in enumerate(order):
+        r, a = keys[jid]
+        jumped = jumps[k]
         if jumped:
-            if d == 1:  # release - num/den, and den is prime to num
-                gap = sub(mul(r_num, den), num), den
-            else:
-                gap = lowest(sub(mul(r_num, den), mul(num, r_den)), mul(r_den, den))
+            g = gcd(r, d)
+            r_num, r_den = dec(r // g), (_ONE if g == d else dec(d // g))
+            if report:
+                if d == 1:  # release - num/den, and den is prime to num
+                    gaps.append(text(sub(mul(r_num, den), num), den))
+                else:
+                    gaps.append(text(*lowest(sub(mul(r_num, den), mul(num, r_den)), mul(r_den, den))))
+                if k:
+                    completions.append(text(num, den))
             num, den = r_num, r_den
-        start = num, den
+        start = spell(num) if den == _ONE else f"{spell(num)}/{spell(den)}"
+        if report:
+            if start != given[k]:
+                return None
+            if not jumped:
+                gaps.append("0")
+                if k:
+                    completions.append(start)
+        starts.append(start)
+        aq = scaled.get(a)
+        if aq is None:
+            aq = scaled[a] = dec(a * q)
         x = add(mul(aq, den), mul(growth, num))
-        g = math.gcd(residue(x), m)
-        if g not in divisors:
-            divisors[g] = dec(g), dec(m // g)
-        g_dec, cofactor = divisors[g]
-        if g > 1:
-            x = div(x, g_dec)
-        num, den = x, mul(den, cofactor)
-        if d > 1 and g > 1:
-            num, den = lowest(num, den)
-        yield start, gap, (num, den)
-
-
-def _text(value: _Value) -> str:
-    """The canonical text of a :func:`_walk` value."""
-    num, den = value
-    text = _EXACT.to_sci_string(num)
-    if _EXACT.compare(den, _ONE).is_zero():
-        return text
-    return f"{text}/{_EXACT.to_sci_string(den)}"
+        g = gcd(int(remainder(x, modulus)), m)
+        if g == 1:
+            num, den = x, mul(den, modulus)
+        else:
+            pair = divisors.get(g)
+            if pair is None:
+                pair = divisors[g] = dec(g), dec(m // g)
+            num, den = div(x, pair[0]), mul(den, pair[1])
+            if d > 1:
+                num, den = lowest(num, den)
+    if report:
+        completions.append(text(num, den))
+    return starts, gaps, completions
 
 
 def _check_starts(prepared: _Prepared, order: Sequence[int]) -> list[bool]:
@@ -639,7 +703,7 @@ def _canonical_schedule(instance: Instance, order: Sequence[int]) -> dict[str, l
     jumps = _check_starts(prepared, order)
     return {
         "order": list(order),
-        "starts": [_text(start) for start, _, _ in _walk(prepared, order, jumps)],
+        "starts": _walk(prepared, order, jumps)[0],
     }
 
 

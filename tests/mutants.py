@@ -271,7 +271,7 @@ CATALOGUE = (
     Mutant(
         "walk-step-unreduced",
         "src/detsched/serialization.py",
-        "g = math.gcd(residue(x), m)",
+        "g = gcd(int(remainder(x, modulus)), m)",
         "g = 1",
         (
             "tests/test_reference_routes.py::TestWalkRoutes::test_fixed_walks",
@@ -298,8 +298,8 @@ CATALOGUE = (
     Mutant(
         "canonical-writer-ignores-jumps",
         "src/detsched/serialization.py",
-        "[_text(start) for start, _, _ in _walk(prepared, order, jumps)]",
-        "[_text(start) for start, _, _ in _walk(prepared, order, [k == 0 for k in range(len(order))])]",
+        '"starts": _walk(prepared, order, jumps)[0]',
+        '"starts": _walk(prepared, order, [k == 0 for k in range(len(order))])[0]',
         (
             "tests/test_reference_routes.py::TestWalkRoutes::test_opt_document",
             "tests/test_reference_routes.py::TestWalkRoutes::test_solve_document",
@@ -308,8 +308,8 @@ CATALOGUE = (
     Mutant(
         "canonical-writer-walks-sorted-order",
         "src/detsched/serialization.py",
-        "[_text(start) for start, _, _ in _walk(prepared, order, jumps)]",
-        "[_text(start) for start, _, _ in _walk(prepared, sorted(order), jumps)]",
+        '"starts": _walk(prepared, order, jumps)[0]',
+        '"starts": _walk(prepared, sorted(order), jumps)[0]',
         (
             "tests/test_reference_routes.py::TestWalkRoutes::test_opt_document",
             "tests/test_reference_routes.py::TestWalkRoutes::test_fixed_walks",
@@ -321,6 +321,40 @@ CATALOGUE = (
         'prepared = instance._prepared\n    _check_writable(order, lambda i: f"order[{i}]")',
         "prepared = instance._prepared",
         ("tests/test_serialization.py::TestWritersPastTheDigitLimit::test_write_schedule_names_the_order_position",),
+    ),
+    Mutant(
+        "walk-decimal-cache-keyed-on-release",
+        "src/detsched/serialization.py",
+        "aq = scaled.get(a)",
+        "aq = scaled.get(r)",
+        (
+            "tests/test_reference_routes.py::TestWalkRoutes::test_fixed_walks",
+            "tests/test_reference_routes.py::TestWalkRoutes::test_solve_document",
+        ),
+    ),
+    Mutant(
+        "column-pass-without-digit-check",
+        "src/detsched/serialization.py",
+        'if set(map(type, ids)) != {int} or not _digits(digits) or "" in texts:',
+        'if set(map(type, ids)) != {int} or "" in texts:',
+        ("tests/test_reference_routes.py::TestInstanceRoutes::test_column_pass_exits",),
+    ),
+    Mutant(
+        "column-pass-without-id-check",
+        "src/detsched/serialization.py",
+        'if set(map(type, ids)) != {int} or not _digits(digits) or "" in texts:',
+        'if not _digits(digits) or "" in texts:',
+        (
+            "tests/test_reference_routes.py::TestInstanceRoutes::test_column_pass_exits",
+            "tests/test_reference_routes.py::TestInstanceRoutes::test_mutated_documents",
+        ),
+    ),
+    Mutant(
+        "column-pass-keeps-leading-zeros",
+        "src/detsched/serialization.py",
+        'if ("\\n" + "\\n".join(texts)).count("\\n0") > ("0" in texts):',
+        "if False:",
+        ("tests/test_reference_routes.py::TestInstanceRoutes::test_column_pass_exits",),
     ),
     Mutant(
         "ratio-shortcut-on-greater-or-equal",

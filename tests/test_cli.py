@@ -301,14 +301,15 @@ class TestPipeline:
         # text, so eval parses none of them: it spells each start once, from
         # the decimal walk, and compares the texts; it spells a completion
         # only where an idle gap follows it or no position does, and formats
-        # only the total from a Fraction
+        # only the total from a Fraction.  The walk spells a value as its
+        # numerator, and its denominator when that is not 1.
         inst, sched, out = (str(tmp_path / name) for name in ("i.json", "s.json", "r.json"))
         gen = ["gen", "--family", "two-release", "--n", "8", "--beta", "1/2", "--seed", "2"]
         assert main(gen + ["--out", inst]) == 0
         solve = ["solve", "--instance", inst, "--algorithm", "non-interfering"]
         assert main(solve + ["--out", sched]) == 0
         parsed, formatted, spelled = [], [], []
-        parse, convert, spell = serialization.parse_rational, serialization.format_rational, serialization._text
+        parse, convert, spell = serialization.parse_rational, serialization.format_rational, serialization._spell
 
         def counting_parse(text, context="value"):
             parsed.append(context)
@@ -320,12 +321,12 @@ class TestPipeline:
 
         def counting_spell(value):
             text = spell(value)
-            spelled.append(F(text))
+            spelled.append(int(text))
             return text
 
         monkeypatch.setattr(serialization, "parse_rational", counting_parse)
         monkeypatch.setattr(serialization, "format_rational", counting_format)
-        monkeypatch.setattr(serialization, "_text", counting_spell)
+        monkeypatch.setattr(serialization, "_spell", counting_spell)
         monkeypatch.setattr(cli, "format_rational", counting_format)
         assert main(["eval", "--instance", inst, "--schedule", sched, "--out", out]) == 0
         assert not [context for context in parsed if context.startswith("starts")]
@@ -335,7 +336,8 @@ class TestPipeline:
         assert 0 < len(gapped) < len(gaps) - 1
         written = starts + [completions[k - 1] for k in gapped] + completions[-1:]
         written += [gap for gap in gaps if gap]
-        assert Counter(spelled) == Counter(written)
+        parts = [v.numerator for v in written] + [v.denominator for v in written if v.denominator != 1]
+        assert Counter(spelled) == Counter(parts)
         assert formatted == [F(report["total_completion"])]
 
     def test_long_horizon_round_trip(self, tmp_path):
@@ -385,13 +387,13 @@ class TestPipeline:
         path, out = tmp_path / "i.json", tmp_path / "s.json"
         path.write_text(write_instance(inst), encoding="utf-8")
         spelled = []
-        spell = serialization._text
+        spell = serialization._spell
 
         def counting_spell(value):
             spelled.append(value)
             return spell(value)
 
-        monkeypatch.setattr(serialization, "_text", counting_spell)
+        monkeypatch.setattr(serialization, "_spell", counting_spell)
         argv = ["solve", "--instance", str(path), "--algorithm", "non-idling", "--out", str(out)]
         with digit_limit(4300):
             assert main(argv) == 1
@@ -515,6 +517,15 @@ class TestExperiment:
         out = tmp_path / "rows.csv"
         assert main(["experiment", *argv, "--seed", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: beta must be > 0, got 0\n"
+        assert specs == []
+        assert not out.exists()
+
+    def test_b_past_the_family_bound(self, monkeypatch, capsys, tmp_path):
+        specs = count_calls(monkeypatch, generate)
+        out = tmp_path / "rows.csv"
+        argv = ["experiment", "--family", "noninterfering-adv", "--trials", "3", "--n-min", "8", "--n-max", "10"]
+        assert main([*argv, "--b", "9", "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: b must be >= n_max (10) for the noninterfering-adv family, got 9\n"
         assert specs == []
         assert not out.exists()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -144,6 +145,29 @@ class TestConfigValidation:
         assert specs == []
         # the cap itself is accepted; the config is not run
         assert config(trials=MAX_TRIALS).trials == MAX_TRIALS
+
+    # noninterfering-adv ran n=8 and n=9 to the end before trial 2's
+    # generator refused B = 9 < 10
+    @pytest.mark.parametrize(
+        "family, b, message",
+        [
+            (Family.NONINTERFERING_ADV, F(9), "b must be >= n_max (10) for the noninterfering-adv family, got 9"),
+            (Family.NONIDLING_ADV, F(0), "b must be > 0 for the nonidling-adv family, got 0"),
+            (Family.ECTF_ADV, F(-1, 2), "b must be > 0 for the ectf-adv family, got -1/2"),
+        ],
+        ids=["noninterfering-adv", "nonidling-adv", "ectf-adv"],
+    )
+    def test_b_past_the_family_bound(self, monkeypatch, family, b, message):
+        specs = count_calls(monkeypatch, experiment.generate)
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            run_experiment(config(family=family, trials=3, n_min=8, n_max=10, b=b))
+        assert specs == []
+
+    def test_b_at_the_family_bound(self):
+        # B = n_max is the smallest that noninterfering-adv takes, and b
+        # is not read by the random families
+        assert config(family=Family.NONINTERFERING_ADV, trials=0, n_min=8, n_max=10, b=10).b == F(10)
+        assert config(family=Family.RANDOM, b=0).b == F(0)
 
     def test_betas_coerced_to_fractions(self):
         cfg = config(betas=(1, F(1, 2)))

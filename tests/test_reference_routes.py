@@ -69,6 +69,7 @@ from detsched.serialization import (
     _canonical_eval,
     _canonical_schedule,
     _check_writable,
+    _columns,
     _dumps,
     _eval_report,
     _loads,
@@ -587,6 +588,29 @@ def mutated(job: dict, how: str, key: str) -> object:
     return {**job, key: _TEXTS[how]}
 
 
+@st.composite
+def integer_instances(draw):
+    ids = draw(st.lists(st.integers(1, 9) | _near_limit, min_size=1, max_size=5, unique=True))
+    values = st.integers(0, 30) | _near_limit
+    return Instance(draw(instance_betas), tuple(Job(i, draw(values), draw(values)) for i in ids))
+
+
+# Edits of a well-formed job list, (position, key, value) with None for a
+# removed field, that the column pass must leave to the field-by-field loop.
+_COLUMN_EXITS = {
+    "plus-sign": [(2, "release", "+1")],
+    "space": [(2, "alpha", " 1")],
+    "underscore": [(2, "release", "1_0")],
+    "arabic-indic-digit": [(2, "alpha", "\u0661")],
+    "empty": [(2, "release", "")],
+    "leading-zero": [(2, "alpha", "007")],
+    "bool-id": [(2, "id", True)],
+    "float-id": [(2, "id", 3.0)],
+    "past-the-digit-limit": [(2, "release", "7" * 4301)],
+    "bad-text-before-missing-field": [(2, "alpha", "x"), (6, "release", None)],
+}
+
+
 class TestInstanceRoutes:
     @settings(max_examples=150, deadline=None)
     @given(inst=written_instances())
@@ -595,6 +619,28 @@ class TestInstanceRoutes:
             text = write_instance(inst)
             assert text == reference_write_instance(inst)
             assert parse_instance(text) == inst
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=integer_instances())
+    def test_integer_instances_take_the_column_pass(self, inst):
+        with digit_limit(640):
+            text = write_instance(inst)
+            assert _columns(json.loads(text)["jobs"]) == inst._prepared.keys
+            assert parse_instance(text) == reference_parse_instance(text) == inst
+
+    @pytest.mark.parametrize("edits", _COLUMN_EXITS.values(), ids=_COLUMN_EXITS.keys())
+    def test_column_pass_exits(self, edits):
+        jobs = [{"id": i, "alpha": str(i % 3 + 1), "release": str(5 * i)} for i in range(1, 8)]
+        assert _columns(jobs) is not None
+        for k, key, value in edits:
+            if value is None:
+                del jobs[k][key]
+            else:
+                jobs[k][key] = value
+        text = json.dumps({"beta": "1/2", "jobs": jobs})
+        with digit_limit(4300):
+            assert _columns(json.loads(text)["jobs"]) is None
+            assert_same_instance_routes(text)
 
     @settings(max_examples=100, deadline=None)
     @given(inst=instances(max_n=1, beta_strategy=instance_betas))
@@ -607,6 +653,7 @@ class TestInstanceRoutes:
         )
         text = write_instance(inst)
         assert text == reference_write_instance(inst)
+        assert _columns(json.loads(text)["jobs"]) == inst._prepared.keys
         assert parse_instance(text) == reference_parse_instance(text) == inst
 
     @settings(max_examples=300, deadline=None)
