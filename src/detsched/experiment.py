@@ -67,7 +67,8 @@ class ExperimentConfig:
 
     Every field is checked as the config is built, so before any trial
     runs: the counts must be ints (bools refused), ``trials`` from 0 to
-    :data:`MAX_TRIALS`, ``max_bruteforce_n`` at least 0, ``family``,
+    :data:`MAX_TRIALS`, ``seed`` and ``max_bruteforce_n`` at least 0 (a
+    negative seed would draw the instances of its absolute value), ``family``,
     ``objective`` and each of ``algorithms`` members of their enums,
     ``timings`` a bool, each of ``betas`` above 0, ``n_max`` at most
     the family's cap in :data:`~detsched.generators.MAX_N` (each trial's
@@ -104,6 +105,8 @@ class ExperimentConfig:
             raise InvalidArgument("trials must be >= 0")
         if self.trials > MAX_TRIALS:
             raise InvalidArgument(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {_show(self.seed)}")
         if self.max_bruteforce_n < 0:
             raise InvalidArgument("max_bruteforce_n must be >= 0")
         if self.n_min < 1 or self.n_max < self.n_min:

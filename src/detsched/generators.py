@@ -4,6 +4,7 @@ that pin each algorithm's worst-case ratio behavior."""
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -67,7 +68,9 @@ class FamilySpec:
     None.  ``alpha_max`` and ``r_max`` only apply to the random families.
     ``family`` must be a :class:`Family`, and ``n``, ``seed``,
     ``alpha_max`` and ``r_max`` ints (bools are refused), so every
-    instance is reproducible from its spec.
+    instance is reproducible from its spec.  ``seed`` is at least 0:
+    CPython seeds a generator from an int's absolute value, so a negative
+    seed would draw the instance of its absolute value.
     """
 
     family: Family
@@ -87,6 +90,8 @@ class FamilySpec:
                 raise BadSpec(f"{name} must be an int, got {type(value).__name__}")
         if self.n < 1:
             raise BadSpec(f"n must be >= 1, got {_show(self.n)}")
+        if self.seed < 0:
+            raise BadSpec(f"seed must be >= 0, got {_show(self.seed)}")
         if self.n > MAX_N[self.family]:
             raise BadSpec(
                 f"n must be <= {MAX_N[self.family]} for the {self.family.value} family, "
@@ -99,37 +104,68 @@ class FamilySpec:
             raise BadSpec(f"beta must be > 0, got {_show(self.beta)}")
 
 
+def _width(hi: int) -> int:
+    """The bits of one draw in ``[0, hi]``: ``getrandbits`` of this many
+    bits, drawn again while above ``hi``, is how ``randint(0, hi)`` and
+    ``randrange(hi + 1)`` draw on every supported CPython, so the stream
+    of an instance does not depend on their private helpers.  A range of
+    one value (``hi == 0``) still draws one bit."""
+    return (hi + 1).bit_length()
+
+
+def _draws(bits: Callable[[int], int], hi: int, count: int) -> list[int]:
+    """``count`` values in ``[0, hi]``, drawn one after another from
+    ``bits``, a generator's ``getrandbits``."""
+    k = _width(hi)
+    values = []
+    for _ in range(count):
+        value = bits(k)
+        while value > hi:
+            value = bits(k)
+        values.append(value)
+    return values
+
+
 def _gen_random(spec: FamilySpec) -> Instance:
     """n jobs with integer fixed parts in [0, alpha_max] and integer releases
     in [0, r_max], drawn from a seeded generator, each job's fixed part
-    before its release.  The draws are the instance's record at scale 1."""
-    if spec.alpha_max < 0 or spec.r_max < 0:
+    before its release (see :func:`_width`).  The draws are the instance's
+    record at scale 1."""
+    alpha_max, r_max = spec.alpha_max, spec.r_max
+    if alpha_max < 0 or r_max < 0:
         raise BadSpec("alpha_max and r_max must be >= 0")
-    rng = random.Random(spec.seed)
+    bits = random.Random(spec.seed).getrandbits
+    ka, kr = _width(alpha_max), _width(r_max)
     keys = []
     for i in range(1, spec.n + 1):
-        alpha = rng.randint(0, spec.alpha_max)
-        keys.append((rng.randint(0, spec.r_max), alpha, i))
+        alpha = bits(ka)
+        while alpha > alpha_max:
+            alpha = bits(ka)
+        release = bits(kr)
+        while release > r_max:
+            release = bits(kr)
+        keys.append((release, alpha, i))
     return Instance._from_keys(spec.beta, 1, tuple(keys))
 
 
 def _gen_two_release(spec: FamilySpec) -> Instance:
     """Random fixed parts; every release is either 0 or r_max, with at least
-    one of each.  The draws are the instance's record at scale 1."""
-    if spec.n < 2:
+    one of each: every fixed part is drawn, then every late flag, then, if
+    all flags agree, the position whose flag flips (see :func:`_width`).
+    The draws are the instance's record at scale 1."""
+    n = spec.n
+    if n < 2:
         raise BadSpec("two-release instances need n >= 2")
     if spec.r_max < 1:
         raise BadSpec("two-release instances need r_max >= 1")
     if spec.alpha_max < 0:
         raise BadSpec("alpha_max must be >= 0")
-    rng = random.Random(spec.seed)
-    alphas = [rng.randint(0, spec.alpha_max) for _ in range(spec.n)]
-    late = [rng.randint(0, 1) for _ in range(spec.n)]
-    if not any(late):
-        late[rng.randrange(spec.n)] = 1
-    elif all(late):
-        late[rng.randrange(spec.n)] = 0
-    keys = tuple((spec.r_max if late[i] else 0, alphas[i], i + 1) for i in range(spec.n))
+    bits = random.Random(spec.seed).getrandbits
+    alphas = _draws(bits, spec.alpha_max, n)
+    late = _draws(bits, 1, n)
+    if not any(late) or all(late):
+        late[_draws(bits, n - 1, 1)[0]] ^= 1
+    keys = tuple((spec.r_max if late[i] else 0, alphas[i], i + 1) for i in range(n))
     return Instance._from_keys(spec.beta, 1, keys)
 
 

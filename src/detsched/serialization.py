@@ -34,11 +34,15 @@ The schedule, ``eval`` and ``opt`` documents are flat: strings, and lists
 of ints or of strings that JSON never escapes.  :func:`_dumps` writes
 them byte for byte as ``json.dumps(doc, indent=2)`` would, without its
 per-character escaper and with one join over the pieces of the document.
-:func:`write_instance` does the same for the instance document, whose
-ids are ints and whose every other value is a canonical text.  Every
-writer checks each id and value it writes against the interpreter's
-limit on digits per integer string conversion before it converts any, and
-names the first one past it (``beta``, ``jobs[3].alpha``, ``order[0]``).
+:func:`write_instance` writes the instance document, whose ids are ints
+and whose every other value is a canonical text, with one ``%``
+formatting over every job; an instance of integers goes into it straight
+from its ints.  Every writer checks each id and value it writes against
+the interpreter's limit on digits per integer string conversion before
+it converts any, and names the first one past it (``beta``,
+``jobs[3].alpha``, ``order[0]``); :func:`write_instance` checks the
+largest value of an instance of integers, and each value only when that
+one passes.
 
 :func:`parse_instance` builds the instance from its integer record
 (:class:`~detsched.model._Prepared`), and makes no :class:`Job`.  A job
@@ -78,6 +82,7 @@ from decimal import (
     Rounded,
 )
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .model import (
     EvalReport,
@@ -347,40 +352,47 @@ def _parts(text: object, idx: int, key: str) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
+# One job of the instance document, from its id to its release text, and
+# the separator that closes it and opens the next.
+_JOB = '%s,\n      "alpha": "%s",\n      "release": "%s'
+_NEXT_JOB = '"\n    },\n    {\n      "id": '
+
+
 def write_instance(instance: Instance) -> str:
     """The instance document, byte for byte ``json.dumps(doc, indent=2) +
     "\\n"`` of ``{"beta": ..., "jobs": [{"id": ..., "alpha": ...,
-    "release": ...}, ...]}``, made by one join over its pieces.
+    "release": ...}, ...]}``.
 
-    The values come from the instance's integer record: an alpha or
-    release is its ``A`` or ``R`` itself when ``d`` is 1, and ``A / d``
-    or ``R / d`` otherwise, so no :class:`Job` is read.  Raises
-    :class:`SchedulingError` naming ``beta`` or ``jobs[i].id``,
+    The values come from the instance's integer record, so no
+    :class:`Job` is read.  When ``d`` is 1, an alpha or release is its
+    ``A`` or ``R`` itself: the largest of every id, alpha, release and
+    beta's numerator and denominator is compared with the digit bound
+    once, and one ``%`` formatting writes every job from its ints.
+    Otherwise they are ``A / d`` and ``R / d``, each value is checked, and
+    its :func:`format_rational` text goes into the same formatting.
+    Raises :class:`SchedulingError` naming ``beta`` or ``jobs[i].id``,
     ``.alpha`` or ``.release`` for the first value, in document order, past
     the digit limit, before any value is converted.
     """
     prepared = instance._prepared
-    keys = prepared.keys
-    if prepared.d != 1:
-        fractions = _fractions(prepared)
-        keys = tuple((fractions[r], fractions[a], jid) for r, a, jid in keys)
-    values = [instance.beta]
-    for release, alpha, jid in keys:
-        values += (jid, alpha, release)
-    _check_writable(values, _instance_field)
-    pieces = ['{\n  "beta": "', format_rational(instance.beta), '",\n  "jobs": [\n    {\n      "id": ']
-    for release, alpha, jid in keys:
-        pieces += (
-            str(jid),
-            ',\n      "alpha": "',
-            format_rational(alpha),
-            '",\n      "release": "',
-            format_rational(release),
-            '"\n    },\n    {\n      "id": ',
-        )
-    # an instance has at least one job, so the last piece is a separator
-    pieces[-1] = '"\n    }\n  ]\n}\n'
-    return "".join(pieces)
+    beta = instance.beta
+    # each job's id, alpha and release, in document order: a key is (R, A, id)
+    values = list(chain.from_iterable(reversed(prepared.keys)))
+    values.reverse()
+    if prepared.d == 1:
+        limit = sys.get_int_max_str_digits()
+        if limit and max(beta.numerator, beta.denominator, max(values)) >= _digit_bound(limit):
+            _check_writable([beta, *values], _instance_field)
+    else:
+        fractions = _fractions(prepared).__getitem__
+        values[1::3] = map(fractions, values[1::3])
+        values[2::3] = map(fractions, values[2::3])
+        _check_writable([beta, *values], _instance_field)
+        values = map(format_rational, values)
+    # an instance has at least one job
+    jobs = _NEXT_JOB.join(repeat(_JOB, len(prepared.keys))) % tuple(values)
+    head = '{\n  "beta": "' + format_rational(beta) + '",\n  "jobs": [\n    {\n      "id": '
+    return "".join((head, jobs, '"\n    }\n  ]\n}\n'))
 
 
 def _instance_field(k: int) -> str:

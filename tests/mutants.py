@@ -386,6 +386,55 @@ CATALOGUE = (
             "tests/test_reference_routes.py::TestCsvRoutes::test_same_bytes",
         ),
     ),
+    Mutant(
+        "draw-width-from-hi",
+        "src/detsched/generators.py",
+        "return (hi + 1).bit_length()",
+        "return hi.bit_length()",
+        (
+            "tests/test_reference_routes.py::TestDrawStream::test_same_record_as_randint",
+            "tests/test_reference_routes.py::TestRecordRoute::test_drawn_record_matches_the_job_route",
+        ),
+    ),
+    Mutant(
+        "redraw-on-greater-or-equal",
+        "src/detsched/generators.py",
+        "while release > r_max:",
+        "while release >= r_max:",
+        (
+            "tests/test_reference_routes.py::TestDrawStream::test_long_horizon_draws",
+            "tests/test_reference_routes.py::TestRecordRoute::test_drawn_record_matches_the_job_route",
+        ),
+    ),
+    Mutant(
+        "release-drawn-before-alpha",
+        "src/detsched/generators.py",
+        "        alpha = bits(ka)\n        while alpha > alpha_max:\n            alpha = bits(ka)\n"
+        "        release = bits(kr)\n        while release > r_max:\n            release = bits(kr)\n",
+        "        release = bits(kr)\n        while release > r_max:\n            release = bits(kr)\n"
+        "        alpha = bits(ka)\n        while alpha > alpha_max:\n            alpha = bits(ka)\n",
+        (
+            "tests/test_reference_routes.py::TestDrawStream::test_long_horizon_draws",
+            "tests/test_reference_routes.py::TestDrawStream::test_same_record_as_randint",
+        ),
+    ),
+    Mutant(
+        "instance-writer-skips-max-check",
+        "src/detsched/serialization.py",
+        "if limit and max(beta.numerator, beta.denominator, max(values)) >= _digit_bound(limit):",
+        "if False:",
+        (
+            "tests/test_reference_routes.py::TestInstanceRoutes::test_integer_values_at_the_digit_bound",
+            "tests/test_serialization.py::TestWritersPastTheDigitLimit::test_write_instance_names_the_field",
+        ),
+    ),
+    Mutant(
+        "instance-writer-max-without-beta-denominator",
+        "src/detsched/serialization.py",
+        "max(beta.numerator, beta.denominator, max(values))",
+        "max(beta.numerator, max(values))",
+        ("tests/test_reference_routes.py::TestInstanceRoutes::test_integer_values_at_the_digit_bound",),
+    ),
 )
 
 

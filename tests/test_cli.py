@@ -32,6 +32,16 @@ def no_env_seed(monkeypatch):
     monkeypatch.delenv("DETSCHED_SEED", raising=False)
 
 
+def _seed_argv(monkeypatch, source: str) -> list[str]:
+    """Seed -1 from the ``--seed`` flag or from DETSCHED_SEED: the
+    arguments to add."""
+    if source == "env":
+        monkeypatch.setenv("DETSCHED_SEED", "-1")
+        return []
+    monkeypatch.delenv("DETSCHED_SEED", raising=False)
+    return ["--seed", "-1"]
+
+
 @pytest.fixture()
 def two_job_file(tmp_path, two_job_instance):
     path = tmp_path / "two_job.json"
@@ -141,6 +151,28 @@ class TestGen:
         monkeypatch.setenv("DETSCHED_SEED", "three")
         assert main(["gen", "--n", "3"]) == 1
         assert "DETSCHED_SEED" in capsys.readouterr().err
+
+    # seed -1 wrote the instance of seed 1
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed(self, monkeypatch, capsys, tmp_path, source):
+        specs = count_calls(monkeypatch, generate)
+        argv = _seed_argv(monkeypatch, source)
+        out = tmp_path / "inst.json"
+        assert main(["gen", "--n", "5", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert specs == []
+        assert not out.exists()
+
+    # the random families' cap on n, through gen, with no lowered cap
+    @pytest.mark.parametrize("family", ["random", "two-release"])
+    def test_at_the_cap(self, tmp_path, no_env_seed, family):
+        out = tmp_path / "inst.json"
+        argv = ["gen", "--family", family, "--n", str(RANDOM_MAX_N), "--beta", f"1/{RANDOM_MAX_N}"]
+        assert main([*argv, "--seed", "5", "--r-max", "6400", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        inst = parse_instance(text)
+        assert inst.n == RANDOM_MAX_N
+        assert write_instance(inst) == text
 
     def test_out_writes_file(self, tmp_path, no_env_seed):
         target = tmp_path / "inst.json"
@@ -526,6 +558,17 @@ class TestExperiment:
         argv = ["experiment", "--family", "noninterfering-adv", "--trials", "3", "--n-min", "8", "--n-max", "10"]
         assert main([*argv, "--b", "9", "--seed", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: b must be >= n_max (10) for the noninterfering-adv family, got 9\n"
+        assert specs == []
+        assert not out.exists()
+
+    # seeds -3 and 3 ran trials t00000 and t00006 on one instance
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed(self, monkeypatch, capsys, tmp_path, source):
+        specs = count_calls(monkeypatch, generate)
+        argv = ["experiment", "--trials", "7", "--n-min", "5", "--n-max", "5", "--betas", "1"]
+        out = tmp_path / "rows.csv"
+        assert main([*argv, *_seed_argv(monkeypatch, source), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert specs == []
         assert not out.exists()
 

@@ -90,6 +90,15 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgument, match=f"^{field} must be an int, got "):
             config(**{field: value})
 
+    # seeds -3 and 3 drew the same instance, so trials t00000 and t00006
+    # of this run were one instance under two seeds
+    def test_negative_seed_refused(self, monkeypatch):
+        specs = count_calls(monkeypatch, experiment.generate)
+        with pytest.raises(InvalidArgument, match=r"^seed must be >= 0, got -3$"):
+            run_experiment(config(seed=-3, trials=7, n_min=5, n_max=5, betas=(F(1),)))
+        assert specs == []
+        assert config(seed=0).seed == 0
+
     # each leaked a bare KeyError or AttributeError from the first trial,
     # or (timings=1) was accepted
     @pytest.mark.parametrize(

@@ -265,6 +265,20 @@ class TestFamilySpecValidation:
             generate(spec_for(family, ADVERSARIAL_MAX_K + 1))
         assert jobs == []
 
+    # CPython seeds from an int's absolute value, so seed -1 drew the
+    # instance of seed 1
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_negative_seed_refused(self, monkeypatch, family):
+        jobs = count_calls(monkeypatch, generators.Job)
+        with pytest.raises(BadSpec, match=r"^seed must be >= 0, got -1$"):
+            generate(spec_for(family, 3, seed=-1))
+        assert jobs == []
+        assert spec_for(family, 3, seed=0).seed == 0
+
+    def test_seed_past_the_digit_limit_refused(self):
+        with digit_limit(4300), pytest.raises(BadSpec, match=r"^seed must be >= 0, got a 14285-bit value$"):
+            spec_for(Family.RANDOM, 3, seed=-(10**4300))
+
     def test_family_must_be_a_family(self):
         with pytest.raises(BadSpec, match="^family must be of type Family, got str$"):
             FamilySpec(family="random", n=3, beta=F(1))

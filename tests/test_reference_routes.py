@@ -15,7 +15,9 @@ policy run's or an optimum's Fraction schedule with
 the common denominator of them all.  ``reference_write_instance`` writes
 through ``json.dumps(indent=2)``, and ``reference_parse_instance``
 checks and parses every job document field by field into Fraction jobs;
-``reference_generate`` draws the random families' jobs as Fractions.
+``reference_generate`` draws the random families' jobs as Fractions,
+with ``randint`` and ``randrange`` where the generators call
+``getrandbits``.
 ``reference_write_csv`` writes the experiment CSV one ``writerow`` per
 row, every cell formatted from its own row, where :func:`write_csv`
 formats shared cells once and hands every row to one ``writerows``.
@@ -30,6 +32,7 @@ import contextlib
 import csv
 import dataclasses
 import decimal
+import hashlib
 import io
 import json
 import math
@@ -590,9 +593,12 @@ def mutated(job: dict, how: str, key: str) -> object:
 
 @st.composite
 def integer_instances(draw):
-    ids = draw(st.lists(st.integers(1, 9) | _near_limit, min_size=1, max_size=5, unique=True))
-    values = st.integers(0, 30) | _near_limit
-    return Instance(draw(instance_betas), tuple(Job(i, draw(values), draw(values)) for i in ids))
+    """Instances of integers, ids and values up to 640 digits, one job or
+    up to 40, whose alphas and releases come from a pool of at most five
+    values, so most of them repeat."""
+    ids = draw(st.lists(st.integers(1, 10**6) | _near_limit, min_size=1, max_size=40, unique=True))
+    pool = st.sampled_from(draw(st.lists(st.integers(0, 30) | _near_limit, min_size=1, max_size=5)))
+    return Instance(draw(instance_betas), tuple(Job(i, draw(pool), draw(pool)) for i in ids))
 
 
 # Edits of a well-formed job list, (position, key, value) with None for a
@@ -625,6 +631,7 @@ class TestInstanceRoutes:
     def test_integer_instances_take_the_column_pass(self, inst):
         with digit_limit(640):
             text = write_instance(inst)
+            assert text == reference_write_instance(inst)
             assert _columns(json.loads(text)["jobs"]) == inst._prepared.keys
             assert parse_instance(text) == reference_parse_instance(text) == inst
 
@@ -646,6 +653,32 @@ class TestInstanceRoutes:
     @given(inst=instances(max_n=1, beta_strategy=instance_betas))
     def test_one_job(self, inst):
         assert write_instance(inst) == reference_write_instance(inst)
+
+    # a value of 640 digits is written, one of 641 (at the bound 10**640
+    # or above it) refused, naming the first such field in document order:
+    # the field below, alone or before the same value as the last release
+    @pytest.mark.parametrize("later", [False, True], ids=["alone", "before-a-later-release"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("field", ["beta", "beta-denominator", "jobs[1].id", "jobs[1].alpha", "jobs[1].release"])
+    def test_integer_values_at_the_digit_bound(self, field, offset, later):
+        value = 10**640 + offset
+        beta = {"beta": F(value), "beta-denominator": F(1, value)}.get(field, F(1, 2))
+        job = {"id": 4, "alpha": 1, "release": 0}
+        if field.startswith("jobs[1]."):
+            job[field.removeprefix("jobs[1].")] = value
+        inst = Instance(beta, (Job(7, 3, 5), Job(**job), Job(2, 3, value if later else 6)))
+        assert inst._prepared.d == 1
+        with digit_limit(640):
+            if offset < 0:
+                assert write_instance(inst) == reference_write_instance(inst)
+                return
+            with pytest.raises(SchedulingError) as caught:
+                write_instance(inst)
+        assert type(caught.value) is SchedulingError
+        assert str(caught.value) == (
+            f"{field.removesuffix('-denominator')}: cannot write a {value.bit_length()}-bit value: "
+            "it passes the limit of 640 digits for integer string conversion"
+        )
 
     def test_long_horizon_instance(self):
         inst = generate(
@@ -800,6 +833,60 @@ class TestRecordRoute:
         assert inst._prepared == ref._prepared
         assert inst.jobs == ref.jobs
         assert write_instance(inst) == reference_write_instance(ref)
+
+
+# The random families' bounds: widths at and next to powers of two, up
+# to past a machine word, and small ints; 0 still draws one bit a value.
+_draw_bounds = st.sampled_from([0, 1, 2, 3, 7, 8, 2**31 - 1, 2**31, 2**70]) | st.integers(0, 20)
+
+
+@st.composite
+def random_family_specs(draw):
+    family = draw(st.sampled_from([Family.RANDOM, Family.TWO_RELEASE]))
+    low = 2 if family is Family.TWO_RELEASE else 1
+    return FamilySpec(
+        family=family,
+        n=draw(st.integers(low, 60)),
+        beta=F(1, 3),
+        seed=draw(st.integers(0, 2**64)),
+        alpha_max=draw(_draw_bounds),
+        r_max=draw(_draw_bounds.filter(lambda r: r >= low - 1)),
+    )
+
+
+class TestDrawStream:
+    """The generators draw with ``getrandbits``; the reference draws with
+    ``randint`` and ``randrange``.  Both must give the same record."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=random_family_specs())
+    def test_same_record_as_randint(self, spec):
+        assert generate(spec)._prepared == reference_generate(spec)._prepared
+
+    # at n = 2 a quarter of the seeds draw two late flags and a quarter
+    # none, so both flips of the two-release family are drawn
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_release_flips(self, n):
+        for seed in range(40):
+            spec = FamilySpec(family=Family.TWO_RELEASE, n=n, beta=F(1), seed=seed, alpha_max=7, r_max=3)
+            assert generate(spec)._prepared == reference_generate(spec)._prepared
+
+    # the long-horizon benchmark's instance and the sha256 of its document
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (5, "01e0ef43503246f32544517dd8afbc3b8b4a2f91d763252eb070aa063564a58d"),
+            (11, "c51a33c613364e13de903ea4eca97cb22c4396796e8a93b7fe75c0fbac9d420d"),
+        ],
+        ids=["seed-5", "seed-11"],
+    )
+    def test_long_horizon_draws(self, seed, digest):
+        spec = FamilySpec(family=Family.RANDOM, n=1600, beta=F(1, 1600), seed=seed, r_max=6400)
+        inst = generate(spec)
+        assert inst._prepared == reference_generate(spec)._prepared
+        text = write_instance(inst)
+        assert text == reference_write_instance(inst)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def reference_generate(spec: FamilySpec) -> Instance:
