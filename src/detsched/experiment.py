@@ -104,7 +104,7 @@ class ExperimentConfig:
         if self.trials < 0:
             raise InvalidArgument("trials must be >= 0")
         if self.trials > MAX_TRIALS:
-            raise InvalidArgument(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
+            raise InvalidArgument(f"trials must be <= {MAX_TRIALS}, got {_show(self.trials)}")
         if self.seed < 0:
             raise InvalidArgument(f"seed must be >= 0, got {_show(self.seed)}")
         if self.max_bruteforce_n < 0:
@@ -114,7 +114,7 @@ class ExperimentConfig:
         cap = MAX_N[self.family]
         if self.n_max > cap:
             raise InvalidArgument(
-                f"n_max must be <= {cap} for the {self.family.value} family, got {self.n_max}"
+                f"n_max must be <= {cap} for the {self.family.value} family, got {_show(self.n_max)}"
             )
         if not self.betas:
             raise InvalidArgument("betas must be nonempty")

@@ -362,7 +362,7 @@ def _check_cap(max_n: int) -> None:
     """Raise :class:`InvalidArgument` for a negative cap; a cap of 0
     refuses every instance."""
     if max_n < 0:
-        raise InvalidArgument(f"max_n must be >= 0, got {max_n}")
+        raise InvalidArgument(f"max_n must be >= 0, got {_show(max_n)}")
 
 
 def check_optimum_cap(

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from detsched import Instance, Job, validate_instance
+from detsched import Family, FamilySpec, Instance, Job, generate, validate_instance
 
 
 def make_instance(beta, jobs) -> Instance:
@@ -53,6 +53,57 @@ def instances(draw, min_n=1, max_n=6, beta_strategy=betas):
         for i in range(1, n + 1)
     )
     return validate_instance(Instance(beta, jobs))
+
+
+def size_betas(n: int) -> st.SearchStrategy[Fraction]:
+    """Betas for an instance of size ``n``: three fixed ones, one with
+    denominator 7, and the paper's two regimes, 1/n and n+1."""
+    return st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3, 7), Fraction(1, n), Fraction(n + 1)])
+
+
+def regime_betas(n: int) -> st.SearchStrategy[Fraction]:
+    """The two regimes at size ``n``, 1/n and n, or one of :data:`betas`."""
+    return st.sampled_from([Fraction(1, n), Fraction(n)]) | betas
+
+
+@st.composite
+def tie_heavy_instances(draw, min_n=1, max_n=7, beta_strategy=size_betas, grid=range(4)):
+    """Alphas and releases on ``grid``, by default 0..3, with shuffled ids,
+    so many orders tie and every tie-break, down to the id, comes into play."""
+    n = draw(st.integers(min_n, max_n))
+    beta = draw(beta_strategy(n))
+    ids = draw(st.permutations(range(1, n + 1)))
+    values = st.sampled_from(grid)
+    return validate_instance(Instance(beta, tuple(Job(i, draw(values), draw(values)) for i in ids)))
+
+
+# grids with denominators 1, 2 and 3
+DP_GRID = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+RATIONAL_GRID = sorted(DP_GRID + [Fraction(2, 3)])
+
+
+def rational_tie_heavy_instances(min_n=1, max_n=12, grid=DP_GRID) -> st.SearchStrategy[Instance]:
+    """Tie-heavy instances on a rational ``grid``: many DP states close at
+    the same time, and integer keys order the jobs correctly only when
+    scaled by the common denominator."""
+    return tie_heavy_instances(min_n, max_n, size_betas, grid)
+
+
+@st.composite
+def family_instances(draw, max_jobs=7, min_k=1, adversarial_k=None, beta_strategy=size_betas, families=tuple(Family)):
+    """The ``families``, up to ``max_jobs`` jobs: the size k gives k jobs,
+    k+1 for nonidling-adv and 2k for ectf-adv.  With ``adversarial_k``, the
+    adversarial families' k runs up to it instead.  k starts at ``min_k``,
+    and at 2 for two-release."""
+    family = draw(st.sampled_from(families))
+    if adversarial_k is not None and family not in (Family.RANDOM, Family.TWO_RELEASE):
+        k_max = adversarial_k
+    else:
+        k_max = {Family.NONIDLING_ADV: max_jobs - 1, Family.ECTF_ADV: max_jobs // 2}.get(family, max_jobs)
+    k = draw(st.integers(max(min_k, 2 if family is Family.TWO_RELEASE else 1), k_max))
+    beta = draw(beta_strategy(k))
+    seed = draw(st.integers(0, 2**16))
+    return generate(FamilySpec(family=family, n=k, beta=beta, seed=seed))
 
 
 def delayed_starts(instance, order, delays, keep=None) -> list[Fraction]:

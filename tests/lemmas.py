@@ -1,10 +1,10 @@
-"""The paper's lemma checks and reference routes, which no command needs.
+"""The paper's lemma checks, which no command needs.
 
 Tests import them with ``from lemmas import ...``; pytest does not collect
 this file.  Here are the rho- and weak-pseudomatching verifiers with their
-bound checks, the closed-form makespan, the fixed-cost identity,
-:func:`is_interfering` (an independent check of each non-interfering
-choice) and :func:`lb_combined`.
+bound checks, the closed-form makespan, the fixed-cost identity and
+:func:`lb_combined`.  The reference routes the library is checked against
+are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -207,28 +207,6 @@ def fixed_cost_identity(instance: Instance, schedule: Schedule) -> tuple[Fractio
         prefix += alphas[k - 2]
         rhs += instance.beta * g ** (n - k) * prefix
     return lhs, rhs
-
-
-def is_interfering(instance: Instance, candidate_id: int, t: int | Fraction) -> Fraction | None:
-    """Would starting ``candidate_id`` at time ``t`` run over a shorter job's
-    release?
-
-    Returns the smallest release ``r`` with ``t < r < (1 + beta) * t +
-    alpha_candidate`` among jobs with a strictly smaller fixed part, or
-    ``None``.  Both inequalities are strict: a release exactly at ``t`` or
-    exactly at the projected completion does not block.  An independent
-    O(n) check of the non-interfering policy's choices.
-    """
-    candidate = instance.job_map()[candidate_id]
-    horizon = instance.growth * t + candidate.alpha
-    blocking = [
-        job.release
-        for job in instance.jobs
-        if job.id != candidate_id
-        and job.alpha < candidate.alpha
-        and t < job.release < horizon
-    ]
-    return min(blocking) if blocking else None
 
 
 def lb_combined(instance: Instance) -> Fraction:

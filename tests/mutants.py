@@ -51,7 +51,7 @@ CATALOGUE = (
         "return tuple(sorted(self._prepared.keys))",
         "return tuple(sorted(self._prepared.keys, key=lambda k: (k[1], k[0], k[2])))",
         (
-            "tests/test_oracle.py::TestPreparedRecord::test_keys",
+            "tests/test_internals.py::TestPreparedRecord::test_keys",
             "tests/test_schedulers.py::TestMatchesReferenceLoops::test_same_schedules",
         ),
     ),
@@ -61,7 +61,7 @@ CATALOGUE = (
         "d = math.lcm(*(v.denominator for j in jobs for v in (j.alpha, j.release)))",
         "d = math.lcm(*(j.release.denominator for j in jobs))",
         (
-            "tests/test_oracle.py::TestPreparedRecord::test_keys",
+            "tests/test_internals.py::TestPreparedRecord::test_keys",
             "tests/test_schedulers.py::TestMatchesReferenceLoops::test_same_schedules",
         ),
     ),
@@ -71,7 +71,7 @@ CATALOGUE = (
         "weight = q**instance.n",
         "weight = q ** (instance.n - 1)",
         (
-            "tests/test_oracle.py::TestPreparedRecord::test_scaled",
+            "tests/test_internals.py::TestPreparedRecord::test_scaled",
             "tests/test_oracle.py::TestDpMatchesFullTable::test_same_value",
         ),
     ),
@@ -80,7 +80,7 @@ CATALOGUE = (
         "src/detsched/oracle.py",
         "alphas = sorted(a for _, a, _ in prepared.keys)",
         "alphas = sorted((a for _, a, _ in prepared.keys), reverse=True)",
-        ("tests/test_oracle.py::TestPreparedRecord::test_bounds",),
+        ("tests/test_internals.py::TestPreparedRecord::test_bounds",),
     ),
     Mutant(
         "optimum-walk-strict-bound",
@@ -131,6 +131,16 @@ CATALOGUE = (
             "tests/test_serialization.py::TestInstanceDocuments::test_job_errors_and_their_precedence",
             "tests/test_reference_routes.py::TestInstanceRoutes::test_mutated_documents",
             "tests/test_reference_routes.py::TestRecordRoute::test_refusals",
+        ),
+    ),
+    Mutant(
+        "timeline-skips-first-release-check",
+        "src/detsched/model.py",
+        "if s < job.release:",
+        "if s < job.release and k:",
+        (
+            "tests/test_reference_routes.py::TestScheduleRoutes::test_first_start_before_its_release",
+            "tests/test_reference_routes.py::TestScheduleRoutes::test_early_starts",
         ),
     ),
     Mutant(
@@ -197,7 +207,7 @@ CATALOGUE = (
         "for _, alpha, _ in reversed(by_alpha):",
         (
             "tests/test_oracle.py::TestPrunedDp::test_matches_reference_and_brute_force",
-            "tests/test_oracle.py::TestPrunedDp::test_any_bound_is_an_incumbent",
+            "tests/test_internals.py::TestPrunedDp::test_any_bound_is_an_incumbent",
         ),
     ),
     Mutant(
@@ -207,7 +217,7 @@ CATALOGUE = (
         "floor, qr, pqr = floors[left + 1]",
         (
             "tests/test_oracle.py::TestPrunedDp::test_matches_reference_and_brute_force",
-            "tests/test_oracle.py::TestPrunedDp::test_any_bound_is_an_incumbent",
+            "tests/test_internals.py::TestPrunedDp::test_any_bound_is_an_incumbent",
         ),
     ),
     Mutant(
@@ -215,14 +225,14 @@ CATALOGUE = (
         "src/detsched/oracle.py",
         "floor, qr, pqr = floors[left]",
         "floor, qr, pqr = floors[left - 1]",
-        ("tests/test_oracle.py::TestPrunedDp::test_ectf_optimal_prunes_every_child",),
+        ("tests/test_internals.py::TestPrunedDp::test_ectf_optimal_prunes_every_child",),
     ),
     Mutant(
         "dp-child-never-pruned",
         "src/detsched/oracle.py",
         "if candidate >= cutoff:",
         "if False:",
-        ("tests/test_oracle.py::TestPrunedDp::test_ectf_optimal_prunes_every_child",),
+        ("tests/test_internals.py::TestPrunedDp::test_ectf_optimal_prunes_every_child",),
     ),
     Mutant(
         "rho-pm-capacity-plus-one",

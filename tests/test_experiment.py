@@ -155,6 +155,17 @@ class TestConfigValidation:
         # the cap itself is accepted; the config is not run
         assert config(trials=MAX_TRIALS).trials == MAX_TRIALS
 
+    # each message's value leaked a bare ValueError
+    @pytest.mark.parametrize(
+        "field, message",
+        [("trials", f"trials must be <= {MAX_TRIALS}"), ("n_max", f"n_max must be <= {RANDOM_MAX_N} for the random family")],
+    )
+    def test_counts_past_the_digit_limit(self, monkeypatch, field, message):
+        specs = count_calls(monkeypatch, experiment.generate)
+        with digit_limit(4300), pytest.raises(InvalidArgument, match=f"^{message}, got a 16610-bit value$"):
+            run_experiment(config(**{field: 10**5000}))
+        assert specs == []
+
     # noninterfering-adv ran n=8 and n=9 to the end before trial 2's
     # generator refused B = 9 < 10
     @pytest.mark.parametrize(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
 from fractions import Fraction
 
@@ -25,35 +23,31 @@ from detsched import (
     sorted_subset_cost,
     validate_instance,
 )
-from detsched import oracle, schedulers
+from detsched import oracle
 from detsched.generators import Family, FamilySpec, generate
-from detsched.serialization import _eval_report, parse_instance
 from detsched.experiment import cross_objective_check
-from detsched.model import ZERO, InvalidArgument, NotRational, rational
+from detsched.model import InvalidArgument, NotRational
 from detsched.oracle import (
     BRUTE_FORCE_MAX_N,
     DP_MAX_N,
     DegenerateOptimum,
     InstanceTooLarge,
-    OptResult,
-    _finish,
-    _lattice,
-    _lb_fixed,
-    _scaled,
     check_optimum_cap,
     optimum,
     value_ratio,
 )
 
-from conftest import betas, count_calls, digit_limit, instances, make_instance, small_rationals
+import reference
+from conftest import (
+    betas, count_calls, digit_limit, family_instances, instances, make_instance, rational_tie_heavy_instances,
+    size_betas, small_rationals, tie_heavy_instances,
+)
 from lemmas import lb_combined
 
 F = Fraction
 
 # betas whose denominators 3, 7 and 10 make the DP's time scale q**n large
-odd_denominator_betas = st.sampled_from(
-    [F(1, 3), F(5, 3), F(2, 7), F(9, 7), F(3, 10), F(21, 10)]
-)
+odd_denominator_betas = st.sampled_from([F(1, 3), F(5, 3), F(2, 7), F(9, 7), F(3, 10), F(21, 10)])
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -72,23 +66,12 @@ def coprime_instances(draw, max_n=6):
     return validate_instance(Instance(beta, jobs))
 
 
-@st.composite
-def adversarial_instances(draw, max_jobs=7):
-    """The adversarial families up to max_jobs jobs: staggered releases
-    weighted by (1+beta)**j, and nonidling-adv's alpha = (1+beta)**(k+1)."""
-    # the size parameter k gives k, k+1 and 2k jobs respectively
-    family, k_max = draw(
-        st.sampled_from(
-            [
-                (Family.NONINTERFERING_ADV, max_jobs),
-                (Family.NONIDLING_ADV, max_jobs - 1),
-                (Family.ECTF_ADV, max_jobs // 2),
-            ]
-        )
-    )
-    k = draw(st.integers(min_value=1, max_value=k_max))
-    beta = draw(st.one_of(odd_denominator_betas, betas))
-    return generate(FamilySpec(family, k, beta))
+# the adversarial families up to 7 jobs: staggered releases weighted by
+# (1+beta)**j, and nonidling-adv's alpha = (1+beta)**(k+1)
+adversarial_instances = family_instances(
+    families=(Family.NONINTERFERING_ADV, Family.NONIDLING_ADV, Family.ECTF_ADV),
+    beta_strategy=lambda k: odd_denominator_betas | betas,
+)
 
 
 class TestBruteForce:
@@ -178,7 +161,7 @@ class TestDpMinMakespan:
         inst=st.one_of(
             instances(max_n=6),
             coprime_instances(),
-            adversarial_instances(),
+            adversarial_instances,
         )
     )
     def test_agrees_with_enumeration(self, inst):
@@ -186,170 +169,17 @@ class TestDpMinMakespan:
         assert dp_min_makespan(inst) == brute_force(inst, Objective.MAKESPAN).best_value
 
 
-def size_betas(n: int) -> st.SearchStrategy[Fraction]:
-    return st.sampled_from([F(1, 2), F(1), F(2), F(3, 7), F(1, n), F(n + 1)])
-
-
 @st.composite
-def tie_heavy_instances(draw, max_n=7, min_n=1):
-    """Alphas and releases in {0..3} with shuffled ids, so many orders tie
-    for the optimum and only the id tie-break tells them apart."""
-    n = draw(st.integers(min_n, max_n))
-    beta = draw(size_betas(n))
-    ids = draw(st.permutations(range(1, n + 1)))
-    jobs = tuple(Job(i, F(draw(st.integers(0, 3))), F(draw(st.integers(0, 3)))) for i in ids)
-    return validate_instance(Instance(beta, jobs))
-
-
-@st.composite
-def family_instances(draw, max_jobs=7):
-    """Every generator family, up to max_jobs jobs."""
-    family, k_max = draw(
-        st.sampled_from(
-            [
-                (Family.RANDOM, max_jobs),
-                (Family.TWO_RELEASE, max_jobs),
-                (Family.NONINTERFERING_ADV, max_jobs),
-                (Family.NONIDLING_ADV, max_jobs - 1),
-                (Family.ECTF_ADV, max_jobs // 2),
-            ]
-        )
-    )
-    k = draw(st.integers(min_value=2 if family is Family.TWO_RELEASE else 1, max_value=k_max))
-    beta = draw(size_betas(k))
-    seed = draw(st.integers(0, 2**16))
-    return generate(FamilySpec(family=family, n=k, beta=beta, seed=seed))
-
-
-# The per-call integer set-up that the prepared record replaced: each
-# policy loop took ``_by_release(instance, _time_scale(instance))`` and the
-# subset DP took ``_scaled``, all straight from the Fractions.  Kept as the
-# references the record and the new ``_scaled`` must match exactly.
-
-def _reference_time_scale(instance: Instance) -> int:
-    return math.lcm(*(v.denominator for j in instance.jobs for v in (j.alpha, j.release)))
-
-
-def _reference_scale_int(value: Fraction, d: int) -> int:
-    return value.numerator * (d // value.denominator)
-
-
-def _reference_by_release(instance: Instance, d: int) -> list[tuple[int, int, int]]:
-    return sorted(
-        (_reference_scale_int(j.release, d), _reference_scale_int(j.alpha, d), j.id)
-        for j in instance.jobs
-    )
-
-
-def _reference_scaled(instance: Instance) -> tuple[int, int, int, list[tuple[int, int, int]]]:
-    q = instance.beta.denominator
-    pq = instance.beta.numerator + q
-    scale = _reference_time_scale(instance) * q**instance.n
-    jobs = [
-        (1 << i, _reference_scale_int(j.alpha, scale), _reference_scale_int(j.release, scale))
-        for i, j in enumerate(instance.jobs)
-    ]
-    return scale, q, pq, jobs
-
-
-# The full-table DP that the closing push DP replaced, kept as the
-# reference it must match on every instance.
-
-def _reference_dp_min_makespan(instance: Instance) -> Fraction:
-    validate_instance(instance)
-    n = instance.n
-    if n > DP_MAX_N:
-        raise InstanceTooLarge(f"n={n} exceeds the subset-DP cap of {DP_MAX_N}")
-    scale, q, pq, jobs = _reference_scaled(instance)
-    best = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        value = None
-        for bit, alpha, release in jobs:
-            if mask & bit:
-                prev = best[mask ^ bit]
-                candidate = alpha + (release if release > prev else prev) // q * pq
-                if value is None or candidate < value:
-                    value = candidate
-        best[mask] = value
-    return Fraction(best[-1], scale)
-
-
-# The backward table that the forward walk replaced as the source of the
-# makespan optimum's order, kept as the reference it must match.
-
-def _reference_makespan_optimum(instance: Instance) -> OptResult:
-    """``latest[R]`` is the latest free time from which the remaining set
-    R can still finish by the optimum: ``latest[{}] = OPT``, and
-    ``latest[R]`` is the max, over jobs j in R with ``release_j <= s_j``,
-    of ``s_j = (latest[R - j] - alpha_j) * q // (p+q)``, or -1 when no job
-    qualifies.  The floor is exact: a reachable start is a multiple of q,
-    so a reachable completion is an integer, and an integer is at most x
-    exactly when it is at most floor(x).  The walk then takes, at each
-    step, the smallest id whose completion still leaves the rest
-    finishable by the optimum."""
-    value = dp_min_makespan(instance)
-    scale, q, pq, jobs = _reference_scaled(instance)
-    full = (1 << instance.n) - 1
-    latest = [-1] * (full + 1)
-    latest[0] = value.numerator * (scale // value.denominator)
-    for rest in range(1, full + 1):
-        best = -1
-        for bit, alpha, release in jobs:
-            if rest & bit:
-                start = (latest[rest ^ bit] - alpha) * q // pq
-                if release <= start and start > best:
-                    best = start
-        latest[rest] = best
-    by_id = sorted(
-        (job.id, bit, alpha, release)
-        for job, (bit, alpha, release) in zip(instance.jobs, jobs)
-    )
-    order = []
-    free = 0
-    rest = full
-    while rest:
-        for jid, bit, alpha, release in by_id:
-            if rest & bit:
-                completion = alpha + (release if release > free else free) // q * pq
-                if completion <= latest[rest ^ bit]:
-                    break
-        else:  # latest[rest] >= free guarantees a job above
-            raise AssertionError("no job leaves the rest finishable by the optimum")
-        order.append(jid)
-        free = completion
-        rest ^= bit
-    return OptResult(
-        objective=Objective.MAKESPAN,
-        best_schedule=canonical_starts(instance, tuple(order)),
-        best_value=value,
-    )
-
-
-DP_GRID = [F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
-
-
-@st.composite
-def rational_tie_heavy_instances(draw, max_n=12, min_n=1):
-    """Alphas and releases on a grid with denominators 1, 2 and 3 and ids
-    shuffled, so many states close at the same time with tied alphas."""
-    n = draw(st.integers(min_n, max_n))
-    beta = draw(size_betas(n))
-    ids = draw(st.permutations(range(1, n + 1)))
-    grid = st.sampled_from(DP_GRID)
-    return validate_instance(Instance(beta, tuple(Job(i, draw(grid), draw(grid)) for i in ids)))
-
-
-@st.composite
-def far_release_instances(draw, max_n=12):
-    """Small alphas and releases up to 10**6, so states stay open deep
-    into the subset lattice."""
+def far_release_instances(draw, max_n=12, spread=False):
+    """Alphas in 0..8 and releases far apart, so states stay open deep
+    into the subset lattice: releases up to 10, 10**3 or 10**6, or with
+    ``spread``, the order walk's slow regime, up to 8n at beta = 1/n."""
     n = draw(st.integers(1, max_n))
-    beta = draw(size_betas(n))
-    r_max = draw(st.sampled_from([10, 10**3, 10**6]))
-    jobs = tuple(
-        Job(i, F(draw(st.integers(0, 8))), F(draw(st.integers(0, r_max))))
-        for i in range(1, n + 1)
-    )
+    if spread:
+        beta, r_max = F(1, n), 8 * n
+    else:
+        beta, r_max = draw(size_betas(n)), draw(st.sampled_from([10, 10**3, 10**6]))
+    jobs = tuple(Job(i, F(draw(st.integers(0, 8))), F(draw(st.integers(0, r_max)))) for i in range(1, n + 1))
     return validate_instance(Instance(beta, jobs))
 
 
@@ -376,53 +206,6 @@ def dense_instances(draw, max_n=7):
     return _dense_instance(beta, others, draw(small_rationals), ids)
 
 
-# The enumeration that the prefix walk replaced: every one of the n!
-# orders from itertools.permutations, each timeline recomputed from the
-# start.  Kept as the reference the walk must match exactly.
-def _reference_brute_force(
-    instance: Instance,
-    objective: Objective,
-    max_n: int = BRUTE_FORCE_MAX_N,
-) -> OptResult:
-    cap = min(max_n, BRUTE_FORCE_MAX_N)
-    if instance.n > cap:
-        raise InstanceTooLarge(
-            f"n={instance.n} exceeds the brute-force cap of {cap}"
-        )
-    jobs = instance.job_map()
-    ids = sorted(jobs)
-    g = instance.growth
-    want_total = objective is Objective.TOTAL_COMPLETION
-    best_perm: tuple[int, ...] | None = None
-    best_value: Fraction | None = None
-    for perm in itertools.permutations(ids):
-        completion = ZERO
-        total = ZERO
-        for jid in perm:
-            job = jobs[jid]
-            s = job.release if job.release > completion else completion
-            completion = job.alpha + g * s
-            if want_total:
-                total += completion
-            elif best_value is not None and completion >= best_value:
-                break  # completions only grow; this order cannot improve
-        else:
-            value = total if want_total else completion
-            if best_value is None or value < best_value:
-                best_value = value
-                best_perm = perm
-    assert best_perm is not None and best_value is not None
-    return OptResult(
-        objective=objective,
-        best_schedule=canonical_starts(instance, best_perm),
-        best_value=best_value,
-    )
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("brute force reached the DP's or the policies' code")
-
-
 class TestBruteForceMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -435,7 +218,7 @@ class TestBruteForceMatchesReference:
         objective=st.sampled_from(Objective),
     )
     def test_same_result(self, inst, objective):
-        assert brute_force(inst, objective) == _reference_brute_force(inst, objective)
+        assert brute_force(inst, objective) == reference.brute_force(inst, objective)
 
     # the reference takes about 0.1-0.2 s per seven-job instance
     @settings(max_examples=10, deadline=None)
@@ -449,7 +232,7 @@ class TestBruteForceMatchesReference:
         objective=st.sampled_from(Objective),
     )
     def test_seven_jobs(self, inst, objective):
-        assert brute_force(inst, objective) == _reference_brute_force(inst, objective)
+        assert brute_force(inst, objective) == reference.brute_force(inst, objective)
 
     @pytest.mark.parametrize("objective", list(Objective))
     def test_only_the_id_breaks_the_tie(self, objective):
@@ -458,28 +241,11 @@ class TestBruteForceMatchesReference:
         # pick the smallest by id although the instance lists them last
         inst = make_instance(1, [(4, 1, 0), (3, 2, 1), (2, 2, 1), (1, 1, 0)])
         result = brute_force(inst, objective)
-        assert result == _reference_brute_force(inst, objective)
+        assert result == reference.brute_force(inst, objective)
         assert result.best_schedule.order == (1, 4, 2, 3)
         field = "makespan" if objective is Objective.MAKESPAN else "total_completion"
         for order in [(1, 4, 3, 2), (4, 1, 2, 3), (4, 1, 3, 2)]:
             assert getattr(evaluate(inst, canonical_starts(inst, order)), field) == result.best_value
-
-    @pytest.mark.parametrize("objective", list(Objective))
-    def test_independent_of_the_dp_and_the_policies(self, monkeypatch, objective):
-        # brute force is the route the DP and the policies are checked
-        # against, so it must reach none of their code; the instance is
-        # built after the patches, so nothing it caches predates them
-        jobs = [(3, 2, 1), (1, 0, 2), (4, F(1, 2), 0), (2, 1, 3)]
-        expected = _reference_brute_force(make_instance(F(1, 3), jobs), objective)
-        for module, name in [
-            (oracle, "_lattice"),
-            (oracle, "_scaled"),
-            (oracle, "_finish"),
-            (schedulers, "_loop"),
-        ]:
-            monkeypatch.setattr(module, name, _refuse)
-        assert brute_force(make_instance(F(1, 3), jobs), objective) == expected
-
 
 class TestDpMatchesFullTable:
     @settings(max_examples=400, deadline=None)
@@ -494,7 +260,7 @@ class TestDpMatchesFullTable:
         )
     )
     def test_same_value(self, inst):
-        assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst)
+        assert dp_min_makespan(inst) == reference.dp_min_makespan(inst)
 
     @settings(max_examples=40, deadline=None)
     @given(inst=dense_instances())
@@ -516,14 +282,14 @@ class TestDpMatchesFullTable:
         alphas = [job.alpha for job in inst.jobs]
         assert dp_min_makespan(inst) == sorted_subset_cost(inst.beta, alphas, 0)
         small = make_instance(F(1, 2), [(i, (5 * i) % 7, 0) for i in range(1, 9)])
-        assert dp_min_makespan(small) == _reference_dp_min_makespan(small)
+        assert dp_min_makespan(small) == reference.dp_min_makespan(small)
 
     def test_optimum_closes_only_at_the_full_mask(self):
         # in the order 1, 2, 3, 4 each job completes before the next release
         # (0 -> 2 -> 6 -> 14), so every prefix of the optimal order is open;
         # every state that closes earlier finishes later than 14
         inst = make_instance(1, [(1, 0, 0), (2, 0, 1), (3, 0, 3), (4, 0, 7)])
-        assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst) == F(14)
+        assert dp_min_makespan(inst) == reference.dp_min_makespan(inst) == F(14)
         assert brute_force(inst, Objective.MAKESPAN).best_schedule.order == (1, 2, 3, 4)
 
 
@@ -541,19 +307,7 @@ class TestOrderMatchesBackwardTable:
     )
     def test_same_order(self, inst):
         result = optimum(inst, Objective.MAKESPAN, max_n=DP_MAX_N)
-        assert result == _reference_makespan_optimum(inst)
-
-
-@st.composite
-def spread_release_instances(draw, max_n=12):
-    """The order walk's slow regime: alphas in 0..8, releases in 0..8n and
-    beta = 1/n, so states stay open deep into the lattice."""
-    n = draw(st.integers(1, max_n))
-    jobs = tuple(
-        Job(i, F(draw(st.integers(0, 8))), F(draw(st.integers(0, 8 * n))))
-        for i in range(1, n + 1)
-    )
-    return validate_instance(Instance(F(1, n), jobs))
+        assert result == reference.makespan_optimum(inst)
 
 
 PRUNED_DP_INSTANCES = st.one_of(
@@ -561,26 +315,9 @@ PRUNED_DP_INSTANCES = st.one_of(
     tie_heavy_instances(),
     rational_tie_heavy_instances(max_n=7),
     family_instances(),
-    spread_release_instances(max_n=7),
+    far_release_instances(max_n=7, spread=True),
     coprime_instances(),
 )
-
-
-class _Iterations(list):
-    """A list that counts the loops run over it: :func:`_finish` loops
-    over ``latest_first`` once per state it visits, and over ``by_alpha``
-    once per state it closes."""
-
-    count = 0
-
-    def __iter__(self):
-        self.count += 1
-        return super().__iter__()
-
-
-def _ectf_bound(inst: Instance) -> int:
-    makespan = run(inst, SchedulerChoice.ECTF).makespan
-    return makespan.numerator * (_scaled(inst)[0] // makespan.denominator)
 
 
 class TestPrunedDp:
@@ -590,44 +327,19 @@ class TestPrunedDp:
     @settings(max_examples=200, deadline=None)
     @given(inst=PRUNED_DP_INSTANCES)
     def test_matches_reference_and_brute_force(self, inst):
-        value = dp_min_makespan(inst)
-        assert value == _reference_dp_min_makespan(inst)
+        # the value is ECTF's own makespan object exactly when nothing beats it
+        runs = {}
+        value = dp_min_makespan(inst, runs)
+        ectf = runs[SchedulerChoice.ECTF].makespan
+        assert value == reference.dp_min_makespan(inst)
         assert value == brute_force(inst, Objective.MAKESPAN).best_value
-
-    @settings(max_examples=300, deadline=None)
-    @given(inst=PRUNED_DP_INSTANCES, offset=st.sampled_from([-1, 0, 1]))
-    def test_any_bound_is_an_incumbent(self, inst, offset):
-        # from any incumbent, the result is the optimum if it beats it and
-        # the incumbent itself otherwise
-        lattice = _lattice(inst)
-        best = _reference_dp_min_makespan(inst)
-        best = best.numerator * (lattice.scale // best.denominator)
-        for bound in (best + offset, 2 * _ectf_bound(inst) + 1):
-            assert _finish(lattice, 0, 0, bound) == min(bound, best)
-
-    def test_ectf_optimal_prunes_every_child(self):
-        # ECTF runs job 1 then job 2, finishing at 3, and so does the
-        # optimum.  Job 1 first completes at c = 1, job 2 first at c = 3;
-        # with one job left, g * c + F_1 is 3 and 7, both at least 3, so
-        # only the empty mask is visited and no state closes
-        inst = make_instance(1, [(1, 1, 0), (2, 1, 1)])
-        lattice = _lattice(inst)
-        visited = _Iterations(lattice.latest_first)
-        closed = _Iterations(lattice.by_alpha)
-        lattice = lattice._replace(latest_first=visited, by_alpha=closed)
-        bound = _ectf_bound(inst)
-        assert _finish(lattice, 0, 0, bound) == bound
-        assert (visited.count, closed.count) == (1, 0)
-        # with a bound no child reaches, both children are stored and close
-        assert _finish(lattice, 0, 0, 100 * bound) == bound
-        assert (visited.count, closed.count) == (4, 2)
-        assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst) == F(3)
+        assert (value is ectf) == (value == ectf) and value <= ectf
 
     def test_ectf_not_optimal(self):
         # ECTF runs 1, 2, 3 and finishes at 6; the optimum 1, 3, 2 at 4
         inst = make_instance(1, [(1, 0, 0), (2, 0, 1), (3, 2, 0)])
         assert run(inst, SchedulerChoice.ECTF).makespan == F(6)
-        assert dp_min_makespan(inst) == _reference_dp_min_makespan(inst) == F(4)
+        assert dp_min_makespan(inst) == reference.dp_min_makespan(inst) == F(4)
         result = optimum(inst, Objective.MAKESPAN)
         assert result == brute_force(inst, Objective.MAKESPAN)
         assert result.best_schedule.order == (1, 3, 2)
@@ -643,18 +355,6 @@ class TestPrunedDp:
         value = dp_min_makespan(beaten, runs)
         assert value == F(4) and runs[SchedulerChoice.ECTF].makespan == F(6)
 
-    @settings(max_examples=200, deadline=None)
-    @given(inst=PRUNED_DP_INSTANCES)
-    def test_ectf_value_only_when_optimal(self, inst):
-        runs = {}
-        value = dp_min_makespan(inst, runs)
-        ectf = runs[SchedulerChoice.ECTF].makespan
-        assert value == brute_force(inst, Objective.MAKESPAN).best_value
-        if value == ectf:
-            assert value is ectf
-        else:
-            assert value < ectf and value is not ectf
-
     def test_shares_ectf_run(self):
         inst = make_instance(1, [(1, 0, 0), (2, 0, 1), (3, 2, 0)])
         runs = {}
@@ -665,10 +365,10 @@ class TestPrunedDp:
         assert runs[SchedulerChoice.ECTF] is record
 
     @settings(max_examples=150, deadline=None)
-    @given(inst=st.one_of(spread_release_instances(), rational_tie_heavy_instances()))
+    @given(inst=st.one_of(far_release_instances(spread=True), rational_tie_heavy_instances()))
     def test_order_matches_reference(self, inst):
         result = optimum(inst, Objective.MAKESPAN, max_n=DP_MAX_N)
-        assert result == _reference_makespan_optimum(inst)
+        assert result == reference.makespan_optimum(inst)
 
 
 class TestEctfAdversaryAgainstTheDp:
@@ -758,31 +458,12 @@ class TestOptimum:
                 entry(two_job_instance, objective, max_n=0)
         assert routes == [[], []]
 
-
-# The Fraction bodies that the integer Horner loops replaced, kept as the
-# references the bounds must match exactly, errors included.
-
-def _reference_lb_release(instance: Instance) -> Fraction:
-    total = ZERO
-    for release in sorted(j.release for j in instance.jobs):
-        total = total * instance.beta + release
-    return total
-
-
-def _reference_sorted_subset_cost(beta, alphas, t) -> Fraction:
-    beta = rational(beta)
-    if beta <= 0:
-        raise InvalidArgument(f"beta must be > 0, got {beta}")
-    t = rational(t)
-    if t < 0:
-        raise InvalidArgument(f"t must be >= 0, got {t}")
-    g = 1 + beta
-    completion = t
-    for alpha in sorted(rational(a) for a in alphas):
-        if alpha < 0:
-            raise InvalidArgument(f"alpha must be >= 0, got {alpha}")
-        completion = alpha + g * completion
-    return completion
+    @pytest.mark.parametrize("entry", [check_optimum_cap, brute_force], ids=lambda entry: entry.__name__)
+    def test_negative_cap_past_the_digit_limit(self, two_job_instance, entry):
+        # the message's value leaked a bare ValueError
+        with digit_limit(4300), pytest.raises(InvalidArgument) as raised:
+            entry(two_job_instance, Objective.MAKESPAN, max_n=-(10**5000))
+        assert str(raised.value) == "max_n must be >= 0, got a 16610-bit value"
 
 
 # ints, and Fractions over denominators 1 to 12
@@ -808,7 +489,7 @@ class TestBoundsMatchReference:
         )
     )
     def test_lb_release(self, inst):
-        assert lb_release(inst) == _reference_lb_release(inst)
+        assert lb_release(inst) == reference.lb_release(inst)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -818,7 +499,7 @@ class TestBoundsMatchReference:
     )
     def test_sorted_subset_cost(self, beta, alphas, t):
         value = sorted_subset_cost(beta, alphas, t)
-        assert value == _reference_sorted_subset_cost(beta, alphas, t)
+        assert value == reference.sorted_subset_cost(beta, alphas, t)
         assert type(value) is Fraction
 
     @pytest.mark.parametrize(
@@ -838,65 +519,9 @@ class TestBoundsMatchReference:
     )
     def test_same_errors(self, beta, alphas, t):
         with pytest.raises(BOUND_ERRORS) as expected:
-            _reference_sorted_subset_cost(beta, alphas, t)
+            reference.sorted_subset_cost(beta, alphas, t)
         with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
             sorted_subset_cost(beta, alphas, t)
-
-
-RECORD_INSTANCES = st.one_of(
-    instances(max_n=10),
-    tie_heavy_instances(max_n=12),
-    rational_tie_heavy_instances(),
-    coprime_instances(),
-    family_instances(max_jobs=12),
-)
-
-
-class TestPreparedRecord:
-    """The one integer record per instance against the per-call set-up it
-    replaced, and every reader of it against its reference."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(inst=RECORD_INSTANCES)
-    def test_keys(self, inst):
-        prepared = inst._prepared
-        d = _reference_time_scale(inst)
-        assert (prepared.p, prepared.q, prepared.d) == (
-            inst.beta.numerator,
-            inst.beta.denominator,
-            d,
-        )
-        assert list(inst._by_release) == _reference_by_release(inst, d)
-        assert sorted(prepared.keys) == list(inst._by_release)
-        assert [jid for _, _, jid in prepared.keys] == [job.id for job in inst.jobs]
-
-    def test_sorted_on_first_read(self):
-        # eval reads the keys in instance order, so it never sorts them
-        inst = parse_instance('{"beta": "1", "jobs": [{"id": 2, "alpha": "1", "release": "3"}, '
-                              '{"id": 1, "alpha": "2", "release": "0"}]}')
-        _eval_report('{"order": [1, 2], "starts": ["0", "3"]}', inst)
-        assert "_by_release" not in vars(inst)
-        assert inst._by_release == ((0, 2, 1), (3, 1, 2))
-        assert inst._by_release is inst._by_release
-
-    @settings(max_examples=300, deadline=None)
-    @given(inst=RECORD_INSTANCES)
-    def test_scaled(self, inst):
-        assert _scaled(inst) == _reference_scaled(inst)
-
-    @settings(max_examples=300, deadline=None)
-    @given(inst=RECORD_INSTANCES)
-    def test_bounds(self, inst):
-        assert lb_release(inst) == _reference_lb_release(inst)
-        alphas = [job.alpha for job in inst.jobs]
-        assert _lb_fixed(inst) == _reference_sorted_subset_cost(inst.beta, alphas, 0)
-
-    def test_built_once_and_kept(self):
-        inst = make_instance(F(1, 2), [(3, F(1, 3), 2), (1, 2, F(1, 2))])
-        assert inst._prepared is inst._prepared
-        assert inst._prepared == (1, 2, 6, ((12, 2, 3), (3, 12, 1)))
-        assert inst._by_release is inst._by_release
-        assert inst._by_release == ((3, 12, 1), (12, 2, 3))
 
 
 class TestLbRelease:

@@ -6,7 +6,8 @@ definition: in another module of the package, in ``scripts/``, or in
 ``perfbench/``.  ``perfbench/spans.py`` names the functions it wraps as
 strings in its hook table, so identifier-shaped string constants there
 count too.  Tests do not count: a name only tests need belongs in
-``tests/lemmas.py``.
+``tests/lemmas.py``, or in ``tests/reference.py`` when it is a route the
+library is checked against.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def test_every_export_is_used_outside_the_tests():
 # Names the package no longer has: the four policy aliases, each of which
 # was ``run(instance, choice).schedule``, and the schedule writer and
 # parser that no command called (``tests/test_reference_routes.py`` keeps
-# those two as reference routes).
+# those two as the library routes it checks).
 REMOVED = ("non_idling", "non_interfering", "ectf", "best_of_two", "write_schedule", "parse_schedule")
 
 

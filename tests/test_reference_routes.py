@@ -1,42 +1,19 @@
-"""The schedule parse route, the decimal walk behind ``solve``, ``opt``
-and ``eval``, the per-denominator total, the instance reader and writer
-and the experiment CSV writer against the routes they replaced, which
-are kept here as references.
-
-:func:`parse_schedule` reads a schedule document through ``eval``'s
-fallback route, and :func:`write_schedule` writes any schedule's starts
-with :func:`format_rationals`; no command calls either, so they live
-here.  ``reference_parse_schedule`` parses every start, then
-checks the schedule with :func:`evaluate`; ``reference_eval_document``
-writes every value of the report with :func:`format_rationals`;
-``reference_solve_document`` and ``reference_opt_document`` write a
-policy run's or an optimum's Fraction schedule with
-:func:`write_schedule`; ``reference_total`` sums the completions over
-the common denominator of them all.  ``reference_write_instance`` writes
-through ``json.dumps(indent=2)``, and ``reference_parse_instance``
-checks and parses every job document field by field into Fraction jobs;
-``reference_generate`` draws the random families' jobs as Fractions,
-with ``randint`` and ``randrange`` where the generators call
-``getrandbits``.
-``reference_write_csv`` writes the experiment CSV one ``writerow`` per
-row, every cell formatted from its own row, where :func:`write_csv`
-formats shared cells once and hands every row to one ``writerows``.
-The library's route, which builds the instance from its integer record,
-must give the same schedule, instance and output bytes, or the same
-exception type and text, on every document.
+"""The library's document routes against :mod:`reference`: schedule
+parsing, the decimal walk behind ``solve``, ``opt`` and ``eval``, the
+total, instance I/O, the random draws and the experiment CSV.  Each must
+give the same schedule, instance and bytes, or the same exception type
+and text, on every document.  No command calls :func:`parse_schedule`
+(``eval``'s fallback route) or :func:`write_schedule`, so they live here.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import decimal
 import hashlib
 import io
 import json
-import math
-import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -54,7 +31,6 @@ from detsched import (
     Objective,
     Schedule,
     SchedulerChoice,
-    canonical_starts,
     evaluate,
     generate,
     optimum,
@@ -65,8 +41,7 @@ from detsched import (
     write_instance,
 )
 from detsched.cli import main
-from detsched.experiment import CSV_HEADER, ExperimentRow
-from detsched.model import DuplicateId, NegativeParameter, SchedulingError
+from detsched.model import DuplicateId, InfeasibleSchedule, NegativeParameter, SchedulingError
 from detsched.serialization import (
     ParseError,
     _canonical_eval,
@@ -77,12 +52,11 @@ from detsched.serialization import (
     _eval_report,
     _loads,
     _schedule_from_doc,
-    decimal_string,
     format_rational,
     format_rationals,
-    parse_rational,
 )
 
+import reference
 from conftest import delayed_starts, digit_limit, doc_text, instance_docs, instances, make_instance, small_rationals
 
 F = Fraction
@@ -104,65 +78,14 @@ def write_schedule(schedule: Schedule) -> str:
     return _dumps({"order": list(schedule.order), "starts": format_rationals(schedule.starts, "starts")})
 
 
-def reference_parse_schedule(text: str, instance: Instance) -> Schedule:
-    """Every start parsed, then the whole schedule checked by evaluate."""
-    doc = _loads(text, "schedule")
-    if not isinstance(doc, dict):
-        raise ParseError("schedule: top level must be an object")
-    if "order" not in doc:
-        raise ParseError("schedule: missing field 'order'")
-    order_doc = doc["order"]
-    if not isinstance(order_doc, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in order_doc
-    ):
-        raise ParseError("order: expected an array of integers")
-    order = tuple(order_doc)
-    if "starts" not in doc or doc["starts"] is None:
-        return canonical_starts(instance, order)
-    starts_doc = doc["starts"]
-    if not isinstance(starts_doc, list):
-        raise ParseError("starts: expected an array")
-    if len(starts_doc) != len(order):
-        raise ParseError(
-            f"starts: {len(starts_doc)} entries for {len(order)} order positions"
-        )
-    starts = tuple(
-        parse_rational(s, f"starts[{i}]") for i, s in enumerate(starts_doc)
-    )
-    schedule = Schedule(order, starts)
-    evaluate(instance, schedule)
-    return schedule
-
-
-def reference_total(completions) -> Fraction:
-    common = math.lcm(*(c.denominator for c in completions))
-    return Fraction(sum(c.numerator * (common // c.denominator) for c in completions), common)
-
-
-def reference_eval_document(text: str, instance: Instance) -> dict:
-    schedule = reference_parse_schedule(text, instance)
-    report = evaluate(instance, schedule)
-    return {
-        "order": list(schedule.order),
-        "starts": format_rationals(report.starts, "starts"),
-        "completions": format_rationals(report.completions, "completions"),
-        "gaps": format_rationals(report.gaps, "gaps"),
-        "makespan": format_rational(report.makespan, "makespan"),
-        "total_completion": format_rational(reference_total(report.completions), "total_completion"),
-    }
-
-
-def eval_document(text: str, instance: Instance) -> dict:
-    return _eval_report(text, instance)
+def eval_document(text: str, instance: Instance) -> str:
+    """``eval``'s output for a schedule document."""
+    return _dumps(_eval_report(text, instance))
 
 
 def solve_document(record) -> str:
     """``solve``'s document for a policy run."""
     return _dumps(_canonical_schedule(record.instance, record.order))
-
-
-def reference_solve_document(record) -> str:
-    return write_schedule(record.schedule)
 
 
 def opt_document(instance: Instance, objective: Objective) -> tuple[int, str, str]:
@@ -178,21 +101,6 @@ def opt_document(instance: Instance, objective: Objective) -> tuple[int, str, st
     return code, out.getvalue(), err.getvalue()
 
 
-def reference_opt_document(instance: Instance, objective: Objective) -> tuple[int, str, str]:
-    """The optimum's schedule through :func:`write_schedule`, between the
-    objective and the value, as ``json.dumps`` writes the document."""
-    result = optimum(instance, objective)
-    try:
-        doc = {
-            "objective": objective.value,
-            **json.loads(write_schedule(result.best_schedule)),
-            "value": format_rational(result.best_value, "value"),
-        }
-    except SchedulingError as exc:
-        return 1, "", f"error: {exc}\n"
-    return 0, json.dumps(doc, indent=2) + "\n", ""
-
-
 def outcome(route, *args):
     """What ``route`` gives: its result, or its exception's type and text."""
     try:
@@ -202,8 +110,8 @@ def outcome(route, *args):
 
 
 def assert_same_routes(text: str, instance: Instance) -> None:
-    assert outcome(parse_schedule, text, instance) == outcome(reference_parse_schedule, text, instance)
-    assert outcome(eval_document, text, instance) == outcome(reference_eval_document, text, instance)
+    assert outcome(parse_schedule, text, instance) == outcome(reference.parse_schedule, text, instance)
+    assert outcome(eval_document, text, instance) == outcome(reference.eval_document, text, instance)
 
 
 def source_schedule(instance: Instance, source: str) -> Schedule:
@@ -261,6 +169,17 @@ class TestScheduleRoutes:
         assert_same_routes(document(schedule.order, map(format_rational, starts)), inst)
 
     @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), inst=instances(max_n=7, beta_strategy=instance_betas), source=st.sampled_from(SOURCES))
+    def test_early_starts(self, data, inst, source):
+        # each chosen start moved earlier: before its release, or before
+        # its predecessor's completion, or both
+        schedule = source_schedule(inst, source)
+        starts = list(schedule.starts)
+        for k in data.draw(st.lists(st.integers(0, inst.n - 1), min_size=1, max_size=3, unique=True)):
+            starts[k] -= data.draw(small_rationals.filter(bool))
+        assert_same_routes(document(schedule.order, map(format_rational, starts)), inst)
+
+    @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
         inst=instances(max_n=7, beta_strategy=instance_betas),
@@ -278,7 +197,7 @@ class TestScheduleRoutes:
         # j1 starts at its release 3/2 and ends at 3, j2's release; j3 starts
         # when j2 ends, at 15/2
         inst = make_instance(1, [(1, 0, F(3, 2)), (2, F(3, 2), 3), (3, 0, 0)])
-        assert canonical_starts(inst, (1, 2, 3)).starts == (F(3, 2), F(3), F(15, 2))
+        assert reference.schedule(inst, (1, 2, 3)).starts == (F(3, 2), F(3), F(15, 2))
         for starts in (
             ["6/4", "3", "15/2"],
             ["3/2", "03", "15/2"],
@@ -289,6 +208,14 @@ class TestScheduleRoutes:
         zero = make_instance(1, [(1, 1, 0), (2, 1, 1)])
         assert parse_schedule(document((1, 2), ["-0", "1"]), zero).starts == (F(0), F(1))
         assert_same_routes(document((1, 2), ["-0", "1"]), zero)
+
+    def test_first_start_before_its_release(self):
+        # j1 is released at 3/2 (see test_fixed_spellings): a start at 1 is
+        # refused for the release, though nothing runs before it
+        inst = make_instance(1, [(1, 0, F(3, 2)), (2, F(3, 2), 3), (3, 0, 0)])
+        text = document((1, 2, 3), ["1", "3", "15/2"])
+        assert_same_routes(text, inst)
+        assert outcome(parse_schedule, text, inst) == (InfeasibleSchedule, "job 1 starts at 1, before its release 3/2")
 
     @pytest.mark.parametrize(
         "position, text",
@@ -340,7 +267,7 @@ class TestScheduleRoutes:
         # each start is about 10**200 times the one before, so the fifth
         # start and the fourth completion pass 640 digits
         inst = make_instance(10**200, [(i, 1, 0) for i in range(1, n + 1)])
-        earliest = canonical_starts(inst, tuple(range(1, n + 1))).starts
+        earliest = reference.schedule(inst, range(1, n + 1)).starts
         texts = [format_rational(s) for s in earliest]
         k = data.draw(st.integers(0, n - 1))
         if change:  # a delayed start, or a start before its predecessor ends
@@ -396,7 +323,7 @@ class TestWalkRoutes:
     def test_solve_document(self, inst, choice, limit):
         record = run(inst, choice)
         with digit_limit(limit):
-            assert outcome(solve_document, record) == outcome(reference_solve_document, record)
+            assert outcome(solve_document, record) == outcome(reference.solve_document, inst, record.order)
 
     @settings(max_examples=150, deadline=None)
     @given(inst=walk_instances(), choice=st.sampled_from(list(SchedulerChoice)), limit=st.sampled_from([640, 0]))
@@ -404,8 +331,8 @@ class TestWalkRoutes:
         with digit_limit(0):
             text = write_schedule(run(inst, choice).schedule)
         with digit_limit(limit):
-            report = outcome(lambda: _dumps(_eval_report(text, inst)))
-            assert report == outcome(lambda: _dumps(reference_eval_document(text, inst)))
+            report = outcome(eval_document, text, inst)
+            assert report == outcome(reference.eval_document, text, inst)
             fast = outcome(_canonical_eval, json.loads(text), inst)
         if not limit:
             # the canonical texts of a canonical schedule take the fast route
@@ -416,7 +343,8 @@ class TestWalkRoutes:
     def test_opt_document(self, case, limit):
         inst, objective = case
         with digit_limit(limit):
-            assert opt_document(inst, objective) == reference_opt_document(inst, objective)
+            order = optimum(inst, objective).best_schedule.order
+            assert opt_document(inst, objective) == reference.opt_document(inst, objective, order)
 
     @pytest.mark.parametrize(
         "inst",
@@ -432,9 +360,9 @@ class TestWalkRoutes:
         for choice in SchedulerChoice:
             record = run(inst, choice)
             text = solve_document(record)
-            assert text == reference_solve_document(record)
-            report = _dumps(_eval_report(text, inst))
-            assert report == _dumps(reference_eval_document(text, inst))
+            assert text == reference.solve_document(inst, record.order)
+            report = eval_document(text, inst)
+            assert report == reference.eval_document(text, inst)
             assert _canonical_eval(json.loads(text), inst) is not None
             # the walk never uses the thread's decimal context
             with decimal.localcontext() as hostile:
@@ -451,7 +379,7 @@ class TestWalkRoutes:
         inst = make_instance(1, [(1, 1, release), (2, 1, 0)])
         record = run(inst, SchedulerChoice.NON_IDLING)
         with digit_limit(640):
-            assert outcome(solve_document, record) == outcome(reference_solve_document, record)
+            assert outcome(solve_document, record) == outcome(reference.solve_document, inst, record.order)
             assert isinstance(outcome(solve_document, record), str) == (release < 10**640)
 
     @pytest.mark.parametrize("q, limit", [(2**64, 640), (10**700, 0)], ids=["2**64", "10**700"])
@@ -466,10 +394,10 @@ class TestWalkRoutes:
             for choice in SchedulerChoice:
                 record = run(inst, choice)
                 text = solve_document(record)
-                assert text == reference_solve_document(record)
+                assert text == reference.solve_document(inst, record.order)
                 fast = _canonical_eval(json.loads(text), inst)
                 assert fast is not None
-                assert _dumps(fast) == _dumps(reference_eval_document(text, inst))
+                assert _dumps(fast) == reference.eval_document(text, inst)
 
 
 class TestTotalRoutes:
@@ -483,80 +411,22 @@ class TestTotalRoutes:
         # completions' denominators do not each divide the next
         order = data.draw(st.permutations([job.id for job in inst.jobs]))
         delays = {k: F(k + 1, 7 if k % 2 else 5) for k in range(inst.n)}
-        for schedule in (
-            canonical_starts(inst, order),
-            Schedule(order, delayed_starts(inst, order, delays)),
-        ):
-            report = evaluate(inst, schedule)
-            assert report.total_completion == reference_total(report.completions)
+        for given_starts in (None, delayed_starts(inst, order, delays)):
+            starts, completions, _ = reference.timeline(inst, order, given_starts)
+            assert evaluate(inst, Schedule(order, starts)).total_completion == reference.total(completions)
 
     def test_long_horizon_regime(self):
         inst = generate(
             FamilySpec(family=Family.RANDOM, n=200, beta=F(1, 1600), seed=5, r_max=800)
         )
         for choice in SchedulerChoice:
-            report = evaluate(inst, run(inst, choice).schedule)
-            assert report.total_completion == reference_total(report.completions)
-
-
-def reference_write_instance(instance: Instance) -> str:
-    doc = {
-        "beta": format_rational(instance.beta),
-        "jobs": [
-            {
-                "id": job.id,
-                "alpha": format_rational(job.alpha),
-                "release": format_rational(job.release),
-            }
-            for job in instance.jobs
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def reference_parse_instance(text: str) -> Instance:
-    """Every job document checked, then parsed, field by field."""
-    doc = _loads(text, "instance")
-    if not isinstance(doc, dict):
-        raise ParseError("instance: top level must be an object")
-    if "beta" not in doc:
-        raise ParseError("instance: missing field 'beta'")
-    if "jobs" not in doc:
-        raise ParseError("instance: missing field 'jobs'")
-    beta = parse_rational(doc["beta"], "beta")
-    jobs_doc = doc["jobs"]
-    if not isinstance(jobs_doc, list):
-        raise ParseError("jobs: expected an array")
-    jobs = []
-    for idx, job_doc in enumerate(jobs_doc):
-        if not isinstance(job_doc, dict):
-            raise ParseError(f"jobs[{idx}]: expected an object")
-        for key in ("id", "alpha", "release"):
-            if key not in job_doc:
-                raise ParseError(f"jobs[{idx}]: missing field '{key}'")
-        jid = job_doc["id"]
-        if not isinstance(jid, int) or isinstance(jid, bool):
-            raise ParseError(f"jobs[{idx}].id: expected an integer")
-        alpha = reference_job_value(job_doc, idx, "alpha")
-        release = reference_job_value(job_doc, idx, "release")
-        jobs.append(Job(jid, alpha, release))
-    return Instance(beta, tuple(jobs))
-
-
-def reference_job_value(job_doc: dict, idx: int, key: str) -> Fraction:
-    """A text of ASCII digits only goes straight to an int; any other
-    text, or one past the digit limit, goes through parse_rational."""
-    text = job_doc[key]
-    if isinstance(text, str) and text.isascii() and text.isdigit():
-        try:
-            return Fraction(int(text))
-        except ValueError:  # the interpreter's limit on digits per conversion
-            pass
-    return parse_rational(text, f"jobs[{idx}].{key}")
+            order = run(inst, choice).order
+            starts, completions, _ = reference.timeline(inst, order)
+            assert evaluate(inst, Schedule(order, starts)).total_completion == reference.total(completions)
 
 
 def assert_same_instance_routes(text: str) -> None:
-    assert outcome(parse_instance, text) == outcome(reference_parse_instance, text)
+    assert outcome(parse_instance, text) == outcome(reference.parse_instance, text)
 
 
 # values of up to 640 digits, the limit the writer tests lower the
@@ -623,7 +493,7 @@ class TestInstanceRoutes:
     def test_written_bytes(self, inst):
         with digit_limit(640):
             text = write_instance(inst)
-            assert text == reference_write_instance(inst)
+            assert text == reference.write_instance(inst)
             assert parse_instance(text) == inst
 
     @settings(max_examples=150, deadline=None)
@@ -631,9 +501,9 @@ class TestInstanceRoutes:
     def test_integer_instances_take_the_column_pass(self, inst):
         with digit_limit(640):
             text = write_instance(inst)
-            assert text == reference_write_instance(inst)
-            assert _columns(json.loads(text)["jobs"]) == inst._prepared.keys
-            assert parse_instance(text) == reference_parse_instance(text) == inst
+            assert text == reference.write_instance(inst)
+            assert _columns(json.loads(text)["jobs"]) == reference.keys(inst)
+            assert parse_instance(text) == reference.parse_instance(text) == inst
 
     @pytest.mark.parametrize("edits", _COLUMN_EXITS.values(), ids=_COLUMN_EXITS.keys())
     def test_column_pass_exits(self, edits):
@@ -652,7 +522,7 @@ class TestInstanceRoutes:
     @settings(max_examples=100, deadline=None)
     @given(inst=instances(max_n=1, beta_strategy=instance_betas))
     def test_one_job(self, inst):
-        assert write_instance(inst) == reference_write_instance(inst)
+        assert write_instance(inst) == reference.write_instance(inst)
 
     # a value of 640 digits is written, one of 641 (at the bound 10**640
     # or above it) refused, naming the first such field in document order:
@@ -667,10 +537,10 @@ class TestInstanceRoutes:
         if field.startswith("jobs[1]."):
             job[field.removeprefix("jobs[1].")] = value
         inst = Instance(beta, (Job(7, 3, 5), Job(**job), Job(2, 3, value if later else 6)))
-        assert inst._prepared.d == 1
+        assert reference.time_scale(inst) == 1
         with digit_limit(640):
             if offset < 0:
-                assert write_instance(inst) == reference_write_instance(inst)
+                assert write_instance(inst) == reference.write_instance(inst)
                 return
             with pytest.raises(SchedulingError) as caught:
                 write_instance(inst)
@@ -685,9 +555,9 @@ class TestInstanceRoutes:
             FamilySpec(family=Family.RANDOM, n=1600, beta=F(1, 1600), seed=5, r_max=6400)
         )
         text = write_instance(inst)
-        assert text == reference_write_instance(inst)
-        assert _columns(json.loads(text)["jobs"]) == inst._prepared.keys
-        assert parse_instance(text) == reference_parse_instance(text) == inst
+        assert text == reference.write_instance(inst)
+        assert _columns(json.loads(text)["jobs"]) == reference.keys(inst)
+        assert parse_instance(text) == reference.parse_instance(text) == inst
 
     @settings(max_examples=300, deadline=None)
     @given(text=instance_docs.map(doc_text))
@@ -756,13 +626,12 @@ class TestRecordRoute:
     @settings(max_examples=300, deadline=None)
     @given(text=record_docs())
     def test_parsed_record_matches_the_job_route(self, text):
-        inst, ref = parse_instance(text), reference_parse_instance(text)
-        assert inst._prepared == ref._prepared
+        inst, ref = parse_instance(text), reference.parse_instance(text)
         assert inst.jobs == ref.jobs
         assert inst == ref
         assert hash(inst) == hash(ref)
         assert repr(inst) == repr(ref)
-        assert write_instance(inst) == write_instance(ref) == reference_write_instance(ref)
+        assert write_instance(inst) == write_instance(ref) == reference.write_instance(ref)
 
     # each document's outcome at the parent of the record route
     @pytest.mark.parametrize(
@@ -823,16 +692,16 @@ class TestRecordRoute:
     )
     def test_refusals(self, jobs, error, message):
         text = json.dumps({"beta": "1/2", "jobs": jobs})
-        assert outcome(parse_instance, text) == outcome(reference_parse_instance, text) == (error, message)
+        assert outcome(parse_instance, text) == outcome(reference.parse_instance, text) == (error, message)
 
     @pytest.mark.parametrize("family", [Family.RANDOM, Family.TWO_RELEASE])
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_drawn_record_matches_the_job_route(self, family, seed):
         spec = FamilySpec(family=family, n=40, beta=F(1, 40), seed=seed, alpha_max=6, r_max=9)
-        inst, ref = generate(spec), reference_generate(spec)
-        assert inst._prepared == ref._prepared
+        inst, ref = generate(spec), reference.generate(spec)
+        assert inst == ref
         assert inst.jobs == ref.jobs
-        assert write_instance(inst) == reference_write_instance(ref)
+        assert write_instance(inst) == reference.write_instance(ref)
 
 
 # The random families' bounds: widths at and next to powers of two, up
@@ -861,7 +730,7 @@ class TestDrawStream:
     @settings(max_examples=300, deadline=None)
     @given(spec=random_family_specs())
     def test_same_record_as_randint(self, spec):
-        assert generate(spec)._prepared == reference_generate(spec)._prepared
+        assert generate(spec) == reference.generate(spec)
 
     # at n = 2 a quarter of the seeds draw two late flags and a quarter
     # none, so both flips of the two-release family are drawn
@@ -869,7 +738,7 @@ class TestDrawStream:
     def test_two_release_flips(self, n):
         for seed in range(40):
             spec = FamilySpec(family=Family.TWO_RELEASE, n=n, beta=F(1), seed=seed, alpha_max=7, r_max=3)
-            assert generate(spec)._prepared == reference_generate(spec)._prepared
+            assert generate(spec) == reference.generate(spec)
 
     # the long-horizon benchmark's instance and the sha256 of its document
     @pytest.mark.parametrize(
@@ -883,61 +752,10 @@ class TestDrawStream:
     def test_long_horizon_draws(self, seed, digest):
         spec = FamilySpec(family=Family.RANDOM, n=1600, beta=F(1, 1600), seed=seed, r_max=6400)
         inst = generate(spec)
-        assert inst._prepared == reference_generate(spec)._prepared
+        assert inst == reference.generate(spec)
         text = write_instance(inst)
-        assert text == reference_write_instance(inst)
+        assert text == reference.write_instance(inst)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def reference_generate(spec: FamilySpec) -> Instance:
-    """The random families' jobs as Fractions, drawn as the generators
-    draw them: per job its fixed part, then its release; or every fixed
-    part, then every late flag, and one flag flipped if all agree."""
-    rng = random.Random(spec.seed)
-    if spec.family is Family.RANDOM:
-        jobs = []
-        for i in range(1, spec.n + 1):
-            alpha = F(rng.randint(0, spec.alpha_max))
-            jobs.append(Job(i, alpha, F(rng.randint(0, spec.r_max))))
-        return Instance(spec.beta, jobs)
-    alphas = [rng.randint(0, spec.alpha_max) for _ in range(spec.n)]
-    late = [rng.randint(0, 1) for _ in range(spec.n)]
-    if not any(late):
-        late[rng.randrange(spec.n)] = 1
-    elif all(late):
-        late[rng.randrange(spec.n)] = 0
-    return Instance(
-        spec.beta,
-        [Job(i + 1, F(alphas[i]), F(spec.r_max if late[i] else 0)) for i in range(spec.n)],
-    )
-
-
-def reference_write_csv(rows: list[ExperimentRow]) -> str:
-    """The experiment CSV, one ``writerow`` per row, every cell of the row
-    formatted from its own values: no cell is shared with another row."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.instance_id,
-                str(row.n),
-                decimal_string(row.beta),
-                row.family,
-                str(row.seed),
-                row.algorithm,
-                row.objective,
-                format_rational(row.value),
-                "" if row.opt_value is None else format_rational(row.opt_value),
-                "" if row.ratio is None else format_rational(row.ratio),
-                "" if row.ratio is None else decimal_string(row.ratio),
-                format_rational(row.lb_release),
-                format_rational(row.lb_fixed),
-                row.wall_time_ms,
-            ]
-        )
-    return buffer.getvalue()
 
 
 @st.composite
@@ -977,7 +795,7 @@ class TestCsvRoutes:
     @settings(max_examples=150, deadline=None)
     @given(rows=experiment_rows())
     def test_same_bytes(self, rows):
-        assert write_csv(rows) == reference_write_csv(rows)
+        assert write_csv(rows) == reference.write_csv(rows)
 
     def test_quoted_cells(self):
         # the csv module quotes a cell that needs it, on both routes
@@ -989,5 +807,5 @@ class TestCsvRoutes:
         )
         rows[1] = dataclasses.replace(rows[1], algorithm='a "quoted", name', family="x\ny")
         text = write_csv(rows)
-        assert text == reference_write_csv(rows)
+        assert text == reference.write_csv(rows)
         assert '"a ""quoted"", name"' in text and '"x\ny"' in text

@@ -17,7 +17,6 @@ from detsched import (
     Family,
     FamilySpec,
     Instance,
-    Job,
     Objective,
     Schedule,
     SchedulerChoice,
@@ -27,150 +26,30 @@ from detsched import (
     evaluate,
     generate,
     run,
-    validate_instance,
 )
 from detsched import schedulers
-from detsched.model import ZERO
-from detsched.schedulers import SCHEDULERS, _loop
+from detsched.schedulers import SCHEDULERS
 
-from conftest import betas, count_calls, instances, make_instance, small_rationals
-from lemmas import is_interfering
+import reference
+from conftest import (
+    RATIONAL_GRID, count_calls, family_instances, instances, make_instance, rational_tie_heavy_instances,
+    regime_betas, tie_heavy_instances,
+)
+from reference import is_interfering
 
 F = Fraction
 
 # the choices that run the policy loop, by value
 LOOP_CHOICES = ["ectf", "non-idling", "non-interfering"]
 
-
-# The O(n^2) loops the heap-based policies replaced, kept as the reference
-# the event loops must match schedule for schedule, tie-breaks included.
-
-def _greedy_key(job: Job) -> tuple[Fraction, Fraction, int]:
-    return (job.alpha, job.release, job.id)
-
-
-def _reference_non_idling(instance: Instance) -> Schedule:
-    validate_instance(instance)
-    g = instance.growth
-    remaining = list(instance.jobs)
-    t = ZERO
-    order: list[int] = []
-    starts: list[Fraction] = []
-    while remaining:
-        pending = [j for j in remaining if j.release <= t]
-        if not pending:
-            t = min(j.release for j in remaining)
-            continue
-        job = min(pending, key=_greedy_key)
-        remaining.remove(job)
-        order.append(job.id)
-        starts.append(t)
-        t = job.alpha + g * t
-    return Schedule(tuple(order), tuple(starts))
-
-
-def _reference_non_interfering(instance: Instance) -> Schedule:
-    validate_instance(instance)
-    g = instance.growth
-    remaining = list(instance.jobs)
-    t = ZERO
-    order: list[int] = []
-    starts: list[Fraction] = []
-    while remaining:
-        pending = [j for j in remaining if j.release <= t]
-        if not pending:
-            t = min(j.release for j in remaining)
-            continue
-        candidate = min(pending, key=_greedy_key)
-        blocking = is_interfering(instance, candidate.id, t)
-        if blocking is not None:
-            # Jobs already started can never block: their releases are <= t.
-            t = blocking
-            continue
-        remaining.remove(candidate)
-        order.append(candidate.id)
-        starts.append(t)
-        t = candidate.alpha + g * t
-    return Schedule(tuple(order), tuple(starts))
-
-
-def _reference_ectf(instance: Instance) -> Schedule:
-    validate_instance(instance)
-    g = instance.growth
-    remaining = list(instance.jobs)
-    t = ZERO
-    order: list[int] = []
-    starts: list[Fraction] = []
-    while remaining:
-        def estimate_key(job: Job) -> tuple[Fraction, Fraction, int]:
-            s = t if t > job.release else job.release
-            return (g * s + job.alpha, job.alpha, job.id)
-
-        job = min(remaining, key=estimate_key)
-        remaining.remove(job)
-        s = t if t > job.release else job.release
-        order.append(job.id)
-        starts.append(s)
-        t = job.alpha + g * s
-    return Schedule(tuple(order), tuple(starts))
-
-
-REFERENCES = [
-    (SchedulerChoice.NON_IDLING, _reference_non_idling),
-    (SchedulerChoice.NON_INTERFERING, _reference_non_interfering),
-    (SchedulerChoice.ECTF, _reference_ectf),
-]
-
-
-# Best-of-two as it was before the greedy loop returned its makespan: both
-# loops, then an evaluation of each result, non-idling on a tie.
-
-def _reference_best_of_two(instance: Instance) -> Schedule:
-    a = run(instance, SchedulerChoice.NON_IDLING).schedule
-    b = run(instance, SchedulerChoice.NON_INTERFERING).schedule
-    if evaluate(instance, a).makespan <= evaluate(instance, b).makespan:
-        return a
-    return b
-
-
-def _size_betas(n: int) -> st.SearchStrategy[Fraction]:
-    return st.sampled_from([F(1, n), F(n)]) | betas
-
-
-@st.composite
-def tie_heavy_instances(draw):
-    """Alphas and releases in {0..3} with shuffled ids, so every tie-break
-    of both keys comes into play."""
-    n = draw(st.integers(1, 12))
-    beta = draw(_size_betas(n))
-    ids = draw(st.permutations(range(1, n + 1)))
-    jobs = tuple(Job(i, F(draw(st.integers(0, 3))), F(draw(st.integers(0, 3)))) for i in ids)
-    return validate_instance(Instance(beta, jobs))
-
-
-RATIONAL_GRID = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]
-
-
-@st.composite
-def rational_tie_heavy_instances(draw):
-    """Alphas and releases on a grid with denominators 1, 2 and 3 and ids
-    shuffled: the policies' integer keys order these correctly only when
-    scaled by the common denominator, and many of them tie."""
-    n = draw(st.integers(1, 12))
-    beta = draw(st.sampled_from([F(1, 2), F(1), F(2), F(3, 7), F(1, n), F(n + 1)]))
-    ids = draw(st.permutations(range(1, n + 1)))
-    grid = st.sampled_from(RATIONAL_GRID)
-    jobs = tuple(Job(i, draw(grid), draw(grid)) for i in ids)
-    return validate_instance(Instance(beta, jobs))
-
-
-@st.composite
-def family_instances(draw):
-    family = draw(st.sampled_from(list(Family)))
-    n = draw(st.integers(2, 30 if family in (Family.RANDOM, Family.TWO_RELEASE) else 10))
-    beta = draw(_size_betas(n))
-    seed = draw(st.integers(0, 2**16))
-    return generate(FamilySpec(family=family, n=n, beta=beta, seed=seed))
+# random instances, and ones where many keys tie or where only integer
+# keys scaled by the common denominator order correctly, and every family
+LOOP_INSTANCES = st.one_of(
+    instances(),
+    tie_heavy_instances(max_n=12, beta_strategy=regime_betas),
+    rational_tie_heavy_instances(grid=RATIONAL_GRID),
+    family_instances(max_jobs=30, min_k=2, adversarial_k=10, beta_strategy=regime_betas),
+)
 
 
 class TestNonIdling:
@@ -292,7 +171,7 @@ class TestEctf:
         # jumps again, to release 2: job 2 runs [2,5), job 1 [5,20)
         inst = make_instance(1, [(1, 10, 1), (2, 1, 2)])
         sched = run(inst, SchedulerChoice.ECTF).schedule
-        assert sched == _reference_ectf(inst)
+        assert sched.order == reference.policy_order(inst, SchedulerChoice.ECTF)
         assert sched == Schedule((2, 1), (F(2), F(5)))
         assert evaluate(inst, sched).makespan == F(20)
 
@@ -302,7 +181,7 @@ class TestEctf:
         # released first, which the greedy policies prefer
         inst = make_instance(1, [(3, 4, 0), (1, 6, 2), (2, 6, 1)])
         sched = run(inst, SchedulerChoice.ECTF).schedule
-        assert sched == _reference_ectf(inst)
+        assert sched.order == reference.policy_order(inst, SchedulerChoice.ECTF)
         assert sched == Schedule((3, 1, 2), (F(0), F(4), F(14)))
         assert run(inst, SchedulerChoice.NON_IDLING).order == (3, 2, 1)
 
@@ -426,24 +305,6 @@ class TestRunEntryPoint:
 
 
 class TestSchedulerContracts:
-    # PolicyRun.schedule, solve and eval build a policy's schedule as the
-    # canonical schedule of its order, which is exact only because every
-    # policy schedule is one.
-    @settings(max_examples=300, deadline=None)
-    @given(
-        inst=st.one_of(
-            instances(),
-            tie_heavy_instances(),
-            rational_tie_heavy_instances(),
-            family_instances(),
-        )
-    )
-    def test_all_feasible_and_canonical(self, inst):
-        for choice in SchedulerChoice:
-            sched = run(inst, choice).schedule
-            evaluate(inst, sched)  # raises if infeasible
-            assert sched == canonical_starts(inst, sched.order)
-
     @settings(max_examples=100)
     @given(inst=instances())
     def test_deterministic(self, inst):
@@ -467,56 +328,28 @@ class TestSchedulerContracts:
             assert evaluate(inst, sched).makespan == optimum
 
 
+def assert_matches_reference(inst: Instance) -> None:
+    """Each policy's run against the reference: its order, the makespan
+    that the loop reports without building any schedule, as a makespan
+    sweep reads it, and its schedule.  ``PolicyRun.schedule``, ``solve``
+    and ``eval`` build a policy's schedule as the canonical schedule of its
+    order, which is exact only because every policy schedule is one."""
+    for choice in SchedulerChoice:
+        record = run(inst, choice)
+        assert "schedule" not in vars(record)
+        order = reference.policy_order(inst, choice)
+        starts, completions, _ = reference.timeline(inst, order)
+        assert (record.order, record.makespan) == (order, completions[-1])
+        assert record.schedule == Schedule(order, tuple(starts))
+
+
 class TestMatchesReferenceLoops:
     @settings(max_examples=400, deadline=None)
-    @given(
-        inst=st.one_of(
-            instances(),
-            tie_heavy_instances(),
-            rational_tie_heavy_instances(),
-            family_instances(),
-        )
-    )
+    @given(inst=LOOP_INSTANCES)
     def test_same_schedules(self, inst):
-        for choice, reference in REFERENCES:
-            assert run(inst, choice).schedule == reference(inst)
+        assert_matches_reference(inst)
 
     def test_long_horizon_instance(self):
-        inst = generate(
-            FamilySpec(family=Family.RANDOM, n=400, beta=F(1, 400), seed=7, r_max=1600)
+        assert_matches_reference(
+            generate(FamilySpec(family=Family.RANDOM, n=400, beta=F(1, 400), seed=7, r_max=1600))
         )
-        for choice, reference in REFERENCES:
-            assert run(inst, choice).schedule == reference(inst)
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        inst=st.one_of(
-            instances(),
-            tie_heavy_instances(),
-            rational_tie_heavy_instances(),
-            family_instances(),
-        )
-    )
-    def test_best_of_two_matches_reference(self, inst):
-        assert run(inst, SchedulerChoice.BEST_OF_TWO).schedule == _reference_best_of_two(inst)
-
-
-class TestLoopMakespans:
-    """The loops' own makespans, which a makespan sweep reports without
-    building any schedule, against :func:`evaluate` on their schedules."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        inst=st.one_of(
-            instances(),
-            tie_heavy_instances(),
-            rational_tie_heavy_instances(),
-            family_instances(),
-        )
-    )
-    def test_equal_evaluate(self, inst):
-        for choice in LOOP_CHOICES:
-            record = _loop(inst, SchedulerChoice(choice))
-            assert "schedule" not in vars(record)
-            makespan = record.makespan
-            assert makespan == evaluate(inst, record.schedule).makespan
